@@ -556,16 +556,19 @@ fn serve_queue_model(detached: bool) {
         .collect();
     // The root thread is the producer: admit two items, then drain.
     for item in [1u64, 2] {
+        // lint: allow(lock-order) — a statement temporary; no other lock is held
         queue.lock().items.push(item);
         available.notify_one();
     }
     {
+        // lint: allow(lock-order) — a statement temporary; no other lock is held
         queue.lock().draining = true;
         available.notify_all();
     }
     for c in consumers {
         c.join();
     }
+    // lint: allow(lock-order) — a statement temporary; no other lock is held
     let mut got = popped.lock().clone();
     got.sort_unstable();
     assert_eq!(
@@ -573,6 +576,7 @@ fn serve_queue_model(detached: bool) {
         vec![1, 2],
         "admitted items must be consumed exactly once"
     );
+    // lint: allow(lock-order) — the `popped` guard above was a statement temporary
     let q = queue.lock();
     assert!(q.items.is_empty(), "drain abandoned admitted work");
 }

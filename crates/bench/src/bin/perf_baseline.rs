@@ -9,8 +9,7 @@
 //!    versus the default pool, reporting the parallel speedup.
 //! 2. **Simulator throughput** — `simulate()` replays of a
 //!    pre-scheduled plan, in planned tasks validated per second. The
-//!    plan has the repeating-iteration-block shape, so this times the
-//!    batched struct-of-arrays replay path.
+//!    plan is valid, so this times the simulator's streaming pass.
 //! 3. **DP throughput** — the headline `fills_per_sec` is the
 //!    *incremental* re-solve rate of an [`IncrementalDp`] session under
 //!    a one-item perturbation workload (the degraded-replan /
@@ -28,8 +27,8 @@
 //! as `throughput_vs_bench4` when that file is present in the working
 //! directory) must stay within runner noise. A separate untimed
 //! instrumented pass then captures a deterministic metrics snapshot
-//! (simulated events, DP cells filled, incremental-session hits,
-//! batched replay steps, …) into the report's `"metrics"` section,
+//! (simulated events, DP cells filled, incremental-session hits, …)
+//! into the report's `"metrics"` section,
 //! plus the `sim.transfer.latency` histogram's deterministic
 //! p50/p90/p99 under `"latency"`.
 //!
@@ -358,10 +357,6 @@ fn main() {
                     Value::from(metrics.counter("dp.rows_reused")),
                 ),
                 ("sim_runs", Value::from(metrics.counter("sim.runs"))),
-                (
-                    "sim_batched_steps",
-                    Value::from(metrics.counter("sim.batched_steps")),
-                ),
                 ("tasks_validated", Value::from(metrics.counter("sim.tasks"))),
                 (
                     "peak_cache_occupancy",

@@ -376,6 +376,7 @@ impl ServeCore {
         match request.deadline_ms {
             Some(0) => token.cancel(),
             Some(ms) => inner.watchdog.arm(
+                // lint: allow(wallclock-rng) — request deadlines are wall-clock by contract
                 Instant::now() + std::time::Duration::from_millis(ms),
                 token.clone(),
             ),
@@ -387,6 +388,7 @@ impl ServeCore {
             attempt: 0,
             token,
             ticket: Arc::clone(&ticket),
+            // lint: allow(wallclock-rng) — queue-wait timing, never part of a plan
             created: Instant::now(),
             request,
         };
@@ -509,6 +511,7 @@ impl ServeInner {
                 }
                 return;
             }
+            // lint: allow(wallclock-rng) — the watchdog fires wall-clock deadlines
             let now = Instant::now();
             armed.retain(|(expiry, token)| {
                 if *expiry <= now {
@@ -533,10 +536,11 @@ impl ServeInner {
     }
 
     fn process(&self, job: Job) {
-        let fault = self.config.fault.clone().unwrap_or_else(|| {
-            // lint: allow(no-unwrap) — the quiet spec always builds.
-            FaultSpec::quiet(0)
-        });
+        let fault = self
+            .config
+            .fault
+            .clone()
+            .unwrap_or_else(|| FaultSpec::quiet(0));
 
         // Deadline already expired (or drain cancelled it): answer
         // without planning. Not the tenant's fault — no breaker food.

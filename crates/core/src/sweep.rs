@@ -14,12 +14,11 @@
 //! the jobs inline on the calling thread — exactly the sequential
 //! loop the experiments used to hand-roll.
 //!
-//! Worker-count invariance covers the observability layer too: each
-//! point's replay takes the simulator's batched repeated-block path
-//! whenever its plan is periodic, and the counters that path emits
-//! in bulk (`sim.batched_steps`, `pe.tasks_recorded`, the vault
-//! totals) are totals per point, so merged snapshots stay
-//! byte-identical at any pool width.
+//! Worker-count invariance covers the observability layer too: the
+//! simulator's streaming pass emits its counters (`sim.events`,
+//! `pe.tasks_recorded`, the vault totals) once per accepted plan, as
+//! totals per point, so merged snapshots stay byte-identical at any
+//! pool width.
 //!
 //! [`ExperimentConfig::jobs`]: crate::ExperimentConfig::jobs
 //!

@@ -37,6 +37,14 @@ pub enum SimError {
         /// Its iteration.
         iteration: u64,
     },
+    /// A task or transfer ends past the last representable time:
+    /// `start + duration` overflows `u64`.
+    TimeOverflow {
+        /// Start time found in the plan.
+        start: u64,
+        /// Duration found in the plan.
+        duration: u64,
+    },
     /// A task instance was planned with a duration different from the
     /// node's execution time `c_i`.
     WrongTaskDuration {
@@ -170,6 +178,10 @@ impl fmt::Display for SimError {
             SimError::EmptyTaskInterval { node, iteration } => {
                 write!(f, "task {node} iteration {iteration} has an empty execution interval")
             }
+            SimError::TimeOverflow { start, duration } => write!(
+                f,
+                "plan entry starting at {start} with duration {duration} ends past the last representable time"
+            ),
             SimError::WrongTaskDuration {
                 node,
                 planned,
@@ -292,6 +304,10 @@ mod tests {
             SimError::EmptyTaskInterval {
                 node: NodeId::new(0),
                 iteration: 1,
+            },
+            SimError::TimeOverflow {
+                start: u64::MAX - 1,
+                duration: 2,
             },
             SimError::WrongTaskDuration {
                 node: NodeId::new(0),

@@ -1,9 +1,9 @@
 //! Fault-injected plan replay.
 //!
 //! [`simulate_with_faults`] first validates the plan through the
-//! ordinary fault-free [`crate::sim::replay`] pass (which takes its
-//! batched repeated-block fast path whenever the plan is periodic —
-//! fault injection changes nothing about validation), then re-times it
+//! ordinary fault-free [`crate::sim::replay`] (the streaming pass, with
+//! the per-event reference pass behind it — fault injection changes
+//! nothing about validation), then re-times it
 //! under a seeded [`FaultSpec`] with a *self-timed* sweep: every task
 //! and transfer starts at the later of its planned start and the
 //! achieved finish of everything it depends on (producer, input
@@ -37,9 +37,9 @@
 //! times: vault-side buffering absorbs the jitter, so a fault
 //! campaign degrades *when* data moves, not *whether* it fits.
 //!
-//! The self-timed fault sweep itself always walks per event — injected
-//! delays differ between iterations, so repeated blocks stop being
-//! copies of each other the moment a fault lands.
+//! The self-timed fault sweep itself walks per event: injected delays
+//! differ between iterations, so each event's achieved start depends on
+//! everything before it.
 
 use std::collections::HashMap;
 

@@ -70,6 +70,6 @@ pub use latency::{LatencyModel, MemoryTech};
 pub use pe::{Pe, RecordError};
 pub use plan::{ExecutionPlan, PeId, PlannedTask, PlannedTransfer};
 pub use report::SimReport;
-pub use sim::simulate;
+pub use sim::{simulate, simulate_reference, simulate_streaming};
 pub use trace::{gantt, plan_chrome_trace, trace, trace_events, TraceEvent};
 pub use vault::{Vault, VaultArray};

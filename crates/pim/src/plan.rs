@@ -121,6 +121,32 @@ impl ExecutionPlan {
         }
     }
 
+    /// Creates an empty plan covering `iterations` iterations with room
+    /// for `tasks` task instances and `transfers` transfers, so an
+    /// emitter that knows its plan's size fills it without regrowing.
+    /// The room is a best-effort hint: a reservation the allocator
+    /// refuses reserves nothing, and the plan then grows as it fills.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use paraconv_pim::ExecutionPlan;
+    ///
+    /// let plan = ExecutionPlan::with_capacity(4, 12, 20);
+    /// assert_eq!(plan, ExecutionPlan::new(4));
+    /// // An absurd hint is refused without aborting.
+    /// let plan = ExecutionPlan::with_capacity(4, usize::MAX, usize::MAX);
+    /// assert!(plan.tasks().is_empty());
+    /// ```
+    #[must_use]
+    pub fn with_capacity(iterations: u64, tasks: usize, transfers: usize) -> Self {
+        let mut plan = ExecutionPlan::new(iterations);
+        // Refused reservations are deliberately ignored (see above).
+        let _ = plan.tasks.try_reserve_exact(tasks);
+        let _ = plan.transfers.try_reserve_exact(transfers);
+        plan
+    }
+
     /// Appends a task instance.
     pub fn push_task(&mut self, task: PlannedTask) {
         self.tasks.push(task);

@@ -6,6 +6,8 @@
 //!
 //! * every `(node, iteration)` instance planned exactly once, with the
 //!   node's execution time;
+//! * every task and transfer ends at a representable time
+//!   (`start + duration` fits a `u64`);
 //! * no processing engine executes two instances at once;
 //! * every data dependency `I_{i,j}^ℓ` is realized by a transfer that
 //!   starts after the producer finishes, completes before the consumer
@@ -14,17 +16,24 @@
 //! * cache-resident IPRs never exceed the aggregate on-chip capacity;
 //! * in-flight transfers to one PE never exceed its iFIFO depth.
 //!
-//! Replay is two-mode. Plans whose iteration blocks repeat with a
-//! uniform time shift — the shape every retimed schedule has, because
-//! iteration `ℓ` is iteration `ℓ-u` shifted by one unrolled period —
-//! are replayed block-at-a-time: each repeated block inherits the
-//! structural validation of the block one unroll period earlier and
-//! bulk-appends that block's sweep events with the shift applied.
-//! Everything else takes the exact per-event pass. Both paths feed the
-//! same sorted struct-of-arrays event lanes and produce identical
-//! reports; PE-interval exclusivity is established by one global sorted
-//! sweep over packed `(pe, start, index)` keys rather than per-event
-//! interval insertion.
+//! Replay is one streaming pass. It walks the plan once, in plan
+//! order, checking every task and transfer with O(1) array lookups:
+//! an iteration-major instance index, a per-PE failed mask, per-node
+//! execution times and per-edge sizes and costs. Each occupancy delta
+//! goes straight into a per-lane time bucket, and one scan over the
+//! buckets checks every lane and yields the peaks. The lanes are PE
+//! exclusivity (≤ 1), cache (≤ capacity), iFIFO (≤ depth) and vault
+//! (≤ the configured port limit, if any).
+//!
+//! The streaming pass only ever accepts a plan. When it finds a
+//! violation, or the plan falls outside what it covers (an instance
+//! outside `1..=iterations`, a bucket outside the `i16` range, buckets
+//! that would need more memory than the reference pass's event lanes),
+//! the plan goes to the per-event reference pass instead. That pass
+//! records every task interval on its PE, sorts `(time, delta)` event
+//! lanes, and names the canonical first [`SimError`] in plan order.
+//! [`simulate_reference`] runs it on its own, so tests can hold the two
+//! passes to identical results.
 //!
 //! The simulator is the ground truth for the evaluation: both SPARTA
 //! and Para-CONV plans are replayed here, so reported improvements are
@@ -32,7 +41,7 @@
 
 use std::collections::HashMap;
 
-use paraconv_graph::{Placement, TaskGraph};
+use paraconv_graph::{Placement, TaskGraph, TaskNode};
 
 use crate::pe::RecordError;
 use crate::{CostModel, ExecutionPlan, Pe, PeId, PimConfig, SimError, SimReport, VaultArray};
@@ -44,12 +53,14 @@ use crate::{CostModel, ExecutionPlan, Pe, PeId, PimConfig, SimError, SimReport, 
 /// allocating `keys × iterations` slots.
 const MAX_DENSE_INDEX: u128 = 1 << 26;
 
-/// Deepest repeat period probed when matching iteration blocks.
-/// Retimed plans repeat with the kernel unroll factor `u` (a handful at
-/// most), so probing small strides finds the period without an
-/// `O(blocks²)` search; plans with a longer period simply replay
-/// block-by-block through the exact checks.
-const MAX_BATCH_STRIDE: usize = 16;
+/// Bytes the reference pass's event lanes take per transfer: four
+/// packed `u128` events (iFIFO in and out, cache or vault in and out).
+/// The streaming pass's buckets may use as much.
+const EVENT_BYTES_PER_TRANSFER: usize = 4 * 16;
+
+/// Bucket memory any plan may use whatever its transfer count, so that
+/// small plans stream too.
+const BUCKET_FLOOR_BYTES: usize = 1 << 16;
 
 /// Positional index over `(dense key, iteration)` instance pairs.
 ///
@@ -127,16 +138,12 @@ impl InstanceIndex {
     }
 }
 
-/// A sorted struct-of-arrays event lane.
+/// A sorted struct-of-arrays event lane of the reference pass.
 ///
-/// The sweeps previously sorted `Vec<(u64, i64)>` / `Vec<(u64, i32)>`
-/// tuples; packing `(time, delta)` into one `u128` key — time in the
-/// high 64 bits, the delta sign-flipped below it — keeps the exact
-/// same order (`sort_unstable` on the keys equals `sort_by_key` on
-/// `(t, delta)` because the sign flip is order-preserving for `i64`)
-/// while sorting a flat scalar array and letting repeated iteration
-/// blocks append a whole block of events with `extend_from_within`
-/// plus one add.
+/// Packing `(time, delta)` into one `u128` key — time in the high 64
+/// bits, the delta sign-flipped below it — keeps the exact order of
+/// `sort_by_key` on `(t, delta)` (the sign flip is order-preserving
+/// for `i64`) while sorting a flat scalar array.
 struct EventLane {
     keys: Vec<u128>,
 }
@@ -159,25 +166,6 @@ impl EventLane {
             .push((u128::from(time) << 64) | u128::from((delta as u64) ^ Self::SIGN_FLIP));
     }
 
-    /// Re-appends the events in `range`, each shifted `shift` time
-    /// units later, and returns the new segment's range. Shifted times
-    /// are real plan times of the repeated block, so the add cannot
-    /// overflow out of the high half.
-    fn extend_shifted(&mut self, range: (usize, usize), shift: u64) -> (usize, usize) {
-        let start = self.keys.len();
-        self.keys.extend_from_within(range.0..range.1);
-        let add = u128::from(shift) << 64;
-        // lint: allow(unchecked-index) — the slice starts at the old length, still in bounds
-        for key in &mut self.keys[start..] {
-            *key += add;
-        }
-        (start, self.keys.len())
-    }
-
-    fn keys(&self) -> &[u128] {
-        &self.keys
-    }
-
     fn into_sorted(mut self) -> Vec<u128> {
         self.keys.sort_unstable();
         self.keys
@@ -186,195 +174,6 @@ impl EventLane {
     fn decode(key: u128) -> (u64, i64) {
         ((key >> 64) as u64, ((key as u64) ^ Self::SIGN_FLIP) as i64)
     }
-}
-
-/// Reusable bucket buffers for [`bucketed_peak`], sized once per
-/// replay to the plan horizon and re-zeroed after every lane.
-struct SweepScratch {
-    /// Net delta per time bucket.
-    net: Vec<i64>,
-    /// Sum of the negative deltas per time bucket (tracked only for
-    /// lanes whose occupancy must never dip below zero).
-    neg: Vec<i64>,
-}
-
-impl SweepScratch {
-    fn new() -> Self {
-        SweepScratch {
-            net: Vec::new(),
-            neg: Vec::new(),
-        }
-    }
-}
-
-/// Peak running occupancy of one event lane via a time-bucketed scan:
-/// O(events + horizon), no sort.
-///
-/// Returns `None` when the exact sorted sweep must run instead —
-/// an event lies outside `horizon`, the horizon is too sparse for
-/// bucketing to pay off, the peak crosses `limit` (the sorted sweep
-/// owns the canonical first-violation diagnosis), or
-/// `negative_is_violation` and the running value can dip below zero.
-///
-/// Equal-time ordering (releases sort before acquisitions) only
-/// matters inside one bucket, where the running value moves down and
-/// then up: its intra-bucket maximum is `max(before, after)` and its
-/// minimum is `before + neg[t]`, so per-bucket boundary checks see
-/// every extreme the per-event sweep sees.
-fn bucketed_peak(
-    keys: &[u128],
-    horizon: usize,
-    limit: Option<i64>,
-    negative_is_violation: bool,
-    scratch: &mut SweepScratch,
-) -> Option<i64> {
-    if keys.is_empty() {
-        return Some(0);
-    }
-    if horizon == 0 || horizon > keys.len() * 4 + 1024 {
-        return None;
-    }
-    if keys.iter().any(|&key| (key >> 64) as usize >= horizon) {
-        return None;
-    }
-    if scratch.net.len() < horizon {
-        scratch.net.resize(horizon, 0);
-        scratch.neg.resize(horizon, 0);
-    }
-    for &key in keys {
-        let t = (key >> 64) as usize;
-        let (_, delta) = EventLane::decode(key);
-        // lint: allow(unchecked-index) — every time was bounds-checked against the horizon above
-        scratch.net[t] += delta;
-        if negative_is_violation && delta < 0 {
-            // lint: allow(unchecked-index) — every time was bounds-checked against the horizon above
-            scratch.neg[t] += delta;
-        }
-    }
-    let mut occupancy = 0i64;
-    let mut peak = 0i64;
-    let mut rerun = false;
-    for t in 0..horizon {
-        // lint: allow(unchecked-index) — the scan stays inside the resized scratch length
-        if negative_is_violation && occupancy + scratch.neg[t] < 0 {
-            rerun = true;
-            break;
-        }
-        // lint: allow(unchecked-index) — the scan stays inside the resized scratch length
-        occupancy += scratch.net[t];
-        peak = peak.max(occupancy);
-        if limit.is_some_and(|l| occupancy > l) {
-            rerun = true;
-            break;
-        }
-    }
-    for &key in keys {
-        let t = (key >> 64) as usize;
-        // lint: allow(unchecked-index) — every time was bounds-checked against the horizon above
-        scratch.net[t] = 0;
-        // lint: allow(unchecked-index) — every time was bounds-checked against the horizon above
-        scratch.neg[t] = 0;
-    }
-    (!rerun).then_some(peak)
-}
-
-/// Shape of a plan whose tasks and transfers are grouped into one
-/// block per iteration, with block `b` repeating block `b - stride`
-/// under a uniform time shift.
-struct BatchLayout {
-    /// Tasks per iteration block.
-    tpb: usize,
-    /// Transfers per iteration block.
-    xpb: usize,
-    /// Repeat period in blocks (the kernel unroll factor for
-    /// scheduler-emitted plans).
-    stride: usize,
-}
-
-/// Probes `plan` for the batched-replay shape: at least two iterations,
-/// task/transfer counts divisible into per-iteration blocks, block `b`
-/// holding exactly iteration `b + 1`, and some stride at which block
-/// `stride` repeats block 0 shifted. Returns `None` for anything else,
-/// which then replays through the exact per-event pass.
-fn detect_layout(plan: &ExecutionPlan) -> Option<BatchLayout> {
-    let iterations = plan.iterations();
-    if iterations < 2 {
-        return None;
-    }
-    let blocks = usize::try_from(iterations).ok()?;
-    let tasks = plan.tasks();
-    let transfers = plan.transfers();
-    if tasks.is_empty()
-        || !tasks.len().is_multiple_of(blocks)
-        || !transfers.len().is_multiple_of(blocks)
-    {
-        return None;
-    }
-    let tpb = tasks.len() / blocks;
-    let xpb = transfers.len() / blocks;
-    for (b, blk) in tasks.chunks_exact(tpb).enumerate() {
-        let iter = b as u64 + 1;
-        if blk.iter().any(|t| t.iteration != iter) {
-            return None;
-        }
-    }
-    if xpb > 0 {
-        for (b, blk) in transfers.chunks_exact(xpb).enumerate() {
-            let iter = b as u64 + 1;
-            if blk.iter().any(|x| x.iteration != iter) {
-                return None;
-            }
-        }
-    }
-    let max_stride = MAX_BATCH_STRIDE.min(blocks - 1);
-    (1..=max_stride)
-        .find(|&u| {
-            // lint: allow(unchecked-index) — u ≤ blocks - 1, so both chunks are in range
-            task_block_delta(&tasks[..tpb], &tasks[u * tpb..(u + 1) * tpb]).is_some()
-        })
-        .map(|stride| BatchLayout { tpb, xpb, stride })
-}
-
-/// The uniform shift `delta` such that `blk` is `base` with every
-/// start moved `delta` later and all other fields equal, if one
-/// exists. Iteration fields are already constrained by the layout
-/// prescan, so they are not compared here.
-fn task_block_delta(base: &[crate::PlannedTask], blk: &[crate::PlannedTask]) -> Option<u64> {
-    let delta = blk.first()?.start.checked_sub(base.first()?.start)?;
-    base.iter()
-        .zip(blk)
-        .all(|(p, t)| {
-            t.node == p.node
-                && t.pe == p.pe
-                && t.duration == p.duration
-                && p.start.checked_add(delta) == Some(t.start)
-        })
-        .then_some(delta)
-}
-
-/// Whether `blk` is `base` shifted by exactly `delta` — the same shift
-/// its task block matched with, so producer/consumer timing relations
-/// are preserved verbatim.
-fn transfer_block_matches(
-    base: &[crate::PlannedTransfer],
-    blk: &[crate::PlannedTransfer],
-    delta: u64,
-) -> bool {
-    base.iter().zip(blk).all(|(p, x)| {
-        x.edge == p.edge
-            && x.placement == p.placement
-            && x.dst_pe == p.dst_pe
-            && x.duration == p.duration
-            && p.start.checked_add(delta) == Some(x.start)
-    })
-}
-
-/// Packs a task interval into one sortable key: PE above start above
-/// the task's plan index (tie-break, and the handle back to the task).
-/// Plan vectors are far below 2³² entries, so the index fits the low
-/// 32 bits.
-fn pack_interval(pe: PeId, start: u64, idx: usize) -> u128 {
-    ((pe.index() as u128) << 96) | (u128::from(start) << 32) | idx as u128
 }
 
 /// Replays `plan` for `graph` on the architecture `config`.
@@ -422,8 +221,347 @@ pub fn simulate(
     Ok(report)
 }
 
-/// Everything the two replay passes accumulate before the shared
-/// sweeps and statistics.
+/// The fault-free validation and replay behind [`simulate`]; the fault
+/// layer (`crate::faulty`) reuses it so every fault campaign starts
+/// from a fully validated plan.
+pub(crate) fn replay(
+    graph: &TaskGraph,
+    plan: &ExecutionPlan,
+    config: &PimConfig,
+) -> Result<SimReport, SimError> {
+    let _span = paraconv_obs::span("pim.simulate", "pim");
+    simulate_streaming(graph, plan, config)
+        .map_or_else(|| simulate_reference(graph, plan, config), Ok)
+}
+
+/// What a replay pass measured: everything [`report`] needs besides
+/// the plan and the configuration.
+struct Tally {
+    /// Per-PE busy time.
+    busy: Vec<u64>,
+    makespan: u64,
+    transfer_energy: u64,
+    offchip_fetches: u64,
+    onchip_hits: u64,
+    offchip_units: u64,
+    onchip_units: u64,
+    peak_cache: u64,
+    peak_fifo: usize,
+    peak_vault_concurrency: usize,
+    peak_vault_fetches: u64,
+}
+
+// ---- streaming pass ------------------------------------------------------
+
+/// Per-edge constants the streaming pass looks up for every transfer.
+struct EdgeFacts {
+    src: usize,
+    dst: usize,
+    /// Execution time of the producer, for its finish time.
+    src_exec: u64,
+    size: u64,
+    vault: usize,
+}
+
+/// Occupancy deltas per lane and time unit. Count lanes live in rows
+/// of `width` (time-major, so plan-order writes stay local): one
+/// exclusivity lane per PE, one iFIFO lane per PE, one lane per vault.
+/// The cache lane holds capacity units and has its own column.
+struct Buckets {
+    width: usize,
+    counts: Vec<i16>,
+    cache: Vec<i64>,
+    /// Rows the memory budget allows.
+    max_rows: usize,
+}
+
+impl Buckets {
+    /// Buckets for times `0..rows` (zeroed lazily by the allocator), and
+    /// a budget of `max_rows`.
+    fn new(width: usize, rows: usize, max_rows: usize) -> Self {
+        Buckets {
+            width,
+            counts: vec![0; rows * width],
+            cache: vec![0; rows],
+            max_rows,
+        }
+    }
+
+    /// Makes time `t` addressable, growing by whole rows. `None` past
+    /// the memory budget.
+    fn reach(&mut self, t: u64) -> Option<()> {
+        let rows = usize::try_from(t).ok()?.checked_add(1)?;
+        if rows > self.cache.len() {
+            if rows > self.max_rows {
+                return None;
+            }
+            self.cache.resize(rows, 0);
+            self.counts.resize(rows * self.width, 0);
+        }
+        Some(())
+    }
+
+    /// Adds `delta` to count lane `lane` at time `t` (already reached).
+    /// `None` if the bucket would leave the `i16` range.
+    fn add(&mut self, t: u64, lane: usize, delta: i16) -> Option<()> {
+        let slot = self.counts.get_mut(t as usize * self.width + lane)?;
+        *slot = slot.checked_add(delta)?;
+        Some(())
+    }
+
+    /// Adds `delta` capacity units to the cache lane at time `t`.
+    fn add_cache(&mut self, t: u64, delta: i64) -> Option<()> {
+        let slot = self.cache.get_mut(t as usize)?;
+        *slot = slot.checked_add(delta)?;
+        Some(())
+    }
+
+    /// Scans every count lane once: the per-lane peaks, or `None` if a
+    /// running occupancy ever exceeds its lane's limit. Within one time
+    /// unit the per-event sweep applies releases before acquisitions,
+    /// so its running value there never exceeds the larger of the
+    /// values before and after the unit — the two this scan checks.
+    fn count_peaks(&self, limits: &[i32]) -> Option<Vec<i32>> {
+        let mut running = vec![0i32; self.width];
+        let mut peaks = vec![0i32; self.width];
+        for row in self.counts.chunks_exact(self.width) {
+            let mut over = false;
+            for (((run, peak), &delta), &limit) in
+                running.iter_mut().zip(&mut peaks).zip(row).zip(limits)
+            {
+                *run += i32::from(delta);
+                *peak = (*peak).max(*run);
+                over |= *run > limit;
+            }
+            if over {
+                return None;
+            }
+        }
+        Some(peaks)
+    }
+
+    /// Scans the cache lane once: its peak, or `None` above `capacity`.
+    fn cache_peak(&self, capacity: i64) -> Option<i64> {
+        let mut occupancy = 0i64;
+        let mut peak = 0i64;
+        for &delta in &self.cache {
+            occupancy = occupancy.checked_add(delta)?;
+            if occupancy > capacity {
+                return None;
+            }
+            peak = peak.max(occupancy);
+        }
+        Some(peak)
+    }
+}
+
+/// Index of `iteration` in `1..=iterations`, zero-based.
+fn iteration_row(iteration: u64, iterations: usize) -> Option<usize> {
+    usize::try_from(iteration.checked_sub(1)?)
+        .ok()
+        .filter(|&row| row < iterations)
+}
+
+/// The streaming pass alone, without the reference pass or the fault
+/// hook: the report when it accepts `plan`, `None` on any violation or
+/// any plan it does not cover, leaving the diagnosis to the reference
+/// pass. Emits nothing to the obs layer until it accepts. Exposed for
+/// differential tests.
+#[doc(hidden)]
+#[must_use]
+pub fn simulate_streaming(
+    graph: &TaskGraph,
+    plan: &ExecutionPlan,
+    config: &PimConfig,
+) -> Option<SimReport> {
+    let cost = CostModel::new(config, graph.edge_count());
+    let tasks = plan.tasks();
+    let transfers = plan.transfers();
+    let nodes = graph.node_count();
+    let edges = graph.edge_count();
+    let num_pes = config.num_pes();
+    let vaults = config.vaults();
+
+    // One entry per instance of `1..=iterations`: with every entry
+    // unique and in range, coverage of tasks and of every consumer's
+    // inputs follows from the counts alone.
+    let iterations = usize::try_from(plan.iterations()).ok()?;
+    if nodes.checked_mul(iterations)? != tasks.len()
+        || edges.checked_mul(iterations)? != transfers.len()
+        || i32::try_from(tasks.len().max(transfers.len())).is_err()
+    {
+        return None;
+    }
+
+    let exec: Vec<u64> = graph.nodes().map(TaskNode::exec_time).collect();
+    let mut failed = vec![false; num_pes];
+    for &pe in config.failed_pes() {
+        *failed.get_mut(pe as usize)? = true;
+    }
+    let mut facts = Vec::with_capacity(edges);
+    for ipr in graph.edges() {
+        facts.push(EdgeFacts {
+            src: ipr.src().index(),
+            dst: ipr.dst().index(),
+            src_exec: *exec.get(ipr.src().index())?,
+            size: ipr.size(),
+            vault: ipr.id().index() % vaults,
+        });
+    }
+
+    let width = 2 * num_pes + vaults;
+    let row_bytes = width * std::mem::size_of::<i16>() + std::mem::size_of::<i64>();
+    let max_rows = transfers
+        .len()
+        .saturating_mul(EVENT_BYTES_PER_TRANSFER)
+        .saturating_add(BUCKET_FLOOR_BYTES)
+        / row_bytes;
+    // Plans end roughly where their last entries do: allocating that far
+    // up front spares most of the incremental growth.
+    let end = |start: u64, duration: u64| start.checked_add(duration);
+    let hint = tasks.last().and_then(|t| end(t.start, t.duration));
+    let hint = hint.max(transfers.last().and_then(|x| end(x.start, x.duration)));
+    let rows = hint.map_or(0, |t| {
+        usize::try_from(t).map_or(usize::MAX, |t| t.saturating_add(1))
+    });
+    let mut buckets = Buckets::new(width, rows.min(max_rows), max_rows);
+
+    // ---- tasks: (start, PE) per instance, iteration-major ------------------
+    const ABSENT: u64 = u64::MAX;
+    let mut instances: Vec<(u64, u32)> = vec![(ABSENT, 0); tasks.len()];
+    let mut busy = vec![0u64; num_pes];
+    let mut makespan = 0u64;
+    for t in tasks {
+        let node = t.node.index();
+        let pe = t.pe.index();
+        if *exec.get(node)? != t.duration || t.duration == 0 || *failed.get(pe)? {
+            return None;
+        }
+        let finish = t.start.checked_add(t.duration)?;
+        let slot = instances.get_mut(iteration_row(t.iteration, iterations)? * nodes + node)?;
+        if slot.0 != ABSENT {
+            return None;
+        }
+        *slot = (t.start, pe as u32);
+        buckets.reach(finish)?;
+        buckets.add(t.start, pe, 1)?;
+        buckets.add(finish, pe, -1)?;
+        *busy.get_mut(pe)? += t.duration;
+        makespan = makespan.max(finish);
+    }
+
+    // ---- transfers ---------------------------------------------------------
+    let mut seen = vec![false; transfers.len()];
+    let mut vault_fetches = vec![0u64; vaults];
+    let mut transfer_energy = 0u64;
+    let (mut onchip_hits, mut onchip_units) = (0u64, 0u64);
+    let (mut offchip_fetches, mut offchip_units) = (0u64, 0u64);
+    for x in transfers {
+        let edge = x.edge.index();
+        let f = facts.get(edge)?;
+        let dst = x.dst_pe.index();
+        // A zero-length transfer's release and acquisition would share a
+        // time unit, where the per-event sweep dips below zero in
+        // flight. Positive sizes and cache costs make such a transfer
+        // too short anyway; refusing it here keeps the buckets exact
+        // without leaning on that.
+        if dst >= num_pes || x.duration == 0 {
+            return None;
+        }
+        let finish = x.start.checked_add(x.duration)?;
+        let row = iteration_row(x.iteration, iterations)?;
+        let seen = seen.get_mut(row * edges + edge)?;
+        if *seen {
+            return None;
+        }
+        *seen = true;
+        // Every instance slot is filled: the task count matched and no
+        // task was a duplicate or out of range.
+        let (producer_start, _) = *instances.get(row * nodes + f.src)?;
+        let produced = producer_start + f.src_exec;
+        let (consumer_start, consumer_pe) = *instances.get(row * nodes + f.dst)?;
+        if x.start < produced || finish > consumer_start || consumer_pe as usize != dst {
+            return None;
+        }
+        buckets.reach(finish)?;
+        buckets.add(x.start, num_pes + dst, 1)?;
+        buckets.add(finish, num_pes + dst, -1)?;
+        if x.duration < cost.transfer_time(f.size, x.placement) {
+            return None;
+        }
+        transfer_energy += cost.transfer_energy(f.size, x.placement);
+        match x.placement {
+            Placement::Cache => {
+                let units = i64::try_from(f.size).ok()?;
+                onchip_hits += 1;
+                onchip_units += f.size;
+                buckets.add_cache(produced, units)?;
+                buckets.add_cache(finish, -units)?;
+            }
+            Placement::Edram => {
+                offchip_fetches += 1;
+                offchip_units += f.size;
+                *vault_fetches.get_mut(f.vault)? += 1;
+                buckets.add(x.start, 2 * num_pes + f.vault, 1)?;
+                buckets.add(finish, 2 * num_pes + f.vault, -1)?;
+            }
+        }
+        makespan = makespan.max(finish);
+    }
+
+    // ---- one scan per lane -------------------------------------------------
+    let clamp = |limit: usize| i32::try_from(limit).unwrap_or(i32::MAX);
+    let mut limits = vec![1; num_pes];
+    limits.resize(2 * num_pes, clamp(config.pfifo_depth()));
+    limits.resize(
+        width,
+        config.max_vault_concurrency().map_or(i32::MAX, clamp),
+    );
+    let peaks = buckets.count_peaks(&limits)?;
+    let peak_cache = buckets.cache_peak(i64::try_from(config.total_cache_units()).ok()?)?;
+    let lane_peak = |lanes: &[i32]| lanes.iter().copied().max().unwrap_or(0) as usize;
+
+    // Accepted: the obs totals the reference pass would have emitted
+    // event by event.
+    if !tasks.is_empty() {
+        paraconv_obs::counter_add("pe.tasks_recorded", tasks.len() as u64);
+    }
+    let peak_vault_fetches = vault_fetches.iter().copied().max().unwrap_or(0);
+    if offchip_fetches > 0 {
+        paraconv_obs::counter_add("vault.fetches", offchip_fetches);
+        paraconv_obs::counter_add("vault.units_moved", offchip_units);
+        paraconv_obs::gauge_max("vault.peak_fetches", peak_vault_fetches);
+    }
+    if paraconv_obs::enabled() {
+        for x in transfers {
+            paraconv_obs::observe("sim.transfer.latency", x.duration);
+        }
+    }
+    record_lane_events(
+        2 * onchip_hits as usize,
+        2 * transfers.len(),
+        2 * offchip_fetches as usize,
+    );
+
+    let tally = Tally {
+        busy,
+        makespan,
+        transfer_energy,
+        offchip_fetches,
+        onchip_hits,
+        offchip_units,
+        onchip_units,
+        peak_cache: peak_cache as u64,
+        peak_fifo: lane_peak(peaks.get(num_pes..2 * num_pes)?),
+        peak_vault_concurrency: lane_peak(peaks.get(2 * num_pes..)?),
+        peak_vault_fetches,
+    };
+    Some(report(plan, config, tally))
+}
+
+// ---- reference pass ------------------------------------------------------
+
+/// Everything the reference pass accumulates before its sweeps.
 struct ReplayState {
     /// Per-PE busy time.
     busy: Vec<u64>,
@@ -440,8 +578,6 @@ struct ReplayState {
     fifo_lanes: Vec<EventLane>,
     /// Per-vault in-flight transfer events for the contention stat.
     vault_lanes: Vec<EventLane>,
-    /// Iteration blocks replayed fully batched (tasks and transfers).
-    batched_steps: u64,
 }
 
 impl ReplayState {
@@ -457,32 +593,32 @@ impl ReplayState {
             cache_lane: EventLane::new(),
             fifo_lanes: (0..config.num_pes()).map(|_| EventLane::new()).collect(),
             vault_lanes: (0..config.vaults()).map(|_| EventLane::new()).collect(),
-            batched_steps: 0,
         }
     }
 }
 
-/// The fault-free validation and replay pass behind [`simulate`]; the
-/// fault layer (`crate::faulty`) reuses it so every fault campaign
-/// starts from a fully validated plan.
-pub(crate) fn replay(
+/// The per-event reference pass alone, without the streaming pass or
+/// the fault hook: the pass that names every [`SimError`] [`simulate`]
+/// returns. Exposed for differential tests.
+///
+/// # Errors
+///
+/// Exactly the errors [`simulate`] reports for a fault-free replay.
+#[doc(hidden)]
+pub fn simulate_reference(
     graph: &TaskGraph,
     plan: &ExecutionPlan,
     config: &PimConfig,
 ) -> Result<SimReport, SimError> {
-    let _span = paraconv_obs::span("pim.simulate", "pim");
     let cost = CostModel::new(config, graph.edge_count());
     let mut state = ReplayState::new(config);
-    match detect_layout(plan) {
-        Some(layout) => replay_batched(graph, plan, config, &cost, &layout, &mut state)?,
-        None => replay_exact(graph, plan, config, &cost, &mut state)?,
-    }
-    finish(plan, config, state)
+    replay_exact(graph, plan, config, &cost, &mut state)?;
+    let tally = sweep(plan, config, state)?;
+    Ok(report(plan, config, tally))
 }
 
 /// The exact per-event pass: every task and transfer walks the full
-/// check sequence individually. Used whenever the plan does not have
-/// the repeating-block shape.
+/// check sequence individually, in plan order.
 fn replay_exact(
     graph: &TaskGraph,
     plan: &ExecutionPlan,
@@ -497,6 +633,12 @@ fn replay_exact(
     // ---- index and validate tasks -------------------------------------
     let mut task_index = InstanceIndex::new(graph.node_count(), plan.iterations());
     for (idx, t) in plan.tasks().iter().enumerate() {
+        if t.start.checked_add(t.duration).is_none() {
+            return Err(SimError::TimeOverflow {
+                start: t.start,
+                duration: t.duration,
+            });
+        }
         let node = graph
             .node(t.node)
             .map_err(|_| SimError::UnknownNode(t.node))?;
@@ -545,6 +687,12 @@ fn replay_exact(
     // ---- index and validate transfers ----------------------------------
     let mut transfer_index = InstanceIndex::new(graph.edge_count(), plan.iterations());
     for (idx, x) in plan.transfers().iter().enumerate() {
+        if x.start.checked_add(x.duration).is_none() {
+            return Err(SimError::TimeOverflow {
+                start: x.start,
+                duration: x.duration,
+            });
+        }
         let ipr = graph
             .edge(x.edge)
             .map_err(|_| SimError::UnknownEdge(x.edge))?;
@@ -645,424 +793,10 @@ fn replay_exact(
     Ok(())
 }
 
-/// Per-block transfer accounting: the scalar sums and event-lane
-/// segments one iteration block contributed, kept in a ring of
-/// `stride` slots so a repeated block can re-apply its base block's
-/// contribution in O(events-per-block) without re-deriving costs.
-struct XferAcct {
-    energy: u64,
-    onchip_hits: u64,
-    onchip_units: u64,
-    offchip_fetches: u64,
-    offchip_units: u64,
-    /// Per touched vault: (vault, fetches, units, busy time).
-    vault_deltas: Vec<(usize, u64, u64, u64)>,
-    cache_range: (usize, usize),
-    fifo_ranges: Vec<(usize, usize)>,
-    vault_ranges: Vec<(usize, usize)>,
-}
-
-impl XferAcct {
-    fn new(num_pes: usize, vaults: usize) -> Self {
-        XferAcct {
-            energy: 0,
-            onchip_hits: 0,
-            onchip_units: 0,
-            offchip_fetches: 0,
-            offchip_units: 0,
-            vault_deltas: Vec::new(),
-            cache_range: (0, 0),
-            fifo_ranges: vec![(0, 0); num_pes],
-            vault_ranges: vec![(0, 0); vaults],
-        }
-    }
-}
-
-/// The batched pass for plans with the repeating-block shape (see
-/// [`detect_layout`]). Blocks that repeat an earlier block under a
-/// uniform shift inherit its validation; the rest run the same checks
-/// as the exact pass, block by block.
-fn replay_batched(
-    graph: &TaskGraph,
-    plan: &ExecutionPlan,
-    config: &PimConfig,
-    cost: &CostModel,
-    layout: &BatchLayout,
-    state: &mut ReplayState,
-) -> Result<(), SimError> {
-    let &BatchLayout { tpb, xpb, stride } = layout;
-    let tasks = plan.tasks();
-    let transfers = plan.transfers();
-    let blocks = tasks.len() / tpb;
-    let num_pes = config.num_pes();
-
-    // ---- task pass -----------------------------------------------------
-    let mut task_index = InstanceIndex::new(graph.node_count(), plan.iterations());
-    let mut intervals: Vec<u128> = Vec::with_capacity(tasks.len());
-    let mut task_delta: Vec<Option<u64>> = vec![None; blocks];
-    // Ring of per-PE busy-time contributions, one slot per stride
-    // position, refreshed whenever a block walks the slow path.
-    let mut busy_ring: Vec<Vec<u64>> = vec![Vec::new(); stride];
-    for b in 0..blocks {
-        // lint: allow(unchecked-index) — blocks × tpb == tasks.len() by construction
-        let blk = &tasks[b * tpb..(b + 1) * tpb];
-        let delta = b.checked_sub(stride).and_then(|base| {
-            // lint: allow(unchecked-index) — base < b < blocks keeps the chunk in range
-            task_block_delta(&tasks[base * tpb..(base + 1) * tpb], blk)
-        });
-        if let Some(delta) = delta {
-            // Fast block: node/PE/duration equal an already validated
-            // block, so the per-task structural checks would repeat its
-            // verdicts; only instance uniqueness, busy accounting and
-            // the global interval sweep below still apply.
-            for (i, t) in blk.iter().enumerate() {
-                if task_index
-                    .insert(t.node.index(), t.iteration, b * tpb + i)
-                    .is_some()
-                {
-                    return Err(SimError::DuplicateTask(t.node, t.iteration));
-                }
-                intervals.push(pack_interval(t.pe, t.start, b * tpb + i));
-            }
-            // lint: allow(unchecked-index) — ring is stride slots, index is mod stride
-            for (pe, add) in busy_ring[b % stride].iter().enumerate() {
-                // lint: allow(unchecked-index) — ring rows are sized to num_pes
-                state.busy[pe] += *add;
-            }
-            // lint: allow(unchecked-index) — b < blocks, the length task_delta was sized to
-            task_delta[b] = Some(delta);
-        } else {
-            let mut block_busy = vec![0u64; num_pes];
-            for (i, t) in blk.iter().enumerate() {
-                let node = graph
-                    .node(t.node)
-                    .map_err(|_| SimError::UnknownNode(t.node))?;
-                if t.pe.index() >= num_pes {
-                    return Err(SimError::UnknownPe(t.pe));
-                }
-                if config.is_pe_failed(t.pe.index() as u32) {
-                    return Err(SimError::TaskOnFailedPe {
-                        pe: t.pe,
-                        node: t.node,
-                        iteration: t.iteration,
-                    });
-                }
-                if t.duration != node.exec_time() {
-                    return Err(SimError::WrongTaskDuration {
-                        node: t.node,
-                        planned: t.duration,
-                        expected: node.exec_time(),
-                    });
-                }
-                if task_index
-                    .insert(t.node.index(), t.iteration, b * tpb + i)
-                    .is_some()
-                {
-                    return Err(SimError::DuplicateTask(t.node, t.iteration));
-                }
-                // lint: allow(unchecked-index) — t.pe was bounds-checked just above
-                block_busy[t.pe.index()] += t.duration;
-                // lint: allow(unchecked-index) — t.pe was bounds-checked just above
-                state.busy[t.pe.index()] += t.duration;
-                intervals.push(pack_interval(t.pe, t.start, b * tpb + i));
-            }
-            // lint: allow(unchecked-index) — ring is stride slots, index is mod stride
-            busy_ring[b % stride] = block_busy;
-        }
-    }
-
-    // ---- deferred PE-interval sweep --------------------------------------
-    // The exact pass records each task on its PE as it walks the plan,
-    // failing at the first empty or overlapping interval. Here every
-    // block contributed packed (pe, start, idx) keys instead; one sort
-    // and a per-PE running-max scan decides whether ANY violation
-    // exists, and only then is the plan replayed task-by-task to
-    // recover the canonical first error. On a plan combining an
-    // interval violation with a later structural error the two passes
-    // can surface different (each correct) first diagnoses; scheduler
-    // output is never doubly invalid like that.
-    intervals.sort_unstable();
-    let mut prev_pe = u128::MAX;
-    let mut max_finish = 0u64;
-    let mut violated = false;
-    for &key in &intervals {
-        let pe = key >> 96;
-        let idx = (key & 0xFFFF_FFFF) as usize;
-        // lint: allow(unchecked-index) — idx was packed from this very task list
-        let t = &tasks[idx];
-        let finish = t.finish();
-        if finish <= t.start || (pe == prev_pe && t.start < max_finish) {
-            violated = true;
-            break;
-        }
-        if pe == prev_pe {
-            max_finish = max_finish.max(finish);
-        } else {
-            prev_pe = pe;
-            max_finish = finish;
-        }
-    }
-    if violated {
-        return Err(first_interval_error(plan, config));
-    }
-    paraconv_obs::counter_add("pe.tasks_recorded", tasks.len() as u64);
-
-    // ---- transfer pass ---------------------------------------------------
-    let mut transfer_index = InstanceIndex::new(graph.edge_count(), plan.iterations());
-    let mut xfer_matched = vec![false; blocks];
-    if xpb == 0 {
-        for (b, matched) in xfer_matched.iter_mut().enumerate() {
-            // lint: allow(unchecked-index) — task_delta is one slot per block
-            *matched = task_delta[b].is_some();
-        }
-    } else {
-        let mut xfer_ring: Vec<XferAcct> = (0..stride)
-            .map(|_| XferAcct::new(num_pes, config.vaults()))
-            .collect();
-        for b in 0..blocks {
-            // lint: allow(unchecked-index) — blocks × xpb == transfers.len() by construction
-            let blk = &transfers[b * xpb..(b + 1) * xpb];
-            // lint: allow(unchecked-index) — task_delta is one slot per block
-            let fast = task_delta[b].and_then(|d| {
-                b.checked_sub(stride).and_then(|base| {
-                    // lint: allow(unchecked-index) — base < b < blocks keeps the chunk in range
-                    transfer_block_matches(&transfers[base * xpb..(base + 1) * xpb], blk, d)
-                        .then_some(d)
-                })
-            });
-            if let Some(delta) = fast {
-                // Fast block: costs, placements and relative timings
-                // equal the base block's, so its accounting re-applies
-                // with every event shifted by `delta`.
-                for (i, x) in blk.iter().enumerate() {
-                    if transfer_index
-                        .insert(x.edge.index(), x.iteration, b * xpb + i)
-                        .is_some()
-                    {
-                        return Err(SimError::DuplicateTransfer(x.edge, x.iteration));
-                    }
-                }
-                if paraconv_obs::enabled() {
-                    for x in blk {
-                        paraconv_obs::observe("sim.transfer.latency", x.duration);
-                    }
-                }
-                // lint: allow(unchecked-index) — ring is stride slots, index is mod stride
-                let acct = &mut xfer_ring[b % stride];
-                state.transfer_energy += acct.energy;
-                state.onchip_hits += acct.onchip_hits;
-                state.onchip_units += acct.onchip_units;
-                state.offchip_fetches += acct.offchip_fetches;
-                state.offchip_units += acct.offchip_units;
-                for &(vault, fetches, units, busy) in &acct.vault_deltas {
-                    state
-                        .vaults
-                        .record_fetches_bulk(vault, fetches, units, busy);
-                }
-                acct.cache_range = state.cache_lane.extend_shifted(acct.cache_range, delta);
-                for (pe, range) in acct.fifo_ranges.iter_mut().enumerate() {
-                    if range.0 != range.1 {
-                        // lint: allow(unchecked-index) — one lane per PE by construction
-                        *range = state.fifo_lanes[pe].extend_shifted(*range, delta);
-                    }
-                }
-                for (v, range) in acct.vault_ranges.iter_mut().enumerate() {
-                    if range.0 != range.1 {
-                        // lint: allow(unchecked-index) — one lane per vault by construction
-                        *range = state.vault_lanes[v].extend_shifted(*range, delta);
-                    }
-                }
-                // lint: allow(unchecked-index) — xfer_matched is one slot per block
-                xfer_matched[b] = true;
-            } else {
-                let mut acct = XferAcct::new(num_pes, config.vaults());
-                acct.cache_range.0 = state.cache_lane.len();
-                for (pe, range) in acct.fifo_ranges.iter_mut().enumerate() {
-                    // lint: allow(unchecked-index) — one lane per PE by construction
-                    range.0 = state.fifo_lanes[pe].len();
-                }
-                for (v, range) in acct.vault_ranges.iter_mut().enumerate() {
-                    // lint: allow(unchecked-index) — one lane per vault by construction
-                    range.0 = state.vault_lanes[v].len();
-                }
-                let mut vault_sums: Vec<(u64, u64, u64)> = vec![(0, 0, 0); config.vaults()];
-                for (i, x) in blk.iter().enumerate() {
-                    let ipr = graph
-                        .edge(x.edge)
-                        .map_err(|_| SimError::UnknownEdge(x.edge))?;
-                    if x.dst_pe.index() >= num_pes {
-                        return Err(SimError::UnknownPe(x.dst_pe));
-                    }
-                    if transfer_index
-                        .insert(x.edge.index(), x.iteration, b * xpb + i)
-                        .is_some()
-                    {
-                        return Err(SimError::DuplicateTransfer(x.edge, x.iteration));
-                    }
-                    let required = cost.transfer_time(ipr.size(), x.placement);
-                    if x.duration < required {
-                        return Err(SimError::TransferTooShort {
-                            edge: x.edge,
-                            planned: x.duration,
-                            required,
-                        });
-                    }
-                    let producer = task_index
-                        .get(ipr.src().index(), x.iteration)
-                        // lint: allow(unchecked-index) — indices come from the task pass above
-                        .map(|i| &tasks[i])
-                        .ok_or(SimError::MissingProducer(ipr.src(), x.iteration))?;
-                    if x.start < producer.finish() {
-                        return Err(SimError::TransferBeforeProduction(x.edge, x.iteration));
-                    }
-                    let energy = cost.transfer_energy(ipr.size(), x.placement);
-                    state.transfer_energy += energy;
-                    acct.energy += energy;
-                    paraconv_obs::observe("sim.transfer.latency", x.duration);
-                    match x.placement {
-                        Placement::Cache => {
-                            state.onchip_hits += 1;
-                            state.onchip_units += ipr.size();
-                            acct.onchip_hits += 1;
-                            acct.onchip_units += ipr.size();
-                            state.cache_lane.push(producer.finish(), ipr.size() as i64);
-                            state.cache_lane.push(x.finish(), -(ipr.size() as i64));
-                        }
-                        Placement::Edram => {
-                            state.offchip_fetches += 1;
-                            state.offchip_units += ipr.size();
-                            acct.offchip_fetches += 1;
-                            acct.offchip_units += ipr.size();
-                            state.vaults.record_fetch(x.edge, ipr.size(), x.duration);
-                            let v = state.vaults.vault_of(x.edge);
-                            // lint: allow(unchecked-index) — vault_of is modulo the vault count
-                            vault_sums[v].0 += 1;
-                            // lint: allow(unchecked-index) — vault_of is modulo the vault count
-                            vault_sums[v].1 += ipr.size();
-                            // lint: allow(unchecked-index) — vault_of is modulo the vault count
-                            vault_sums[v].2 += x.duration;
-                            // lint: allow(unchecked-index) — vault_of is modulo the vault count
-                            state.vault_lanes[v].push(x.start, 1);
-                            // lint: allow(unchecked-index) — vault_of is modulo the vault count
-                            state.vault_lanes[v].push(x.finish(), -1);
-                        }
-                    }
-                    // lint: allow(unchecked-index) — x.dst_pe was bounds-checked just above
-                    state.fifo_lanes[x.dst_pe.index()].push(x.start, 1);
-                    // lint: allow(unchecked-index) — x.dst_pe was bounds-checked just above
-                    state.fifo_lanes[x.dst_pe.index()].push(x.finish(), -1);
-                }
-                acct.cache_range.1 = state.cache_lane.len();
-                for (pe, range) in acct.fifo_ranges.iter_mut().enumerate() {
-                    // lint: allow(unchecked-index) — one lane per PE by construction
-                    range.1 = state.fifo_lanes[pe].len();
-                }
-                for (v, range) in acct.vault_ranges.iter_mut().enumerate() {
-                    // lint: allow(unchecked-index) — one lane per vault by construction
-                    range.1 = state.vault_lanes[v].len();
-                }
-                acct.vault_deltas = vault_sums
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.0 > 0)
-                    .map(|(v, s)| (v, s.0, s.1, s.2))
-                    .collect();
-                // lint: allow(unchecked-index) — ring is stride slots, index is mod stride
-                xfer_ring[b % stride] = acct;
-            }
-        }
-    }
-
-    // ---- dependency coverage ---------------------------------------------
-    for b in 0..blocks {
-        // lint: allow(unchecked-index) — both vectors are one slot per block
-        if task_delta[b].is_some() && xfer_matched[b] {
-            // Fully batched block: every check below is a function of
-            // quantities that equal the base block's shifted uniformly,
-            // and the base (earlier in this loop, ultimately a slow
-            // block) already passed them.
-            continue;
-        }
-        // lint: allow(unchecked-index) — blocks × tpb == tasks.len() by construction
-        for t in &tasks[b * tpb..(b + 1) * tpb] {
-            for &e in graph
-                .in_edges(t.node)
-                .map_err(|_| SimError::UnknownNode(t.node))?
-            {
-                let x = transfer_index
-                    .get(e.index(), t.iteration)
-                    // lint: allow(unchecked-index) — indices come from the transfer pass above
-                    .map(|i| &transfers[i])
-                    .ok_or(SimError::MissingTransfer(e, t.iteration))?;
-                if x.finish() > t.start {
-                    return Err(SimError::ConsumerBeforeTransfer(e, t.iteration));
-                }
-                if x.dst_pe != t.pe {
-                    return Err(SimError::WrongDestination {
-                        edge: e,
-                        iteration: t.iteration,
-                        routed: x.dst_pe,
-                        consumer: t.pe,
-                    });
-                }
-            }
-        }
-    }
-
-    // ---- completeness ------------------------------------------------------
-    for iter in 1..=plan.iterations() {
-        for id in graph.node_ids() {
-            if !task_index.contains(id.index(), iter) {
-                return Err(SimError::MissingTask(id, iter));
-            }
-        }
-    }
-
-    state.batched_steps = (0..blocks)
-        // lint: allow(unchecked-index) — both vectors are one slot per block
-        .filter(|&b| task_delta[b].is_some() && xfer_matched[b])
-        .count() as u64;
-    Ok(())
-}
-
-/// Replays every task through per-PE interval recording in plan order,
-/// returning the first `EmptyTaskInterval` / `PeConflict` — the exact
-/// error the per-event pass reports. Only called after the global
-/// sweep proved a violation exists.
-fn first_interval_error(plan: &ExecutionPlan, config: &PimConfig) -> SimError {
-    let mut pes: Vec<Pe> = (0..config.num_pes())
-        .map(|i| Pe::new(PeId::new(i as u32)))
-        .collect();
-    for t in plan.tasks() {
-        // lint: allow(unchecked-index) — PE ids were bounds-checked by the structural pass
-        match pes[t.pe.index()].record_task(t.start, t.finish()) {
-            Ok(()) => {}
-            Err(RecordError::EmptyInterval) => {
-                return SimError::EmptyTaskInterval {
-                    node: t.node,
-                    iteration: t.iteration,
-                };
-            }
-            Err(RecordError::Overlap) => {
-                return SimError::PeConflict {
-                    pe: t.pe,
-                    node: t.node,
-                    iteration: t.iteration,
-                };
-            }
-        }
-    }
-    unreachable!("interval sweep flagged a violation the exact replay cannot find")
-}
-
-/// The shared tail of both replay passes: event-lane sweeps (cache
-/// capacity, per-PE iFIFO, per-vault contention), statistics and the
-/// report.
-fn finish(
-    plan: &ExecutionPlan,
-    config: &PimConfig,
-    state: ReplayState,
-) -> Result<SimReport, SimError> {
+/// The reference pass's sorted sweeps (cache capacity, per-PE iFIFO,
+/// per-vault contention), each owning its canonical error: the first
+/// violating event in `(time, delta)` order.
+fn sweep(plan: &ExecutionPlan, config: &PimConfig, state: ReplayState) -> Result<Tally, SimError> {
     let ReplayState {
         busy,
         vaults,
@@ -1074,85 +808,50 @@ fn finish(
         cache_lane,
         fifo_lanes,
         vault_lanes,
-        batched_steps,
     } = state;
 
-    // Event-lane depths: how much sweep state this plan generated.
-    if paraconv_obs::enabled() {
-        let fifo_lane: usize = fifo_lanes.iter().map(EventLane::len).sum();
-        let vault_lane: usize = vault_lanes.iter().map(EventLane::len).sum();
-        let total = cache_lane.len() + fifo_lane + vault_lane;
-        paraconv_obs::gauge_max("sim.lane.cache_events", cache_lane.len() as u64);
-        paraconv_obs::gauge_max("sim.lane.fifo_events", fifo_lane as u64);
-        paraconv_obs::gauge_max("sim.lane.vault_events", vault_lane as u64);
-        paraconv_obs::counter_add("sim.events", total as u64);
-    }
-
-    // Every lane is swept via the bucketed scan first; the per-event
-    // sorted sweep runs only when the scan asks for it, and owns the
-    // canonical error construction (first violating event in
-    // `(time, delta)` order).
-    let horizon = usize::try_from(plan.makespan())
-        .ok()
-        .and_then(|m| m.checked_add(1))
-        .unwrap_or(0);
-    let mut scratch = SweepScratch::new();
+    record_lane_events(
+        cache_lane.len(),
+        fifo_lanes.iter().map(EventLane::len).sum(),
+        vault_lanes.iter().map(EventLane::len).sum(),
+    );
 
     // ---- cache capacity sweep --------------------------------------------
     // Releases (-) sort before acquisitions (+) at equal times: a slot
     // freed at t is available to data produced at t.
     let capacity = config.total_cache_units();
-    let peak_cache = match bucketed_peak(
-        cache_lane.keys(),
-        horizon,
-        Some(capacity as i64),
-        false,
-        &mut scratch,
-    ) {
-        Some(peak) => peak,
-        None => {
-            let mut occupancy = 0i64;
-            let mut peak = 0i64;
-            for key in cache_lane.into_sorted() {
-                let (time, delta) = EventLane::decode(key);
-                occupancy += delta;
-                peak = peak.max(occupancy);
-                if occupancy > capacity as i64 {
-                    return Err(SimError::CacheOverflow {
-                        time,
-                        occupancy: occupancy as u64,
-                        capacity,
-                    });
-                }
-            }
-            peak
+    let mut occupancy = 0i64;
+    let mut peak_cache = 0i64;
+    for key in cache_lane.into_sorted() {
+        let (time, delta) = EventLane::decode(key);
+        occupancy += delta;
+        peak_cache = peak_cache.max(occupancy);
+        if occupancy > capacity as i64 {
+            return Err(SimError::CacheOverflow {
+                time,
+                occupancy: occupancy as u64,
+                capacity,
+            });
         }
-    };
+    }
 
     // ---- iFIFO sweep -------------------------------------------------------
     // The `in_flight as usize` comparison deliberately maps a dip
-    // below zero to a huge in-flight count (an overflow report), so
-    // the bucketed scan treats any possible negative prefix as a
-    // violation and defers to the per-event sweep.
+    // below zero to a huge in-flight count (an overflow report).
     let mut peak_fifo = 0usize;
     for (pe_index, lane) in fifo_lanes.into_iter().enumerate() {
         let depth = config.pfifo_depth();
-        match bucketed_peak(lane.keys(), horizon, Some(depth as i64), true, &mut scratch) {
-            Some(peak) => peak_fifo = peak_fifo.max(peak.max(0) as usize),
-            None => {
-                let mut in_flight = 0i64;
-                for key in lane.into_sorted() {
-                    let (_, delta) = EventLane::decode(key);
-                    in_flight += delta;
-                    peak_fifo = peak_fifo.max(in_flight as usize);
-                    if in_flight as usize > depth {
-                        return Err(SimError::FifoOverflow {
-                            pe: PeId::new(pe_index as u32),
-                            in_flight: in_flight as usize,
-                            depth,
-                        });
-                    }
-                }
+        let mut in_flight = 0i64;
+        for key in lane.into_sorted() {
+            let (_, delta) = EventLane::decode(key);
+            in_flight += delta;
+            peak_fifo = peak_fifo.max(in_flight as usize);
+            if in_flight as usize > depth {
+                return Err(SimError::FifoOverflow {
+                    pe: PeId::new(pe_index as u32),
+                    in_flight: in_flight as usize,
+                    depth,
+                });
             }
         }
     }
@@ -1162,36 +861,67 @@ fn finish(
     let mut peak_vault_concurrency = 0usize;
     for (vault, lane) in vault_lanes.into_iter().enumerate() {
         let limit = config.max_vault_concurrency();
-        match bucketed_peak(
-            lane.keys(),
-            horizon,
-            limit.map(|l| l as i64),
-            true,
-            &mut scratch,
-        ) {
-            Some(peak) => peak_vault_concurrency = peak_vault_concurrency.max(peak.max(0) as usize),
-            None => {
-                let mut in_flight = 0i64;
-                for key in lane.into_sorted() {
-                    let (_, delta) = EventLane::decode(key);
-                    in_flight += delta;
-                    peak_vault_concurrency = peak_vault_concurrency.max(in_flight as usize);
-                    if let Some(limit) = limit {
-                        if in_flight as usize > limit {
-                            return Err(SimError::VaultOverload {
-                                vault,
-                                in_flight: in_flight as usize,
-                                limit,
-                            });
-                        }
-                    }
+        let mut in_flight = 0i64;
+        for key in lane.into_sorted() {
+            let (_, delta) = EventLane::decode(key);
+            in_flight += delta;
+            peak_vault_concurrency = peak_vault_concurrency.max(in_flight as usize);
+            if let Some(limit) = limit {
+                if in_flight as usize > limit {
+                    return Err(SimError::VaultOverload {
+                        vault,
+                        in_flight: in_flight as usize,
+                        limit,
+                    });
                 }
             }
         }
     }
 
-    // ---- statistics -----------------------------------------------------
-    let total_time = plan.makespan();
+    Ok(Tally {
+        busy,
+        makespan: plan.makespan(),
+        transfer_energy,
+        offchip_fetches,
+        onchip_hits,
+        offchip_units,
+        onchip_units,
+        peak_cache: peak_cache.max(0) as u64,
+        peak_fifo,
+        peak_vault_concurrency,
+        peak_vault_fetches: vaults.peak_fetches(),
+    })
+}
+
+// ---- shared tail ---------------------------------------------------------
+
+/// Event-lane depths: how much sweep state the plan generates (the
+/// reference pass's lane lengths; the streaming pass's counts of the
+/// same events).
+fn record_lane_events(cache: usize, fifo: usize, vault: usize) {
+    if paraconv_obs::enabled() {
+        paraconv_obs::gauge_max("sim.lane.cache_events", cache as u64);
+        paraconv_obs::gauge_max("sim.lane.fifo_events", fifo as u64);
+        paraconv_obs::gauge_max("sim.lane.vault_events", vault as u64);
+        paraconv_obs::counter_add("sim.events", (cache + fifo + vault) as u64);
+    }
+}
+
+/// Statistics, obs totals and the report of an accepted plan.
+fn report(plan: &ExecutionPlan, config: &PimConfig, tally: Tally) -> SimReport {
+    let Tally {
+        busy,
+        makespan: total_time,
+        transfer_energy,
+        offchip_fetches,
+        onchip_hits,
+        offchip_units,
+        onchip_units,
+        peak_cache,
+        peak_fifo,
+        peak_vault_concurrency,
+        peak_vault_fetches,
+    } = tally;
     let compute_energy: u64 = busy.iter().sum();
     let avg_pe_utilization = if config.num_pes() == 0 {
         0.0
@@ -1218,15 +948,12 @@ fn finish(
     paraconv_obs::counter_add("sim.transfers", plan.transfers().len() as u64);
     paraconv_obs::counter_add("sim.onchip_hits", onchip_hits);
     paraconv_obs::counter_add("sim.offchip_fetches", offchip_fetches);
-    if batched_steps > 0 {
-        paraconv_obs::counter_add("sim.batched_steps", batched_steps);
-    }
-    paraconv_obs::gauge_max("sim.cache.peak_occupancy", peak_cache.max(0) as u64);
+    paraconv_obs::gauge_max("sim.cache.peak_occupancy", peak_cache);
     paraconv_obs::gauge_max("sim.fifo.peak_occupancy", peak_fifo as u64);
     paraconv_obs::gauge_max("sim.vault.peak_concurrency", peak_vault_concurrency as u64);
     paraconv_obs::flight_record("sim", "replay.done", total_time, plan.tasks().len() as u64);
 
-    Ok(SimReport {
+    SimReport {
         total_time,
         iterations: plan.iterations(),
         time_per_iteration,
@@ -1237,12 +964,12 @@ fn finish(
         transfer_energy,
         compute_energy,
         avg_pe_utilization,
-        peak_cache_occupancy: peak_cache.max(0) as u64,
-        cache_capacity: capacity,
+        peak_cache_occupancy: peak_cache,
+        cache_capacity: config.total_cache_units(),
         peak_fifo_occupancy: peak_fifo,
-        peak_vault_fetches: vaults.peak_fetches(),
+        peak_vault_fetches,
         peak_vault_concurrency,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -1303,7 +1030,7 @@ mod tests {
     }
 
     /// `iters` repetitions of `valid_plan`'s block, each shifted
-    /// `period` later: the shape the batched path replays.
+    /// `period` later: the shape every retimed schedule has.
     fn periodic_plan(iters: u64, period: u64) -> ExecutionPlan {
         let mut plan = ExecutionPlan::new(iters);
         for i in 0..iters {
@@ -1566,15 +1293,13 @@ mod tests {
     }
 
     #[test]
-    fn batched_replay_matches_per_event_replay() {
+    fn streaming_replay_matches_per_event_replay() {
         let g = two_node_graph();
         let cfg = config();
         let periodic = periodic_plan(4, 10);
-        assert!(detect_layout(&periodic).is_some());
-        // The same instances pushed in reverse iteration order: layout
-        // detection rejects the plan and the exact per-event path
-        // replays it instead. Valid plans are order-insensitive, so the
-        // two reports must agree field for field.
+        // The same instances pushed in reverse iteration order. Valid
+        // plans are order-insensitive, so the streaming pass on either
+        // order and the reference pass must agree field for field.
         let mut scrambled = ExecutionPlan::new(4);
         for i in (0..4u64).rev() {
             let s = i * 10;
@@ -1582,16 +1307,22 @@ mod tests {
             scrambled.push_transfer(xfer(0, i + 1, Placement::Cache, s + 2, 1, 1));
             scrambled.push_task(task(1, i + 1, 1, s + 3, 1));
         }
-        assert!(detect_layout(&scrambled).is_none());
-        let batched = simulate(&g, &periodic, &cfg).unwrap();
-        let exact = simulate(&g, &scrambled, &cfg).unwrap();
-        assert_eq!(batched, exact);
-        assert_eq!(batched.onchip_hits, 4);
-        assert_eq!(batched.compute_energy, 12);
+        let streamed = simulate_streaming(&g, &periodic, &cfg).unwrap();
+        assert_eq!(
+            simulate_streaming(&g, &scrambled, &cfg),
+            Some(streamed.clone())
+        );
+        assert_eq!(
+            simulate_reference(&g, &scrambled, &cfg),
+            Ok(streamed.clone())
+        );
+        assert_eq!(simulate(&g, &periodic, &cfg), Ok(streamed.clone()));
+        assert_eq!(streamed.onchip_hits, 4);
+        assert_eq!(streamed.compute_energy, 12);
     }
 
     #[test]
-    fn batched_edram_plan_matches_per_event_replay() {
+    fn streaming_edram_plan_matches_per_event_replay() {
         let g = two_node_graph();
         let cfg = config();
         let edram_time = CostModel::new(&cfg, g.edge_count()).edram_transfer_time(1);
@@ -1611,19 +1342,19 @@ mod tests {
             }
             plan
         };
-        let batched = simulate(&g, &build(false), &cfg).unwrap();
-        let exact = simulate(&g, &build(true), &cfg).unwrap();
-        assert_eq!(batched, exact);
-        assert_eq!(batched.offchip_fetches, 3);
-        assert_eq!(batched.peak_vault_fetches, 3);
+        let streamed = simulate_streaming(&g, &build(false), &cfg).unwrap();
+        let exact = simulate_reference(&g, &build(true), &cfg).unwrap();
+        assert_eq!(streamed, exact);
+        assert_eq!(streamed.offchip_fetches, 3);
+        assert_eq!(streamed.peak_vault_fetches, 3);
     }
 
     #[test]
-    fn batched_path_detects_overlap_in_repeated_blocks() {
+    fn overlap_in_repeated_blocks_reports_the_first_conflict() {
         // Period 1 < the producer's duration 2: blocks repeat exactly,
-        // so the batched path is taken, yet consecutive producer
-        // instances overlap on PE0. The canonical first error (plan
-        // order) must come back.
+        // yet consecutive producer instances overlap on PE0. The
+        // streaming pass rejects the plan and the canonical first
+        // error (plan order) must come back.
         let err = simulate(&two_node_graph(), &periodic_plan(4, 1), &config()).unwrap_err();
         assert_eq!(
             err,
@@ -1638,8 +1369,8 @@ mod tests {
     #[test]
     fn mutated_block_in_a_periodic_plan_is_revalidated() {
         // Break one instance deep into the plan: wrong duration at
-        // iteration 3. The mutated block fails block matching and must
-        // walk the full structural checks.
+        // iteration 3. The streaming pass rejects it and the reference
+        // pass must name the structural error.
         let g = two_node_graph();
         let mut plan = ExecutionPlan::new(4);
         for i in 0..4u64 {
@@ -1662,8 +1393,7 @@ mod tests {
     #[test]
     fn mutated_transfer_block_is_revalidated() {
         // Tasks stay periodic but iteration 3's transfer routes to the
-        // wrong PE: the transfer block falls off the fast path and the
-        // dependency pass must still flag it.
+        // wrong PE: the dependency pass must still flag it.
         let g = two_node_graph();
         let mut plan = ExecutionPlan::new(4);
         for i in 0..4u64 {
@@ -1685,11 +1415,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_blocks_accumulate_cache_occupancy() {
+    fn repeated_blocks_accumulate_cache_occupancy() {
         // Long cache residency windows from repeated blocks stack up:
         // with period 2 and residency length 10, five windows overlap,
-        // exceeding a capacity-4 cache. The overflow events come from
-        // fast blocks, so this exercises cross-block lane accounting.
+        // exceeding a capacity-4 cache: the streaming pass's cache
+        // lane must see the overflow and leave it to the reference.
         let g = two_node_graph();
         let cfg = PimConfig::builder(4).per_pe_cache_units(1).build().unwrap();
         let mut plan = ExecutionPlan::new(6);
@@ -1699,7 +1429,7 @@ mod tests {
             plan.push_transfer(xfer(0, i + 1, Placement::Cache, s + 2, 10, 1));
             plan.push_task(task(1, i + 1, 1, s + 13, 1));
         }
-        assert!(detect_layout(&plan).is_some());
+        assert!(simulate_streaming(&g, &plan, &cfg).is_none());
         assert!(matches!(
             simulate(&g, &plan, &cfg).unwrap_err(),
             SimError::CacheOverflow { .. }

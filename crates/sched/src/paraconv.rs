@@ -346,7 +346,12 @@ impl ParaConvScheduler {
         // (ℓ−1) mod u of kernel group (ℓ−1) div u; group g of a node
         // retimed by R(i) executes in kernel window g + R_max − R(i).
         let _phase = phase.next("sched.emit");
-        let mut plan = ExecutionPlan::new(iterations);
+        let iters = usize::try_from(iterations).unwrap_or(usize::MAX);
+        let mut plan = ExecutionPlan::with_capacity(
+            iterations,
+            graph.node_count().saturating_mul(iters),
+            graph.edge_count().saturating_mul(iters),
+        );
         for iter in 1..=iterations {
             if iter % 64 == 0 {
                 cancelled()?;

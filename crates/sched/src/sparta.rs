@@ -211,7 +211,12 @@ impl SpartaScheduler {
         // with priority list scheduling, then replicate it.
         let template = schedule_batch(graph, copies as usize, n_pes, &priority, &transfer_time);
 
-        let mut plan = ExecutionPlan::new(iterations);
+        let iters = usize::try_from(iterations).unwrap_or(usize::MAX);
+        let mut plan = ExecutionPlan::with_capacity(
+            iterations,
+            graph.node_count().saturating_mul(iters),
+            graph.edge_count().saturating_mul(iters),
+        );
         let full_batches = iterations / copies;
         let remainder = iterations % copies;
         let mut next_iteration = 1u64;

@@ -185,3 +185,37 @@ fn duplicating_entries_is_rejected() {
         SimError::DuplicateTransfer(_, _)
     ));
 }
+
+#[test]
+fn overflowing_transfer_end_is_a_typed_error() {
+    // Regression: `start + duration` was computed unchecked, so a
+    // transfer starting at `u64::MAX - 1` panicked in debug builds and
+    // wrapped into a bogus iFIFO overflow in release builds.
+    let (graph, plan, config) = valid_setup();
+    let last = plan.transfers().len() - 1;
+    let mut mutated = plan.transfers()[last];
+    assert!(mutated.duration >= 2, "the end must overflow");
+    mutated.start = u64::MAX - 1;
+    assert_eq!(
+        simulate(&graph, &with_transfer(&plan, last, mutated), &config),
+        Err(SimError::TimeOverflow {
+            start: u64::MAX - 1,
+            duration: mutated.duration,
+        })
+    );
+}
+
+#[test]
+fn overflowing_task_end_is_a_typed_error() {
+    let (graph, plan, config) = valid_setup();
+    let last = plan.tasks().len() - 1;
+    let mut mutated = plan.tasks()[last];
+    mutated.start = u64::MAX;
+    assert_eq!(
+        simulate(&graph, &with_task(&plan, last, mutated), &config),
+        Err(SimError::TimeOverflow {
+            start: u64::MAX,
+            duration: mutated.duration,
+        })
+    );
+}

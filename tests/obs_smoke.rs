@@ -10,7 +10,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use paraconv::alloc::{sort_by_deadline, AllocItem, IncrementalDp};
 use paraconv::graph::EdgeId;
 use paraconv::obs;
-use paraconv::pim::{plan_chrome_trace, PimConfig};
+use paraconv::pim::{plan_chrome_trace, simulate_reference, simulate_streaming, PimConfig};
+use paraconv::sched::{ParaConvScheduler, SpartaScheduler};
 use paraconv::sweep::{self, SweepPoint};
 use paraconv::synth::benchmarks;
 use paraconv::ParaConv;
@@ -82,9 +83,9 @@ fn metrics_identical_across_worker_counts() {
     let sequential = sweep_jsonl(1);
     let parallel = sweep_jsonl(4);
     assert!(!sequential.is_empty());
-    // The incremental-DP session and batched-replay counters must be
+    // The incremental-DP session and simulator event counters must be
     // part of the identity comparison, not just the legacy set.
-    for name in ["dp.incremental_hits", "dp.rows_reused", "sim.batched_steps"] {
+    for name in ["dp.incremental_hits", "dp.rows_reused", "sim.events"] {
         assert!(
             sequential.contains(name),
             "snapshot covers the `{name}` counter"
@@ -94,6 +95,42 @@ fn metrics_identical_across_worker_counts() {
         sequential, parallel,
         "merged metrics must not depend on how work was split"
     );
+}
+
+#[test]
+fn streaming_and_reference_passes_emit_identical_metrics() {
+    // The streaming pass emits in bulk what the reference pass records
+    // event by event (`pe.tasks_recorded`, `vault.*`, the latency
+    // histogram, the lane counts); an accepted plan must leave the same
+    // snapshot either way.
+    let _guard = lock();
+    let graph = benchmarks::all()[1].graph().unwrap();
+    let config = PimConfig::neurocube(16).unwrap();
+    let plans = [
+        ParaConvScheduler::new(config.clone())
+            .schedule(&graph, 10)
+            .unwrap()
+            .plan,
+        SpartaScheduler::new(config.clone())
+            .schedule(&graph, 10)
+            .unwrap()
+            .plan,
+    ];
+    let capture = |replay: &dyn Fn() -> bool| {
+        obs::reset();
+        obs::enable();
+        assert!(replay(), "the pass accepts the plan");
+        obs::disable();
+        let snapshot = obs::snapshot();
+        obs::reset();
+        snapshot.to_jsonl()
+    };
+    for plan in &plans {
+        let streamed = capture(&|| simulate_streaming(&graph, plan, &config).is_some());
+        let reference = capture(&|| simulate_reference(&graph, plan, &config).is_ok());
+        assert!(streamed.contains("vault.fetches"), "{streamed}");
+        assert_eq!(streamed, reference);
+    }
 }
 
 #[test]
