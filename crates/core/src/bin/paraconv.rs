@@ -1133,11 +1133,11 @@ fn plan_export(args: &[String]) -> Result<(), CliError> {
     let count = targets.len();
     for (name, graph) in targets {
         let key = plan_registry::request_key(&graph, &cfg, &policy);
-        let cached = match &registry {
-            Some(reg) => reg
-                .get(&key)
-                .map_err(|e| format!("registry read failed for `{name}`: {e}"))?,
-            None => None,
+        let cached = match registry.as_ref().map(|reg| reg.get(&key)) {
+            // An object in another artifact format is stale: re-plan
+            // and overwrite it.
+            None | Some(Err(plan_registry::ArtifactError::VersionSkew { .. })) => None,
+            Some(read) => read.map_err(|e| format!("registry read failed for `{name}`: {e}"))?,
         };
         let (bytes, source) = match cached {
             Some(bytes) => (bytes, "registry hit"),

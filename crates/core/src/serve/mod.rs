@@ -23,8 +23,9 @@
 //!   re-verifies `content_hash` on every read; a disk-full write
 //!   degrades to memory-only service, never to a partial object.
 //! * **Crash recovery** — [`ServeCore::new`] replays the registry
-//!   (removing stranded temp files and corrupt objects), so warm-key
-//!   hit rates survive a kill.
+//!   (removing stranded temp files, corrupt objects and stale objects
+//!   from another artifact format), so warm-key hit rates survive a
+//!   kill.
 
 mod cache;
 pub mod daemon;
@@ -49,6 +50,7 @@ use paraconv_fault::FaultSpec;
 use paraconv_obs::{CancelScope, CancelToken};
 use paraconv_registry::{request_key, ArtifactError, PlanBundle, PlanPolicy, Registry};
 use paraconv_sched::{ParaConvScheduler, SchedError};
+use paraconv_verify::VerifyError;
 use serde_json::{Map, Number, Value};
 
 /// Tuning knobs for a [`ServeCore`].
@@ -290,6 +292,7 @@ impl ServeCore {
                 paraconv_obs::counter_add("serve.recovered_keys", report.intact.len() as u64);
                 paraconv_obs::counter_add("serve.recovered_tmp", report.tmp_removed);
                 paraconv_obs::counter_add("serve.recovered_corrupt", report.corrupt_removed);
+                paraconv_obs::counter_add("serve.recovered_stale", report.stale_removed);
                 Some(registry)
             }
             None => None,
@@ -652,8 +655,11 @@ impl ServeInner {
                     SchedError::Cancelled => CANCELLED_SENTINEL.to_owned(),
                     other => format!("scheduling failed: {other}"),
                 })?;
-            crate::verify::verify_outcome(&graph, &outcome, &config)
-                .map_err(|e| format!("refusing to serve an unprovable plan: {e}"))?;
+            crate::verify::verify_outcome(&graph, &outcome, &config).map_err(|e| match e {
+                // The verifier re-emits the plan, which polls the token.
+                VerifyError::Unemittable(SchedError::Cancelled) => CANCELLED_SENTINEL.to_owned(),
+                other => format!("refusing to serve an unprovable plan: {other}"),
+            })?;
             Ok(PlanBundle {
                 graph,
                 config,

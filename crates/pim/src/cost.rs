@@ -45,13 +45,18 @@ impl CostModel {
     /// per-vault queues regardless of PE count. The per-vault depth
     /// rounds *up*: any IPR traffic at all queues at least one deep, so
     /// small graphs on many-vault stacks still pay the contention term.
+    /// A queue cost too large for `u64` saturates, so an imported
+    /// config cannot panic here; [`checked_transfer_time`] then reports
+    /// the eDRAM latency as unrepresentable.
+    ///
+    /// [`checked_transfer_time`]: Self::checked_transfer_time
     #[must_use]
     pub fn new(config: &PimConfig, edge_count: usize) -> Self {
         let per_vault = (edge_count as u64).div_ceil(config.vaults() as u64);
         CostModel {
             cache_cost_per_unit: config.cache_cost_per_unit(),
             edram_penalty: config.edram_penalty(),
-            vault_queue_delay: per_vault * config.vault_queue_cost(),
+            vault_queue_delay: per_vault.saturating_mul(config.vault_queue_cost()),
             cache_energy_per_unit: 1,
         }
     }
@@ -77,6 +82,20 @@ impl CostModel {
         match placement {
             Placement::Cache => self.cache_transfer_time(size),
             Placement::Edram => self.edram_transfer_time(size),
+        }
+    }
+
+    /// [`transfer_time`](Self::transfer_time), or `None` when the
+    /// latency does not fit in `u64` (an imported graph or config with
+    /// absurd sizes or costs).
+    #[must_use]
+    pub fn checked_transfer_time(&self, size: u64, placement: Placement) -> Option<u64> {
+        let cache = size.checked_mul(self.cache_cost_per_unit)?;
+        match placement {
+            Placement::Cache => Some(cache),
+            Placement::Edram => cache
+                .checked_mul(self.edram_penalty)?
+                .checked_add(self.vault_queue_delay),
         }
     }
 
@@ -145,6 +164,30 @@ mod tests {
         let m = model();
         assert_eq!(m.transfer_time(2, Placement::Cache), 2);
         assert_eq!(m.transfer_time(2, Placement::Edram), 18);
+    }
+
+    #[test]
+    fn checked_latency_matches_and_refuses_overflow() {
+        let m = model();
+        for placement in [Placement::Cache, Placement::Edram] {
+            assert_eq!(
+                m.checked_transfer_time(3, placement),
+                Some(m.transfer_time(3, placement))
+            );
+        }
+        assert_eq!(
+            m.checked_transfer_time(u64::MAX, Placement::Cache),
+            Some(u64::MAX)
+        );
+        assert_eq!(m.checked_transfer_time(u64::MAX, Placement::Edram), None);
+        // An absurd queue cost saturates instead of panicking.
+        let cfg = PimConfig::builder(16)
+            .vault_queue_cost(u64::MAX)
+            .build()
+            .unwrap();
+        let m = CostModel::new(&cfg, 160);
+        assert_eq!(m.checked_transfer_time(1, Placement::Cache), Some(1));
+        assert_eq!(m.checked_transfer_time(1, Placement::Edram), None);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! the architecture model and validates it.
 
 use core::fmt;
+use std::collections::TryReserveError;
 
 use paraconv_graph::{EdgeId, NodeId, Placement};
 
@@ -122,29 +123,36 @@ impl ExecutionPlan {
     }
 
     /// Creates an empty plan covering `iterations` iterations with room
-    /// for `tasks` task instances and `transfers` transfers, so an
-    /// emitter that knows its plan's size fills it without regrowing.
-    /// The room is a best-effort hint: a reservation the allocator
-    /// refuses reserves nothing, and the plan then grows as it fills.
+    /// for exactly `tasks` task instances and `transfers` transfers, so
+    /// an emitter that knows its plan's size fills it without regrowing.
+    ///
+    /// # Errors
+    ///
+    /// Returns the allocator's refusal when either reservation cannot
+    /// be made (more than `isize::MAX` bytes, or memory exhausted), so
+    /// an oversized plan is a typed error rather than an abort halfway
+    /// through filling it.
     ///
     /// # Examples
     ///
     /// ```
     /// use paraconv_pim::ExecutionPlan;
     ///
-    /// let plan = ExecutionPlan::with_capacity(4, 12, 20);
+    /// let plan = ExecutionPlan::with_capacity(4, 12, 20)?;
     /// assert_eq!(plan, ExecutionPlan::new(4));
-    /// // An absurd hint is refused without aborting.
-    /// let plan = ExecutionPlan::with_capacity(4, usize::MAX, usize::MAX);
-    /// assert!(plan.tasks().is_empty());
+    /// // An absurd reservation is refused without aborting.
+    /// assert!(ExecutionPlan::with_capacity(4, usize::MAX, usize::MAX).is_err());
+    /// # Ok::<(), std::collections::TryReserveError>(())
     /// ```
-    #[must_use]
-    pub fn with_capacity(iterations: u64, tasks: usize, transfers: usize) -> Self {
+    pub fn with_capacity(
+        iterations: u64,
+        tasks: usize,
+        transfers: usize,
+    ) -> Result<Self, TryReserveError> {
         let mut plan = ExecutionPlan::new(iterations);
-        // Refused reservations are deliberately ignored (see above).
-        let _ = plan.tasks.try_reserve_exact(tasks);
-        let _ = plan.transfers.try_reserve_exact(transfers);
-        plan
+        plan.tasks.try_reserve_exact(tasks)?;
+        plan.transfers.try_reserve_exact(transfers)?;
+        Ok(plan)
     }
 
     /// Appends a task instance.

@@ -5,7 +5,7 @@
 //! established):
 //!
 //! ```text
-//! {"content_hash":"…","format":1,"key":"…","magic":"paraconv-plan","producer":"paraconv 0.1.0"}
+//! {"content_hash":"…","format":2,"key":"…","magic":"paraconv-plan","producer":"paraconv 0.1.0"}
 //! {"config":{…},"graph":{…},"outcome":{…},"policy":{…}}
 //! ```
 //!
@@ -17,6 +17,15 @@
 //! provenance only and is never validated, so artifacts exported by a
 //! newer patch release still import cleanly.
 //!
+//! Format 2 stores the outcome's periodic core — kernel, retiming,
+//! allocation and movement analysis — and not the unrolled plan, which
+//! is a pure function of the core and the iteration count. [`decode`]
+//! re-derives the plan through [`paraconv_sched::emit`], so an artifact
+//! is O(V + E) rather than O(iterations × (V + E)) bytes, and the plan
+//! that executes after import is by construction the one the verifier
+//! gate proves. Format 1 artifacts (which stored the plan) are refused
+//! as a [`ArtifactError::VersionSkew`].
+//!
 //! Decoding is strict and total: every failure is a typed
 //! [`ArtifactError`]; hostile bytes can never panic or yield a plan
 //! that skips the verifier gate.
@@ -26,15 +35,16 @@ use paraconv_pim::PimConfig;
 use paraconv_sched::{AllocationPolicy, ParaConvOutcome};
 use serde_json::{Map, Value};
 
-use crate::codec;
+use crate::codec::{self, Path};
 use crate::error::ArtifactError;
-use crate::hash::sha256_hex;
+use crate::frame;
+use crate::hash::{self, Sha256};
 
 /// Magic string identifying a Para-CONV plan artifact.
 pub const MAGIC: &str = "paraconv-plan";
 
 /// The single artifact format version this build reads and writes.
-pub const FORMAT_VERSION: u64 = 1;
+pub const FORMAT_VERSION: u64 = 2;
 
 /// Producer tag written into exported headers (provenance only).
 pub const PRODUCER: &str = concat!("paraconv ", env!("CARGO_PKG_VERSION"));
@@ -50,7 +60,7 @@ pub struct PlanPolicy {
 }
 
 /// A complete, self-contained plan: the request (graph, config,
-/// policy) plus the full scheduling outcome, which is everything
+/// policy) plus the scheduling outcome, which is everything
 /// `paraconv-verify` needs to re-prove the plan without trusting the
 /// producer.
 #[derive(Debug, Clone)]
@@ -61,22 +71,78 @@ pub struct PlanBundle {
     pub config: PimConfig,
     /// The scheduling request parameters.
     pub policy: PlanPolicy,
-    /// The scheduler's full outcome (plan, kernel, retiming,
-    /// allocation, movement analysis).
+    /// The scheduler's outcome. Only its periodic core (kernel,
+    /// retiming, allocation, movement analysis) is encoded; a decoded
+    /// bundle's plan is re-derived from that core.
     pub outcome: ParaConvOutcome,
 }
 
 /// Named sections reported by [`PlanBundle::diff_sections`].
-const DIFF_SECTIONS: [&str; 8] = [
+const DIFF_SECTIONS: [&str; 7] = [
     "graph",
     "config",
     "policy",
-    "outcome.plan",
     "outcome.kernel",
     "outcome.retiming",
     "outcome.allocation",
     "outcome.analysis",
 ];
+
+/// The canonical request sections, serialized once and shared by the
+/// registry-key preimage and the artifact body so the two can never
+/// encode the request differently.
+struct RequestJson {
+    config: String,
+    graph: String,
+    policy: String,
+}
+
+impl RequestJson {
+    fn new(graph: &TaskGraph, config: &PimConfig, policy: &PlanPolicy) -> Self {
+        RequestJson {
+            config: serde_json::to_string(&codec::config_to_value(config)),
+            graph: serde_json::to_string(&codec::graph_to_value(graph)),
+            policy: serde_json::to_string(&codec::policy_to_value(policy)),
+        }
+    }
+
+    /// SHA-256 of the canonical `{"config":…,"graph":…,"policy":…}`
+    /// object (members in alphabetical order, as a `Map` serializes),
+    /// hashed piece by piece without assembling the preimage.
+    fn key(&self) -> String {
+        let mut hasher = Sha256::new();
+        for piece in [
+            r#"{"config":"#,
+            &self.config,
+            r#","graph":"#,
+            &self.graph,
+            r#","policy":"#,
+            &self.policy,
+            "}",
+        ] {
+            hasher.update(piece.as_bytes());
+        }
+        hash::hex(hasher.finalize())
+    }
+
+    /// The body line: the request sections with the encoded outcome in
+    /// its alphabetical slot.
+    fn body(&self, outcome: &ParaConvOutcome) -> String {
+        let outcome = serde_json::to_string(&codec::outcome_to_value(outcome));
+        [
+            r#"{"config":"#,
+            &self.config,
+            r#","graph":"#,
+            &self.graph,
+            r#","outcome":"#,
+            &outcome,
+            r#","policy":"#,
+            &self.policy,
+            "}",
+        ]
+        .concat()
+    }
+}
 
 /// The registry key of a plan request: SHA-256 of the canonical
 /// encoding of `(graph, config, policy)`. Computable before any
@@ -84,11 +150,7 @@ const DIFF_SECTIONS: [&str; 8] = [
 /// first and skip the scheduler on a hit.
 #[must_use]
 pub fn request_key(graph: &TaskGraph, config: &PimConfig, policy: &PlanPolicy) -> String {
-    let mut obj = Map::new();
-    obj.insert("config".into(), codec::config_to_value(config));
-    obj.insert("graph".into(), codec::graph_to_value(graph));
-    obj.insert("policy".into(), codec::policy_to_value(policy));
-    sha256_hex(serde_json::to_string(&Value::Object(obj)).as_bytes())
+    RequestJson::new(graph, config, policy).key()
 }
 
 impl PlanBundle {
@@ -100,51 +162,25 @@ impl PlanBundle {
         request_key(&self.graph, &self.config, &self.policy)
     }
 
-    /// The canonical body value (alphabetical keys).
-    #[must_use]
-    fn body_value(&self) -> Value {
-        let mut obj = Map::new();
-        obj.insert("config".into(), codec::config_to_value(&self.config));
-        obj.insert("graph".into(), codec::graph_to_value(&self.graph));
-        obj.insert("outcome".into(), codec::outcome_to_value(&self.outcome));
-        obj.insert("policy".into(), codec::policy_to_value(&self.policy));
-        Value::Object(obj)
-    }
-
     /// Encodes the bundle as a complete artifact: header line + body
     /// line, each `\n`-terminated. Byte-deterministic: the same bundle
-    /// always encodes to the same bytes.
+    /// always encodes to the same bytes. The request is serialized
+    /// once, for both the body and the key.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let body_line = serde_json::to_string(&self.body_value());
+        let request = RequestJson::new(&self.graph, &self.config, &self.policy);
         let mut header = Map::new();
-        header.insert(
-            "content_hash".into(),
-            Value::String(sha256_hex(body_line.as_bytes())),
-        );
-        header.insert(
-            "format".into(),
-            Value::Number(serde_json::Number::from_u64(FORMAT_VERSION)),
-        );
-        header.insert("key".into(), Value::String(self.key()));
-        header.insert("magic".into(), Value::String(MAGIC.to_owned()));
-        header.insert("producer".into(), Value::String(PRODUCER.to_owned()));
-        let header_line = serde_json::to_string(&Value::Object(header));
-        let mut out = Vec::with_capacity(header_line.len() + body_line.len() + 2);
-        out.extend_from_slice(header_line.as_bytes());
-        out.push(b'\n');
-        out.extend_from_slice(body_line.as_bytes());
-        out.push(b'\n');
-        out
+        header.insert("key".into(), Value::String(request.key()));
+        frame::encode(MAGIC, FORMAT_VERSION, header, &request.body(&self.outcome))
     }
 
     /// Names the sections in which `self` and `other` differ (empty
     /// when the bundles encode identically). Sections follow the body
-    /// schema: `graph`, `config`, `policy`, and the five outcome
+    /// schema: `graph`, `config`, `policy`, and the four outcome
     /// components.
     #[must_use]
     pub fn diff_sections(&self, other: &PlanBundle) -> Vec<&'static str> {
-        let sections = |bundle: &PlanBundle| -> [String; 8] {
+        let sections = |bundle: &PlanBundle| -> [String; 7] {
             let outcome = codec::outcome_to_value(&bundle.outcome);
             let component = |key: &str| -> String {
                 match outcome.as_object().and_then(|obj| obj.get(key)) {
@@ -156,7 +192,6 @@ impl PlanBundle {
                 serde_json::to_string(&codec::graph_to_value(&bundle.graph)),
                 serde_json::to_string(&codec::config_to_value(&bundle.config)),
                 serde_json::to_string(&codec::policy_to_value(&bundle.policy)),
-                component("plan"),
                 component("kernel"),
                 component("retiming"),
                 component("allocation"),
@@ -199,9 +234,10 @@ pub struct PlanArtifact {
 }
 
 /// Cheap integrity check over raw artifact bytes: line structure,
-/// header JSON (magic, version) and the body `content_hash` — but not
-/// the body codec or the registry-key recompute, so it costs one JSON
-/// parse of the short header plus one SHA-256 pass over the body.
+/// header JSON (magic, version, key) and the body `content_hash` — but
+/// not the body codec, the registry-key recompute or the plan
+/// re-derivation, so it costs one JSON parse of the short header plus
+/// one SHA-256 pass over the body.
 ///
 /// This is the defense-in-depth gate [`Registry::get`] runs on every
 /// read: bit rot anywhere in a stored object surfaces as a typed
@@ -214,162 +250,35 @@ pub struct PlanArtifact {
 /// Returns the same typed errors as [`decode`] for the validation
 /// stages it runs; never panics on hostile bytes.
 pub fn verify_artifact_bytes(bytes: &[u8]) -> Result<(), ArtifactError> {
-    let (header, body_line) = split_artifact(bytes)?;
-    let computed = sha256_hex(body_line.as_bytes());
-    if computed != header.content_hash {
-        return Err(ArtifactError::HashMismatch {
-            field: "content_hash",
-            recorded: header.content_hash,
-            computed,
-        });
-    }
+    frame::decode(bytes, "artifact", MAGIC, FORMAT_VERSION)?.header_str("key")?;
     Ok(())
-}
-
-/// Splits raw bytes into a validated [`ArtifactHeader`] and the body
-/// line (without its trailing newline). Shared by [`decode`] and
-/// [`verify_artifact_bytes`]; checks UTF-8, two-line structure, header
-/// JSON, magic and format version — not the body hash.
-fn split_artifact(bytes: &[u8]) -> Result<(ArtifactHeader, &str), ArtifactError> {
-    let text = core::str::from_utf8(bytes)
-        .map_err(|_| ArtifactError::schema("artifact", "not valid UTF-8"))?;
-    if text.is_empty() {
-        return Err(ArtifactError::Truncated {
-            detail: "empty file",
-        });
-    }
-    let Some((header_line, rest)) = text.split_once('\n') else {
-        return Err(ArtifactError::Truncated {
-            detail: "missing body line (no newline after header)",
-        });
-    };
-    if rest.is_empty() {
-        return Err(ArtifactError::Truncated {
-            detail: "missing body line",
-        });
-    }
-    let Some(body_line) = rest.strip_suffix('\n') else {
-        return Err(ArtifactError::Truncated {
-            detail: "body line not newline-terminated",
-        });
-    };
-    if body_line.contains('\n') || body_line.is_empty() {
-        return Err(ArtifactError::schema(
-            "artifact",
-            "expected exactly two lines: header and body",
-        ));
-    }
-
-    // Header: parse, then check magic before anything else so foreign
-    // files get the clearest rejection.
-    let header_value = serde_json::from_str(header_line).map_err(|e| {
-        ArtifactError::schema(
-            "header",
-            format!("invalid JSON at byte {}: {e}", e.offset()),
-        )
-    })?;
-    let header_obj = header_value
-        .as_object()
-        .ok_or_else(|| ArtifactError::schema("header", "expected an object"))?;
-    let magic = codec::str_field(header_obj, "header", "magic")?;
-    if magic != MAGIC {
-        return Err(ArtifactError::schema(
-            "header.magic",
-            format!("expected `{MAGIC}`, found `{magic}`"),
-        ));
-    }
-    let format = codec::u64_field(header_obj, "header", "format")?;
-    if format != FORMAT_VERSION {
-        return Err(ArtifactError::VersionSkew {
-            found: format,
-            supported: FORMAT_VERSION,
-        });
-    }
-    let producer = codec::str_field(header_obj, "header", "producer")?.to_owned();
-    let content_hash = codec::str_field(header_obj, "header", "content_hash")?.to_owned();
-    let key = codec::str_field(header_obj, "header", "key")?.to_owned();
-    Ok((
-        ArtifactHeader {
-            format,
-            producer,
-            content_hash,
-            key,
-        },
-        body_line,
-    ))
 }
 
 /// Decodes and validates an artifact from raw bytes.
 ///
 /// Validation runs outside-in, cheapest first, so tampering is caught
 /// before any expensive work: UTF-8 → line structure → header JSON →
-/// magic → format version → body `content_hash` → body codec →
-/// registry-key recompute. The `producer` field is not validated.
+/// magic → format version → body `content_hash` → request codec →
+/// registry-key recompute → outcome codec → plan re-derivation
+/// ([`paraconv_sched::emit`] at the policy's iteration count). The
+/// `producer` field is not validated.
 ///
 /// # Errors
 ///
 /// Every malformed input maps to a typed [`ArtifactError`]; this
 /// function never panics, regardless of input.
 pub fn decode(bytes: &[u8]) -> Result<PlanArtifact, ArtifactError> {
-    let (header, body_line) = split_artifact(bytes)?;
-    let ArtifactHeader {
-        format,
-        producer,
-        content_hash,
-        key,
-    } = header;
-
-    // Body integrity before body parsing: a flipped byte anywhere in
-    // the body line is a hash mismatch, not a confusing codec error.
-    let computed = sha256_hex(body_line.as_bytes());
-    if computed != content_hash {
-        return Err(ArtifactError::HashMismatch {
-            field: "content_hash",
-            recorded: content_hash,
-            computed,
-        });
-    }
-
-    let body_value = serde_json::from_str(body_line).map_err(|e| {
-        ArtifactError::schema("body", format!("invalid JSON at byte {}: {e}", e.offset()))
-    })?;
-    let body_obj = body_value
-        .as_object()
-        .ok_or_else(|| ArtifactError::schema("body", "expected an object"))?;
-    for field in ["config", "graph", "outcome", "policy"] {
-        if !body_obj.contains_key(field) {
-            return Err(ArtifactError::schema(
-                format!("body.{field}"),
-                "missing field",
-            ));
-        }
-    }
-    for key in body_obj.keys() {
-        if !["config", "graph", "outcome", "policy"].contains(&key.as_str()) {
-            return Err(ArtifactError::schema(
-                format!("body.{key}"),
-                "unknown field",
-            ));
-        }
-    }
-    // lint: allow(no-unwrap) — presence checked just above.
-    let graph = codec::graph_from_value(body_obj.get("graph").unwrap(), "body.graph")?;
-    // lint: allow(no-unwrap) — presence checked just above.
-    let config = codec::config_from_value(body_obj.get("config").unwrap(), "body.config")?;
-    // lint: allow(no-unwrap) — presence checked just above.
-    let policy = codec::policy_from_value(body_obj.get("policy").unwrap(), "body.policy")?;
-    // lint: allow(no-unwrap) — presence checked just above.
-    let outcome = codec::outcome_from_value(body_obj.get("outcome").unwrap(), "body.outcome")?;
-    let bundle = PlanBundle {
-        graph,
-        config,
-        policy,
-        outcome,
-    };
+    let framed = frame::decode(bytes, "artifact", MAGIC, FORMAT_VERSION)?;
+    let key = framed.header_str("key")?;
+    let body = framed.body(&["config", "graph", "outcome", "policy"])?;
+    let section = |name| codec::field(&body, &Path::Root("body"), name);
+    let graph = codec::graph_from_value(section("graph")?, "body.graph")?;
+    let config = codec::config_from_value(section("config")?, "body.config")?;
+    let policy = codec::policy_from_value(section("policy")?, "body.policy")?;
 
     // The recorded key must match the request we just rebuilt —
     // otherwise the registry would file this plan under a lie.
-    let computed_key = bundle.key();
+    let computed_key = request_key(&graph, &config, &policy);
     if computed_key != key {
         return Err(ArtifactError::HashMismatch {
             field: "key",
@@ -378,20 +287,34 @@ pub fn decode(bytes: &[u8]) -> Result<PlanArtifact, ArtifactError> {
         });
     }
 
+    // Last and costliest: decode the core and re-derive its plan.
+    let outcome = codec::outcome_from_value(
+        section("outcome")?,
+        "body.outcome",
+        &graph,
+        &config,
+        policy.iterations,
+    )?;
     Ok(PlanArtifact {
         header: ArtifactHeader {
-            format,
-            producer,
-            content_hash,
+            format: FORMAT_VERSION,
+            producer: framed.producer,
+            content_hash: framed.content_hash,
             key,
         },
-        bundle,
+        bundle: PlanBundle {
+            graph,
+            config,
+            policy,
+            outcome,
+        },
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::sha256_hex;
     use paraconv_graph::examples;
     use paraconv_sched::ParaConvScheduler;
 
@@ -429,9 +352,35 @@ mod tests {
     fn key_ignores_outcome() {
         let bundle = bundle();
         let mut other = bundle.clone();
-        other.outcome.plan = paraconv_pim::ExecutionPlan::new(999);
+        other.outcome.retiming = paraconv_retime::Retiming::zero(&other.graph);
         assert_eq!(bundle.key(), other.key());
         assert_ne!(bundle.encode(), other.encode());
+    }
+
+    #[test]
+    fn the_plan_is_derived_not_stored() {
+        let bundle = bundle();
+        let mut forged = bundle.clone();
+        forged.outcome.plan = paraconv_pim::ExecutionPlan::new(999);
+        // A plan edited beside its core never reaches the bytes: the
+        // artifact re-derives the core's own plan.
+        assert_eq!(bundle.encode(), forged.encode());
+        let decoded = decode(&forged.encode()).unwrap();
+        assert_eq!(decoded.bundle.outcome.plan, bundle.outcome.plan);
+    }
+
+    #[test]
+    fn encode_serializes_the_request_like_request_key() {
+        let bundle = bundle();
+        let text = String::from_utf8(bundle.encode()).unwrap();
+        let (header, body) = text.split_once('\n').unwrap();
+        // The key preimage is the body minus its outcome member.
+        let body: Value = serde_json::from_str(body.trim_end()).unwrap();
+        let mut request = body.as_object().unwrap().clone();
+        request.remove("outcome");
+        let preimage = serde_json::to_string(&Value::Object(request));
+        assert!(header.contains(&sha256_hex(preimage.as_bytes())));
+        assert_eq!(sha256_hex(preimage.as_bytes()), bundle.key());
     }
 
     #[test]
@@ -448,18 +397,17 @@ mod tests {
     fn future_version_is_version_skew() {
         let bundle = bundle();
         let text = String::from_utf8(bundle.encode()).unwrap();
-        let text = text.replacen("\"format\":1", "\"format\":99", 1);
-        let err = decode(text.as_bytes()).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                ArtifactError::VersionSkew {
-                    found: 99,
-                    supported: 1
-                }
-            ),
-            "{err}"
-        );
+        for (found, stale) in [(99, "\"format\":99"), (1, "\"format\":1")] {
+            let stale = text.replacen("\"format\":2", stale, 1);
+            let err = decode(stale.as_bytes()).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ArtifactError::VersionSkew { found: f, supported: 2 } if f == found
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -520,7 +468,7 @@ mod tests {
         b.policy.iterations += 1;
         assert_eq!(a.diff_sections(&b), vec!["policy"]);
         let mut c = a.clone();
-        c.outcome.plan = paraconv_pim::ExecutionPlan::new(1);
-        assert_eq!(a.diff_sections(&c), vec!["outcome.plan"]);
+        c.outcome.retiming = paraconv_retime::Retiming::zero(&c.graph);
+        assert_eq!(a.diff_sections(&c), vec!["outcome.retiming"]);
     }
 }

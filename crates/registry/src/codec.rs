@@ -8,14 +8,21 @@
 //! addressing and cross-process `cmp` checks meaningful. Every decoder
 //! is total — hostile shapes come back as
 //! [`ArtifactError::SchemaMismatch`] with a dotted path, never a panic.
+//! The path is built lazily, so a clean decode formats no path strings.
+//!
+//! The outcome section holds only the periodic core (kernel, retiming,
+//! allocation, movement analysis); the unrolled plan is a pure function
+//! of it and is re-derived on decode through [`paraconv_sched::emit`].
 //!
 //! The body schema is intentionally integer-only (sizes, times, ids,
 //! and enum tags as strings); floating-point never enters the hashed
 //! bytes, so content hashes cannot drift on float formatting.
 
+use core::fmt;
+
 use paraconv_alloc::CacheAllocation;
 use paraconv_graph::{EdgeId, NodeId, OpKind, Placement, TaskGraph, TaskGraphBuilder};
-use paraconv_pim::{ExecutionPlan, PeId, PimConfig, PlannedTask, PlannedTransfer};
+use paraconv_pim::{PeId, PimConfig};
 use paraconv_retime::{MovementAnalysis, Retiming, RetimingCase};
 use paraconv_sched::{AllocationPolicy, KernelSchedule, ParaConvOutcome};
 use serde_json::{Map, Number, Value};
@@ -47,82 +54,148 @@ fn u64_array(values: impl IntoIterator<Item = u64>) -> Value {
 // Building-block decoders
 // ---------------------------------------------------------------------------
 
-fn as_obj<'a>(v: &'a Value, path: &str) -> Result<&'a Map, ArtifactError> {
-    v.as_object()
-        .ok_or_else(|| ArtifactError::schema(path, "expected an object"))
+/// A dotted path into the artifact (`body.graph.nodes[3].exec`) that is
+/// formatted only when an error reports it: decoders hand it down by
+/// reference, so a clean decode builds no path strings at all.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Path<'a> {
+    /// A named root (`body`, `header`, …).
+    Root(&'a str),
+    /// An object member.
+    Key(&'a Path<'a>, &'a str),
+    /// An array element.
+    Index(&'a Path<'a>, usize),
 }
 
-fn as_array<'a>(v: &'a Value, path: &str) -> Result<&'a [Value], ArtifactError> {
+impl<'a> Path<'a> {
+    pub(crate) fn key(&'a self, key: &'a str) -> Path<'a> {
+        Path::Key(self, key)
+    }
+
+    pub(crate) fn index(&'a self, index: usize) -> Path<'a> {
+        Path::Index(self, index)
+    }
+
+    /// A schema mismatch located at this path.
+    pub(crate) fn error(&self, detail: impl Into<String>) -> ArtifactError {
+        ArtifactError::schema(self.to_string(), detail)
+    }
+}
+
+impl fmt::Display for Path<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Path::Root(root) => f.write_str(root),
+            Path::Key(parent, key) => write!(f, "{parent}.{key}"),
+            Path::Index(parent, index) => write!(f, "{parent}[{index}]"),
+        }
+    }
+}
+
+pub(crate) fn as_obj<'v>(v: &'v Value, path: &Path) -> Result<&'v Map, ArtifactError> {
+    v.as_object()
+        .ok_or_else(|| path.error("expected an object"))
+}
+
+pub(crate) fn as_array<'v>(v: &'v Value, path: &Path) -> Result<&'v [Value], ArtifactError> {
     v.as_array()
         .map(Vec::as_slice)
-        .ok_or_else(|| ArtifactError::schema(path, "expected an array"))
+        .ok_or_else(|| path.error("expected an array"))
 }
 
-fn as_u64(v: &Value, path: &str) -> Result<u64, ArtifactError> {
+pub(crate) fn as_u64(v: &Value, path: &Path) -> Result<u64, ArtifactError> {
     v.as_u64()
-        .ok_or_else(|| ArtifactError::schema(path, "expected an unsigned integer"))
+        .ok_or_else(|| path.error("expected an unsigned integer"))
 }
 
-fn as_str<'a>(v: &'a Value, path: &str) -> Result<&'a str, ArtifactError> {
-    v.as_str()
-        .ok_or_else(|| ArtifactError::schema(path, "expected a string"))
+pub(crate) fn as_str<'v>(v: &'v Value, path: &Path) -> Result<&'v str, ArtifactError> {
+    v.as_str().ok_or_else(|| path.error("expected a string"))
 }
 
-fn field<'a>(obj: &'a Map, path: &str, key: &str) -> Result<&'a Value, ArtifactError> {
+pub(crate) fn field<'v>(obj: &'v Map, path: &Path, key: &str) -> Result<&'v Value, ArtifactError> {
     obj.get(key)
-        .ok_or_else(|| ArtifactError::schema(format!("{path}.{key}"), "missing field"))
+        .ok_or_else(|| path.key(key).error("missing field"))
 }
 
-pub(crate) fn u64_field(obj: &Map, path: &str, key: &str) -> Result<u64, ArtifactError> {
-    as_u64(field(obj, path, key)?, &format!("{path}.{key}"))
+pub(crate) fn u64_field(obj: &Map, path: &Path, key: &str) -> Result<u64, ArtifactError> {
+    as_u64(field(obj, path, key)?, &path.key(key))
 }
 
-fn usize_field(obj: &Map, path: &str, key: &str) -> Result<usize, ArtifactError> {
+fn usize_field(obj: &Map, path: &Path, key: &str) -> Result<usize, ArtifactError> {
     let v = u64_field(obj, path, key)?;
-    usize::try_from(v)
-        .map_err(|_| ArtifactError::schema(format!("{path}.{key}"), "value exceeds usize"))
+    usize::try_from(v).map_err(|_| path.key(key).error("value exceeds usize"))
 }
 
-pub(crate) fn str_field<'a>(obj: &'a Map, path: &str, key: &str) -> Result<&'a str, ArtifactError> {
-    as_str(field(obj, path, key)?, &format!("{path}.{key}"))
+pub(crate) fn str_field<'v>(
+    obj: &'v Map,
+    path: &Path,
+    key: &str,
+) -> Result<&'v str, ArtifactError> {
+    as_str(field(obj, path, key)?, &path.key(key))
 }
 
-fn array_field<'a>(obj: &'a Map, path: &str, key: &str) -> Result<&'a [Value], ArtifactError> {
-    as_array(field(obj, path, key)?, &format!("{path}.{key}"))
+pub(crate) fn array_field<'v>(
+    obj: &'v Map,
+    path: &Path,
+    key: &str,
+) -> Result<&'v [Value], ArtifactError> {
+    as_array(field(obj, path, key)?, &path.key(key))
 }
 
-fn u64_vec_field(obj: &Map, path: &str, key: &str) -> Result<Vec<u64>, ArtifactError> {
+fn u64_vec_field(obj: &Map, path: &Path, key: &str) -> Result<Vec<u64>, ArtifactError> {
     let items = array_field(obj, path, key)?;
+    let path = path.key(key);
     items
         .iter()
         .enumerate()
-        .map(|(i, v)| as_u64(v, &format!("{path}.{key}[{i}]")))
+        .map(|(i, v)| as_u64(v, &path.index(i)))
         .collect()
 }
 
-fn id32(v: u64, path: &str) -> Result<u32, ArtifactError> {
-    u32::try_from(v).map_err(|_| ArtifactError::schema(path, "id exceeds u32"))
+/// An array of dense `u32` ids (PE, edge or node indices).
+fn id_vec_field(obj: &Map, path: &Path, key: &str) -> Result<Vec<u32>, ArtifactError> {
+    let items = array_field(obj, path, key)?;
+    let path = path.key(key);
+    items
+        .iter()
+        .enumerate()
+        .map(|(i, v)| id32(as_u64(v, &path.index(i))?, &path.index(i)))
+        .collect()
+}
+
+fn id32(v: u64, path: &Path) -> Result<u32, ArtifactError> {
+    u32::try_from(v).map_err(|_| path.error("id exceeds u32"))
+}
+
+/// A fixed-width array row such as `[edge, placement]`.
+fn row<'v, const N: usize>(
+    v: &'v Value,
+    path: &Path,
+    shape: [&str; N],
+) -> Result<&'v [Value; N], ArtifactError> {
+    let row = as_array(v, path)?;
+    row.try_into().map_err(|_| {
+        path.error(format!(
+            "expected [{}], got {} elements",
+            shape.join(", "),
+            row.len()
+        ))
+    })
 }
 
 /// Rejects unknown fields: every artifact field is mandatory, so the
 /// key set must match `expected` exactly. Extra keys on import mean a
 /// foreign producer or tampering — surfaced, never ignored, since an
 /// ignored field could not survive a re-export byte-compare anyway.
-fn check_keys(obj: &Map, path: &str, expected: &[&str]) -> Result<(), ArtifactError> {
+pub(crate) fn check_keys(obj: &Map, path: &Path, expected: &[&str]) -> Result<(), ArtifactError> {
     for key in obj.keys() {
         if !expected.contains(&key.as_str()) {
-            return Err(ArtifactError::schema(
-                format!("{path}.{key}"),
-                "unknown field",
-            ));
+            return Err(path.key(key).error("unknown field"));
         }
     }
     for key in expected {
         if !obj.contains_key(*key) {
-            return Err(ArtifactError::schema(
-                format!("{path}.{key}"),
-                "missing field",
-            ));
+            return Err(path.key(key).error("missing field"));
         }
     }
     Ok(())
@@ -140,15 +213,12 @@ fn kind_tag(kind: OpKind) -> &'static str {
     }
 }
 
-fn kind_from_tag(tag: &str, path: &str) -> Result<OpKind, ArtifactError> {
+fn kind_from_tag(tag: &str, path: &Path) -> Result<OpKind, ArtifactError> {
     match tag {
         "convolution" => Ok(OpKind::Convolution),
         "pooling" => Ok(OpKind::Pooling),
         "fully-connected" => Ok(OpKind::FullyConnected),
-        other => Err(ArtifactError::schema(
-            path,
-            format!("unknown operation kind `{other}`"),
-        )),
+        other => Err(path.error(format!("unknown operation kind `{other}`"))),
     }
 }
 
@@ -159,14 +229,11 @@ fn placement_tag(placement: Placement) -> &'static str {
     }
 }
 
-fn placement_from_tag(tag: &str, path: &str) -> Result<Placement, ArtifactError> {
+fn placement_from_tag(tag: &str, path: &Path) -> Result<Placement, ArtifactError> {
     match tag {
         "cache" => Ok(Placement::Cache),
         "edram" => Ok(Placement::Edram),
-        other => Err(ArtifactError::schema(
-            path,
-            format!("unknown placement `{other}`"),
-        )),
+        other => Err(path.error(format!("unknown placement `{other}`"))),
     }
 }
 
@@ -178,15 +245,12 @@ fn policy_tag(policy: AllocationPolicy) -> &'static str {
     }
 }
 
-fn policy_from_tag(tag: &str, path: &str) -> Result<AllocationPolicy, ArtifactError> {
+fn policy_from_tag(tag: &str, path: &Path) -> Result<AllocationPolicy, ArtifactError> {
     match tag {
         "dynamic-program" => Ok(AllocationPolicy::DynamicProgram),
         "greedy-by-density" => Ok(AllocationPolicy::GreedyByDensity),
         "all-edram" => Ok(AllocationPolicy::AllEdram),
-        other => Err(ArtifactError::schema(
-            path,
-            format!("unknown allocation policy `{other}`"),
-        )),
+        other => Err(path.error(format!("unknown allocation policy `{other}`"))),
     }
 }
 
@@ -233,47 +297,38 @@ pub fn graph_to_value(graph: &TaskGraph) -> Value {
 /// structural invariant (edge endpoints in range, acyclicity, …) is
 /// re-validated on import.
 pub fn graph_from_value(v: &Value, path: &str) -> Result<TaskGraph, ArtifactError> {
-    let obj = as_obj(v, path)?;
-    check_keys(obj, path, &["edges", "name", "nodes"])?;
-    let name = str_field(obj, path, "name")?;
-    let mut builder = TaskGraphBuilder::new(name);
-    for (i, node) in array_field(obj, path, "nodes")?.iter().enumerate() {
-        let node_path = format!("{path}.nodes[{i}]");
+    let path = Path::Root(path);
+    let obj = as_obj(v, &path)?;
+    check_keys(obj, &path, &["edges", "name", "nodes"])?;
+    let mut builder = TaskGraphBuilder::new(str_field(obj, &path, "name")?);
+    let nodes_path = path.key("nodes");
+    for (i, node) in array_field(obj, &path, "nodes")?.iter().enumerate() {
+        let node_path = nodes_path.index(i);
         let node = as_obj(node, &node_path)?;
         check_keys(node, &node_path, &["exec", "kind", "name"])?;
-        let kind = kind_from_tag(
-            str_field(node, &node_path, "kind")?,
-            &format!("{node_path}.kind"),
-        )?;
+        let kind = kind_from_tag(str_field(node, &node_path, "kind")?, &node_path.key("kind"))?;
         builder.add_node(
             str_field(node, &node_path, "name")?,
             kind,
             u64_field(node, &node_path, "exec")?,
         );
     }
-    for (i, edge) in array_field(obj, path, "edges")?.iter().enumerate() {
-        let edge_path = format!("{path}.edges[{i}]");
+    let edges_path = path.key("edges");
+    for (i, edge) in array_field(obj, &path, "edges")?.iter().enumerate() {
+        let edge_path = edges_path.index(i);
         let edge = as_obj(edge, &edge_path)?;
         check_keys(edge, &edge_path, &["dst", "size", "src"])?;
-        let src = id32(
-            u64_field(edge, &edge_path, "src")?,
-            &format!("{edge_path}.src"),
-        )?;
-        let dst = id32(
-            u64_field(edge, &edge_path, "dst")?,
-            &format!("{edge_path}.dst"),
-        )?;
+        let src = id32(u64_field(edge, &edge_path, "src")?, &edge_path.key("src"))?;
+        let dst = id32(u64_field(edge, &edge_path, "dst")?, &edge_path.key("dst"))?;
         builder
             .add_edge(
                 NodeId::new(src),
                 NodeId::new(dst),
                 u64_field(edge, &edge_path, "size")?,
             )
-            .map_err(|e| ArtifactError::schema(&edge_path, e.to_string()))?;
+            .map_err(|e| edge_path.error(e.to_string()))?;
     }
-    builder
-        .build()
-        .map_err(|e| ArtifactError::schema(path, e.to_string()))
+    builder.build().map_err(|e| path.error(e.to_string()))
 }
 
 // ---------------------------------------------------------------------------
@@ -318,10 +373,11 @@ pub fn config_to_value(config: &PimConfig) -> Value {
 /// invariants (positive PE count, sane eDRAM penalty, failed-PE indices
 /// in range, …) are re-validated on import.
 pub fn config_from_value(v: &Value, path: &str) -> Result<PimConfig, ArtifactError> {
-    let obj = as_obj(v, path)?;
+    let path = Path::Root(path);
+    let obj = as_obj(v, &path)?;
     check_keys(
         obj,
-        path,
+        &path,
         &[
             "cache_cost_per_unit",
             "edram_penalty",
@@ -334,27 +390,20 @@ pub fn config_from_value(v: &Value, path: &str) -> Result<PimConfig, ArtifactErr
             "vaults",
         ],
     )?;
-    let failed_path = format!("{path}.failed_pes");
-    let failed_pes = u64_vec_field(obj, path, "failed_pes")?
-        .into_iter()
-        .enumerate()
-        .map(|(i, pe)| id32(pe, &format!("{failed_path}[{i}]")))
-        .collect::<Result<Vec<u32>, _>>()?;
-    let mut builder = PimConfig::builder(usize_field(obj, path, "num_pes")?)
-        .per_pe_cache_units(u64_field(obj, path, "per_pe_cache_units")?)
-        .vaults(usize_field(obj, path, "vaults")?)
-        .edram_penalty(u64_field(obj, path, "edram_penalty")?)
-        .cache_cost_per_unit(u64_field(obj, path, "cache_cost_per_unit")?)
-        .vault_queue_cost(u64_field(obj, path, "vault_queue_cost")?)
-        .pfifo_depth(usize_field(obj, path, "pfifo_depth")?)
-        .failed_pes(failed_pes);
-    let concurrency = field(obj, path, "max_vault_concurrency")?;
-    if !concurrency.is_null() {
-        builder = builder.max_vault_concurrency(usize_field(obj, path, "max_vault_concurrency")?);
+    let mut builder = PimConfig::builder(usize_field(obj, &path, "num_pes")?)
+        .per_pe_cache_units(u64_field(obj, &path, "per_pe_cache_units")?)
+        .vaults(usize_field(obj, &path, "vaults")?)
+        .edram_penalty(u64_field(obj, &path, "edram_penalty")?)
+        .cache_cost_per_unit(u64_field(obj, &path, "cache_cost_per_unit")?)
+        .vault_queue_cost(u64_field(obj, &path, "vault_queue_cost")?)
+        .pfifo_depth(usize_field(obj, &path, "pfifo_depth")?)
+        .failed_pes(id_vec_field(obj, &path, "failed_pes")?);
+    if !field(obj, &path, "max_vault_concurrency")?.is_null() {
+        builder = builder.max_vault_concurrency(usize_field(obj, &path, "max_vault_concurrency")?);
     }
     builder
         .build()
-        .map_err(|e| ArtifactError::schema(path, format!("invalid architecture config: {e}")))
+        .map_err(|e| path.error(format!("invalid architecture config: {e}")))
 }
 
 // ---------------------------------------------------------------------------
@@ -375,14 +424,15 @@ pub fn policy_to_value(policy: &PlanPolicy) -> Value {
 
 /// Decodes a [`PlanPolicy`].
 pub fn policy_from_value(v: &Value, path: &str) -> Result<PlanPolicy, ArtifactError> {
-    let obj = as_obj(v, path)?;
-    check_keys(obj, path, &["allocation", "iterations"])?;
+    let path = Path::Root(path);
+    let obj = as_obj(v, &path)?;
+    check_keys(obj, &path, &["allocation", "iterations"])?;
     Ok(PlanPolicy {
         allocation: policy_from_tag(
-            str_field(obj, path, "allocation")?,
-            &format!("{path}.allocation"),
+            str_field(obj, &path, "allocation")?,
+            &path.key("allocation"),
         )?,
-        iterations: u64_field(obj, path, "iterations")?,
+        iterations: u64_field(obj, &path, "iterations")?,
     })
 }
 
@@ -390,9 +440,10 @@ pub fn policy_from_value(v: &Value, path: &str) -> Result<PlanPolicy, ArtifactEr
 // Scheduling outcome
 // ---------------------------------------------------------------------------
 
-/// Encodes a complete [`ParaConvOutcome`]: the concrete plan plus the
-/// kernel, retiming, allocation, and movement analysis the verifier
-/// needs to re-prove it.
+/// Encodes the periodic core of a [`ParaConvOutcome`] — the kernel,
+/// retiming, allocation and movement analysis. The plan is not stored:
+/// it is a pure function of the core ([`paraconv_sched::emit`]), and
+/// [`outcome_from_value`] re-derives it.
 #[must_use]
 pub fn outcome_to_value(outcome: &ParaConvOutcome) -> Value {
     let mut obj = Map::new();
@@ -402,127 +453,48 @@ pub fn outcome_to_value(outcome: &ParaConvOutcome) -> Value {
     );
     obj.insert("analysis".into(), analysis_to_value(&outcome.analysis));
     obj.insert("kernel".into(), kernel_to_value(&outcome.kernel));
-    obj.insert("plan".into(), plan_to_value(&outcome.plan));
     obj.insert("retiming".into(), retiming_to_value(&outcome.retiming));
     Value::Object(obj)
 }
 
-/// Decodes a complete [`ParaConvOutcome`].
-pub fn outcome_from_value(v: &Value, path: &str) -> Result<ParaConvOutcome, ArtifactError> {
-    let obj = as_obj(v, path)?;
+/// Decodes an outcome's periodic core and re-derives its plan for
+/// `iterations` iterations of `graph` on `config` through
+/// [`paraconv_sched::emit`]. The core is only shape-checked here; the
+/// verifier gate re-proves it.
+///
+/// # Errors
+///
+/// [`ArtifactError::SchemaMismatch`] for a malformed core and
+/// [`ArtifactError::Unemittable`] when a well-formed core emits no plan
+/// (built for another graph, degenerate, overflowing, or too large).
+pub fn outcome_from_value(
+    v: &Value,
+    path: &str,
+    graph: &TaskGraph,
+    config: &PimConfig,
+    iterations: u64,
+) -> Result<ParaConvOutcome, ArtifactError> {
+    let path = Path::Root(path);
+    let obj = as_obj(v, &path)?;
     check_keys(
         obj,
-        path,
-        &["allocation", "analysis", "kernel", "plan", "retiming"],
+        &path,
+        &["allocation", "analysis", "kernel", "retiming"],
     )?;
+    let kernel = kernel_from_value(field(obj, &path, "kernel")?, &path.key("kernel"))?;
+    let retiming = retiming_from_value(field(obj, &path, "retiming")?, &path.key("retiming"))?;
+    let allocation =
+        allocation_from_value(field(obj, &path, "allocation")?, &path.key("allocation"))?;
+    let analysis = analysis_from_value(field(obj, &path, "analysis")?, &path.key("analysis"))?;
+    let plan = paraconv_sched::emit(graph, config, &kernel, &retiming, &allocation, iterations)
+        .map_err(ArtifactError::Unemittable)?;
     Ok(ParaConvOutcome {
-        plan: plan_from_value(field(obj, path, "plan")?, &format!("{path}.plan"))?,
-        kernel: kernel_from_value(field(obj, path, "kernel")?, &format!("{path}.kernel"))?,
-        retiming: retiming_from_value(field(obj, path, "retiming")?, &format!("{path}.retiming"))?,
-        allocation: allocation_from_value(
-            field(obj, path, "allocation")?,
-            &format!("{path}.allocation"),
-        )?,
-        analysis: analysis_from_value(field(obj, path, "analysis")?, &format!("{path}.analysis"))?,
+        plan,
+        kernel,
+        retiming,
+        allocation,
+        analysis,
     })
-}
-
-fn plan_to_value(plan: &ExecutionPlan) -> Value {
-    let tasks: Vec<Value> = plan
-        .tasks()
-        .iter()
-        .map(|t| {
-            Value::Array(vec![
-                usize_value(t.node.index()),
-                u64_value(t.iteration),
-                usize_value(t.pe.index()),
-                u64_value(t.start),
-                u64_value(t.duration),
-            ])
-        })
-        .collect();
-    let transfers: Vec<Value> = plan
-        .transfers()
-        .iter()
-        .map(|x| {
-            Value::Array(vec![
-                usize_value(x.edge.index()),
-                u64_value(x.iteration),
-                str_value(placement_tag(x.placement)),
-                u64_value(x.start),
-                u64_value(x.duration),
-                usize_value(x.dst_pe.index()),
-            ])
-        })
-        .collect();
-    let mut obj = Map::new();
-    obj.insert("iterations".into(), u64_value(plan.iterations()));
-    obj.insert("tasks".into(), Value::Array(tasks));
-    obj.insert("transfers".into(), Value::Array(transfers));
-    Value::Object(obj)
-}
-
-fn plan_from_value(v: &Value, path: &str) -> Result<ExecutionPlan, ArtifactError> {
-    let obj = as_obj(v, path)?;
-    check_keys(obj, path, &["iterations", "tasks", "transfers"])?;
-    let mut plan = ExecutionPlan::new(u64_field(obj, path, "iterations")?);
-    for (i, task) in array_field(obj, path, "tasks")?.iter().enumerate() {
-        let task_path = format!("{path}.tasks[{i}]");
-        let row = as_array(task, &task_path)?;
-        if row.len() != 5 {
-            return Err(ArtifactError::schema(
-                &task_path,
-                format!(
-                    "expected [node, iteration, pe, start, duration], got {} elements",
-                    row.len()
-                ),
-            ));
-        }
-        plan.push_task(PlannedTask {
-            node: NodeId::new(id32(
-                as_u64(&row[0], &task_path)?,
-                &format!("{task_path}[0]"),
-            )?),
-            iteration: as_u64(&row[1], &format!("{task_path}[1]"))?,
-            pe: PeId::new(id32(
-                as_u64(&row[2], &task_path)?,
-                &format!("{task_path}[2]"),
-            )?),
-            start: as_u64(&row[3], &format!("{task_path}[3]"))?,
-            duration: as_u64(&row[4], &format!("{task_path}[4]"))?,
-        });
-    }
-    for (i, transfer) in array_field(obj, path, "transfers")?.iter().enumerate() {
-        let transfer_path = format!("{path}.transfers[{i}]");
-        let row = as_array(transfer, &transfer_path)?;
-        if row.len() != 6 {
-            return Err(ArtifactError::schema(
-                &transfer_path,
-                format!(
-                    "expected [edge, iteration, placement, start, duration, dst_pe], got {} elements",
-                    row.len()
-                ),
-            ));
-        }
-        plan.push_transfer(PlannedTransfer {
-            edge: EdgeId::new(id32(
-                as_u64(&row[0], &transfer_path)?,
-                &format!("{transfer_path}[0]"),
-            )?),
-            iteration: as_u64(&row[1], &format!("{transfer_path}[1]"))?,
-            placement: placement_from_tag(
-                as_str(&row[2], &format!("{transfer_path}[2]"))?,
-                &format!("{transfer_path}[2]"),
-            )?,
-            start: as_u64(&row[3], &format!("{transfer_path}[3]"))?,
-            duration: as_u64(&row[4], &format!("{transfer_path}[4]"))?,
-            dst_pe: PeId::new(id32(
-                as_u64(&row[5], &transfer_path)?,
-                &format!("{transfer_path}[5]"),
-            )?),
-        });
-    }
-    Ok(plan)
 }
 
 fn kernel_to_value(kernel: &KernelSchedule) -> Value {
@@ -545,48 +517,25 @@ fn kernel_to_value(kernel: &KernelSchedule) -> Value {
     Value::Object(obj)
 }
 
-fn kernel_from_value(v: &Value, path: &str) -> Result<KernelSchedule, ArtifactError> {
+fn kernel_from_value(v: &Value, path: &Path) -> Result<KernelSchedule, ArtifactError> {
     let obj = as_obj(v, path)?;
     check_keys(
         obj,
         path,
         &["copies", "finish", "node_count", "pe", "period", "start"],
     )?;
-    let copies = u64_field(obj, path, "copies")?;
-    let node_count = usize_field(obj, path, "node_count")?;
-    let slots = usize::try_from(copies)
-        .ok()
-        .and_then(|c| c.checked_mul(node_count))
-        .ok_or_else(|| ArtifactError::schema(path, "copies × node_count exceeds usize"))?;
-    let pe_path = format!("{path}.pe");
-    let pe_of = u64_vec_field(obj, path, "pe")?
-        .into_iter()
-        .enumerate()
-        .map(|(i, pe)| Ok(PeId::new(id32(pe, &format!("{pe_path}[{i}]"))?)))
-        .collect::<Result<Vec<PeId>, ArtifactError>>()?;
-    let start_of = u64_vec_field(obj, path, "start")?;
-    let finish_of = u64_vec_field(obj, path, "finish")?;
-    for (key, len) in [
-        ("pe", pe_of.len()),
-        ("start", start_of.len()),
-        ("finish", finish_of.len()),
-    ] {
-        if len != slots {
-            return Err(ArtifactError::schema(
-                format!("{path}.{key}"),
-                format!("expected copies × node_count = {slots} slots, got {len}"),
-            ));
-        }
-    }
     KernelSchedule::from_parts(
         u64_field(obj, path, "period")?,
-        copies,
-        node_count,
-        pe_of,
-        start_of,
-        finish_of,
+        u64_field(obj, path, "copies")?,
+        usize_field(obj, path, "node_count")?,
+        id_vec_field(obj, path, "pe")?
+            .into_iter()
+            .map(PeId::new)
+            .collect(),
+        u64_vec_field(obj, path, "start")?,
+        u64_vec_field(obj, path, "finish")?,
     )
-    .map_err(|detail| ArtifactError::schema(path, detail))
+    .map_err(|detail| path.error(detail))
 }
 
 fn retiming_to_value(retiming: &Retiming) -> Value {
@@ -602,7 +551,7 @@ fn retiming_to_value(retiming: &Retiming) -> Value {
     Value::Object(obj)
 }
 
-fn retiming_from_value(v: &Value, path: &str) -> Result<Retiming, ArtifactError> {
+fn retiming_from_value(v: &Value, path: &Path) -> Result<Retiming, ArtifactError> {
     let obj = as_obj(v, path)?;
     check_keys(obj, path, &["edges", "nodes"])?;
     Ok(Retiming::from_values(
@@ -638,7 +587,7 @@ fn allocation_to_value(allocation: &CacheAllocation) -> Value {
     Value::Object(obj)
 }
 
-fn allocation_from_value(v: &Value, path: &str) -> Result<CacheAllocation, ArtifactError> {
+fn allocation_from_value(v: &Value, path: &Path) -> Result<CacheAllocation, ArtifactError> {
     let obj = as_obj(v, path)?;
     check_keys(
         obj,
@@ -651,35 +600,26 @@ fn allocation_from_value(v: &Value, path: &str) -> Result<CacheAllocation, Artif
             "used_capacity",
         ],
     )?;
-    let mut placements = Vec::new();
-    for (i, entry) in array_field(obj, path, "placements")?.iter().enumerate() {
-        let entry_path = format!("{path}.placements[{i}]");
-        let row = as_array(entry, &entry_path)?;
-        if row.len() != 2 {
-            return Err(ArtifactError::schema(
-                &entry_path,
-                format!("expected [edge, placement], got {} elements", row.len()),
-            ));
-        }
-        let edge = EdgeId::new(id32(
-            as_u64(&row[0], &format!("{entry_path}[0]"))?,
-            &format!("{entry_path}[0]"),
-        )?);
-        let placement = placement_from_tag(
-            as_str(&row[1], &format!("{entry_path}[1]"))?,
-            &format!("{entry_path}[1]"),
-        )?;
-        placements.push((edge, placement));
-    }
-    let cached_path = format!("{path}.cached");
-    let cached = u64_vec_field(obj, path, "cached")?
-        .into_iter()
+    let placements_path = path.key("placements");
+    let placements = array_field(obj, path, "placements")?
+        .iter()
         .enumerate()
-        .map(|(i, e)| Ok(EdgeId::new(id32(e, &format!("{cached_path}[{i}]"))?)))
-        .collect::<Result<Vec<EdgeId>, ArtifactError>>()?;
+        .map(|(i, entry)| {
+            let entry_path = placements_path.index(i);
+            let [edge, placement] = row(entry, &entry_path, ["edge", "placement"])?;
+            let (edge_path, placement_path) = (entry_path.index(0), entry_path.index(1));
+            Ok((
+                EdgeId::new(id32(as_u64(edge, &edge_path)?, &edge_path)?),
+                placement_from_tag(as_str(placement, &placement_path)?, &placement_path)?,
+            ))
+        })
+        .collect::<Result<Vec<_>, ArtifactError>>()?;
     Ok(CacheAllocation::from_parts(
         placements,
-        cached,
+        id_vec_field(obj, path, "cached")?
+            .into_iter()
+            .map(EdgeId::new)
+            .collect(),
         u64_field(obj, path, "total_profit")?,
         u64_field(obj, path, "used_capacity")?,
         u64_field(obj, path, "capacity")?,
@@ -702,29 +642,25 @@ fn analysis_to_value(analysis: &MovementAnalysis) -> Value {
     Value::Object(obj)
 }
 
-fn analysis_from_value(v: &Value, path: &str) -> Result<MovementAnalysis, ArtifactError> {
+fn analysis_from_value(v: &Value, path: &Path) -> Result<MovementAnalysis, ArtifactError> {
     let obj = as_obj(v, path)?;
     check_keys(obj, path, &["cases", "period"])?;
-    let mut cases = Vec::new();
-    for (i, entry) in array_field(obj, path, "cases")?.iter().enumerate() {
-        let case_path = format!("{path}.cases[{i}]");
-        let row = as_array(entry, &case_path)?;
-        if row.len() != 2 {
-            return Err(ArtifactError::schema(
-                &case_path,
-                format!("expected [k_cache, k_edram], got {} elements", row.len()),
-            ));
-        }
-        let k_cache = as_u64(&row[0], &format!("{case_path}[0]"))?;
-        let k_edram = as_u64(&row[1], &format!("{case_path}[1]"))?;
-        cases.push(
-            RetimingCase::classify(k_cache, k_edram)
-                .map_err(|e| ArtifactError::schema(&case_path, e.to_string()))?,
-        );
-    }
-    let period = u64_field(obj, path, "period")?;
-    MovementAnalysis::from_cases(cases, period)
-        .map_err(|e| ArtifactError::schema(path, e.to_string()))
+    let cases_path = path.key("cases");
+    let cases = array_field(obj, path, "cases")?
+        .iter()
+        .enumerate()
+        .map(|(i, entry)| {
+            let case_path = cases_path.index(i);
+            let [k_cache, k_edram] = row(entry, &case_path, ["k_cache", "k_edram"])?;
+            RetimingCase::classify(
+                as_u64(k_cache, &case_path.index(0))?,
+                as_u64(k_edram, &case_path.index(1))?,
+            )
+            .map_err(|e| case_path.error(e.to_string()))
+        })
+        .collect::<Result<Vec<_>, ArtifactError>>()?;
+    MovementAnalysis::from_cases(cases, u64_field(obj, path, "period")?)
+        .map_err(|e| path.error(e.to_string()))
 }
 
 #[cfg(test)]
@@ -780,9 +716,14 @@ mod tests {
 
     #[test]
     fn outcome_round_trips_exactly() {
-        let (_, _, outcome) = sample();
+        let (graph, config, outcome) = sample();
         let value = outcome_to_value(&outcome);
-        let back = outcome_from_value(&value, "body").unwrap();
+        assert!(
+            value.get("plan").is_none(),
+            "the plan is derived, not stored"
+        );
+        let back = outcome_from_value(&value, "body", &graph, &config, 6).unwrap();
+        // The re-derived plan is the scheduler's, entry for entry.
         assert_eq!(back.plan, outcome.plan);
         assert_eq!(back.kernel, outcome.kernel);
         assert_eq!(back.retiming, outcome.retiming);
@@ -850,7 +791,7 @@ mod tests {
             Value::Array(vec![Value::Array(vec![u64_value(2), u64_value(1)])]),
         );
         obj.insert("period".into(), u64_value(4));
-        let err = analysis_from_value(&Value::Object(obj), "analysis").unwrap_err();
+        let err = analysis_from_value(&Value::Object(obj), &Path::Root("analysis")).unwrap_err();
         assert!(matches!(err, ArtifactError::SchemaMismatch { .. }));
     }
 }

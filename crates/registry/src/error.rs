@@ -8,6 +8,8 @@
 
 use core::fmt;
 
+use paraconv_sched::SchedError;
+
 /// A plan artifact could not be read, decoded, or trusted.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -24,7 +26,8 @@ pub enum ArtifactError {
     /// JSON, a wrong magic string, a missing or mistyped field, or a
     /// body the codec cannot rebuild into domain types.
     SchemaMismatch {
-        /// Dotted path of the offending element (e.g. `body.plan.tasks`).
+        /// Dotted path of the offending element (e.g.
+        /// `body.outcome.kernel.pe[3]`).
         path: String,
         /// Human-readable description of the mismatch.
         detail: String,
@@ -47,6 +50,10 @@ pub enum ArtifactError {
         /// The digest recomputed from the bytes.
         computed: String,
     },
+    /// The body is well-formed, but its outcome emits no plan: a kernel
+    /// or retiming built for another graph, a degenerate kernel, a time
+    /// beyond `u64`, or a plan too large to allocate.
+    Unemittable(SchedError),
 }
 
 impl ArtifactError {
@@ -81,6 +88,7 @@ impl fmt::Display for ArtifactError {
                 f,
                 "artifact {field} mismatch: header records {recorded} but bytes hash to {computed}"
             ),
+            ArtifactError::Unemittable(e) => write!(f, "artifact outcome emits no plan: {e}"),
         }
     }
 }
@@ -89,6 +97,7 @@ impl std::error::Error for ArtifactError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ArtifactError::Io(e) => Some(e),
+            ArtifactError::Unemittable(e) => Some(e),
             _ => None,
         }
     }
@@ -117,7 +126,9 @@ mod tests {
             computed: "bb".into(),
         };
         assert!(e.to_string().contains("content_hash"));
-        let e = ArtifactError::schema("body.plan", "not an object");
-        assert!(e.to_string().contains("body.plan"));
+        let e = ArtifactError::schema("body.outcome", "not an object");
+        assert!(e.to_string().contains("body.outcome"));
+        let e = ArtifactError::Unemittable(SchedError::PlanTooLarge { iterations: 7 });
+        assert!(e.to_string().contains("emits no plan"));
     }
 }

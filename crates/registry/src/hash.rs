@@ -208,7 +208,11 @@ impl Sha256 {
 pub fn sha256_hex(bytes: &[u8]) -> String {
     let mut hasher = Sha256::new();
     hasher.update(bytes);
-    let digest = hasher.finalize();
+    hex(hasher.finalize())
+}
+
+/// A digest as 64 lowercase hex characters.
+pub(crate) fn hex(digest: [u8; 32]) -> String {
     let mut out = String::with_capacity(64);
     for byte in digest {
         use core::fmt::Write as _;

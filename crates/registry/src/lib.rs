@@ -5,10 +5,14 @@
 //! stable, verifiable on-disk form:
 //!
 //! * **Artifact** — a two-line JSONL encoding of a [`PlanBundle`]
-//!   (graph + architecture config + request policy + the scheduler's
-//!   full outcome) behind a schema-checked header carrying a magic
-//!   string, format version, producer tag, and two SHA-256 digests:
-//!   the body's `content_hash` and the registry `key`.
+//!   (graph + architecture config + request policy + the periodic core
+//!   of the scheduler's outcome: kernel, retiming, allocation, movement
+//!   analysis) behind a schema-checked header carrying a magic string,
+//!   format version ([`FORMAT_VERSION`], `"format":2`), producer tag,
+//!   and two SHA-256 digests: the body's `content_hash` and the
+//!   registry `key`. The unrolled plan is not stored: [`decode`]
+//!   re-derives it through [`paraconv_sched::emit`], so artifacts are
+//!   O(V + E) bytes at any iteration count.
 //! * **Canonical bytes** — all JSON objects are `BTreeMap`s, so keys
 //!   serialize alphabetically and the same bundle always encodes to
 //!   the same bytes. Content hashes are therefore stable across
@@ -20,7 +24,8 @@
 //! Imports are untrusted by design: [`decode`] maps every malformed
 //! input to a typed [`ArtifactError`] (never a panic), and the CLI
 //! runs `paraconv-verify` over every imported plan before anything is
-//! simulated.
+//! simulated. The verifier re-emits the core and requires the plan to
+//! match, so what it proves is what executes.
 //!
 //! The same idiom carries the **postmortem artifact**
 //! ([`PostmortemBundle`]/[`decode_postmortem`]): when a campaign dies,
@@ -34,6 +39,7 @@
 mod artifact;
 mod codec;
 mod error;
+mod frame;
 mod hash;
 mod postmortem;
 mod store;

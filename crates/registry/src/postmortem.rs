@@ -23,8 +23,9 @@ use std::collections::BTreeMap;
 use paraconv_obs::{FlightEvent, Histogram, MetricsSnapshot};
 use serde_json::{Map, Number, Value};
 
+use crate::codec::{array_field, as_obj, as_str, as_u64, field, str_field, u64_field, Path};
 use crate::error::ArtifactError;
-use crate::hash::sha256_hex;
+use crate::frame;
 
 /// Magic string identifying a Para-CONV postmortem artifact.
 pub const POSTMORTEM_MAGIC: &str = "paraconv-postmortem";
@@ -100,61 +101,34 @@ fn metrics_to_value(m: &MetricsSnapshot) -> Value {
     Value::Object(obj)
 }
 
-fn as_obj<'a>(v: &'a Value, path: &str) -> Result<&'a Map, ArtifactError> {
-    v.as_object()
-        .ok_or_else(|| ArtifactError::schema(path, "expected an object"))
-}
-
-fn as_u64(v: &Value, path: &str) -> Result<u64, ArtifactError> {
-    v.as_u64()
-        .ok_or_else(|| ArtifactError::schema(path, "expected an unsigned integer"))
-}
-
-fn as_str<'a>(v: &'a Value, path: &str) -> Result<&'a str, ArtifactError> {
-    v.as_str()
-        .ok_or_else(|| ArtifactError::schema(path, "expected a string"))
-}
-
-fn field<'a>(obj: &'a Map, path: &str, key: &str) -> Result<&'a Value, ArtifactError> {
-    obj.get(key)
-        .ok_or_else(|| ArtifactError::schema(format!("{path}.{key}"), "missing field"))
-}
-
-fn u64_field(obj: &Map, path: &str, key: &str) -> Result<u64, ArtifactError> {
-    as_u64(field(obj, path, key)?, &format!("{path}.{key}"))
-}
-
-fn event_from_value(v: &Value, path: &str) -> Result<FlightEvent, ArtifactError> {
+fn event_from_value(v: &Value, path: &Path) -> Result<FlightEvent, ArtifactError> {
     let obj = as_obj(v, path)?;
     Ok(FlightEvent {
         seq: u64_field(obj, path, "seq")?,
-        cat: as_str(field(obj, path, "cat")?, &format!("{path}.cat"))?.to_owned(),
-        label: as_str(field(obj, path, "label")?, &format!("{path}.label"))?.to_owned(),
+        cat: str_field(obj, path, "cat")?.to_owned(),
+        label: str_field(obj, path, "label")?.to_owned(),
         cycle: u64_field(obj, path, "cycle")?,
         value: u64_field(obj, path, "value")?,
     })
 }
 
-fn histogram_from_value(v: &Value, path: &str) -> Result<Histogram, ArtifactError> {
+fn histogram_from_value(v: &Value, path: &Path) -> Result<Histogram, ArtifactError> {
     let obj = as_obj(v, path)?;
-    let mut buckets = Vec::new();
-    let bucket_path = format!("{path}.buckets");
-    let list = field(obj, path, "buckets")?
-        .as_array()
-        .ok_or_else(|| ArtifactError::schema(bucket_path.clone(), "expected an array"))?;
-    for (i, pair) in list.iter().enumerate() {
-        let pair_path = format!("{bucket_path}[{i}]");
-        let pair = pair
-            .as_array()
-            .ok_or_else(|| ArtifactError::schema(pair_path.clone(), "expected a pair"))?;
-        if pair.len() != 2 {
-            return Err(ArtifactError::schema(pair_path, "expected a pair"));
-        }
-        buckets.push((
-            as_u64(&pair[0], &format!("{bucket_path}[{i}][0]"))?,
-            as_u64(&pair[1], &format!("{bucket_path}[{i}][1]"))?,
-        ));
-    }
+    let buckets_path = path.key("buckets");
+    let buckets = array_field(obj, path, "buckets")?
+        .iter()
+        .enumerate()
+        .map(|(i, pair)| {
+            let pair_path = buckets_path.index(i);
+            match pair.as_array().map(Vec::as_slice) {
+                Some([le, count]) => Ok((
+                    as_u64(le, &pair_path.index(0))?,
+                    as_u64(count, &pair_path.index(1))?,
+                )),
+                _ => Err(pair_path.error("expected a pair")),
+            }
+        })
+        .collect::<Result<Vec<_>, ArtifactError>>()?;
     Histogram::from_parts(
         u64_field(obj, path, "count")?,
         u64_field(obj, path, "sum")?,
@@ -162,27 +136,31 @@ fn histogram_from_value(v: &Value, path: &str) -> Result<Histogram, ArtifactErro
         u64_field(obj, path, "max")?,
         &buckets,
     )
-    .ok_or_else(|| ArtifactError::schema(path, "inconsistent histogram parts"))
+    .ok_or_else(|| path.error("inconsistent histogram parts"))
 }
 
-fn metrics_from_value(v: &Value, path: &str) -> Result<MetricsSnapshot, ArtifactError> {
+fn metrics_from_value(v: &Value, path: &Path) -> Result<MetricsSnapshot, ArtifactError> {
     let obj = as_obj(v, path)?;
     let mut out = MetricsSnapshot::new();
-    let counters_path = format!("{path}.counters");
-    for (name, v) in as_obj(field(obj, path, "counters")?, &counters_path)? {
+    let members = |key| {
+        let section = path.key(key);
+        as_obj(field(obj, path, key)?, &section).map(|map| (map, section))
+    };
+    let (counters, counters_path) = members("counters")?;
+    for (name, v) in counters {
         out.counters
-            .insert(name.clone(), as_u64(v, &format!("{counters_path}.{name}"))?);
+            .insert(name.clone(), as_u64(v, &counters_path.key(name))?);
     }
-    let gauges_path = format!("{path}.gauges");
-    for (name, v) in as_obj(field(obj, path, "gauges")?, &gauges_path)? {
+    let (gauges, gauges_path) = members("gauges")?;
+    for (name, v) in gauges {
         out.gauges
-            .insert(name.clone(), as_u64(v, &format!("{gauges_path}.{name}"))?);
+            .insert(name.clone(), as_u64(v, &gauges_path.key(name))?);
     }
-    let hist_path = format!("{path}.histograms");
-    for (name, v) in as_obj(field(obj, path, "histograms")?, &hist_path)? {
+    let (histograms, histograms_path) = members("histograms")?;
+    for (name, v) in histograms {
         out.histograms.insert(
             name.clone(),
-            histogram_from_value(v, &format!("{hist_path}.{name}"))?,
+            histogram_from_value(v, &histograms_path.key(name))?,
         );
     }
     Ok(out)
@@ -209,29 +187,14 @@ impl PostmortemBundle {
     /// body line, each `\n`-terminated. Byte-deterministic.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let body_line = serde_json::to_string(&self.body_value());
         let mut header = Map::new();
-        header.insert(
-            "content_hash".into(),
-            Value::String(sha256_hex(body_line.as_bytes())),
-        );
-        header.insert(
-            "format".into(),
-            Value::Number(Number::from_u64(POSTMORTEM_FORMAT_VERSION)),
-        );
-        header.insert("magic".into(), Value::String(POSTMORTEM_MAGIC.to_owned()));
-        header.insert(
-            "producer".into(),
-            Value::String(crate::artifact::PRODUCER.to_owned()),
-        );
         header.insert("reason".into(), Value::String(self.reason.clone()));
-        let header_line = serde_json::to_string(&Value::Object(header));
-        let mut out = Vec::with_capacity(header_line.len() + body_line.len() + 2);
-        out.extend_from_slice(header_line.as_bytes());
-        out.push(b'\n');
-        out.extend_from_slice(body_line.as_bytes());
-        out.push(b'\n');
-        out
+        frame::encode(
+            POSTMORTEM_MAGIC,
+            POSTMORTEM_FORMAT_VERSION,
+            header,
+            &serde_json::to_string(&self.body_value()),
+        )
     }
 }
 
@@ -269,110 +232,33 @@ pub struct PostmortemArtifact {
 /// Every malformed input maps to a typed [`ArtifactError`]; this
 /// function never panics, regardless of input.
 pub fn decode_postmortem(bytes: &[u8]) -> Result<PostmortemArtifact, ArtifactError> {
-    let text = core::str::from_utf8(bytes)
-        .map_err(|_| ArtifactError::schema("postmortem", "not valid UTF-8"))?;
-    if text.is_empty() {
-        return Err(ArtifactError::Truncated {
-            detail: "empty file",
-        });
-    }
-    let Some((header_line, rest)) = text.split_once('\n') else {
-        return Err(ArtifactError::Truncated {
-            detail: "missing body line (no newline after header)",
-        });
-    };
-    if rest.is_empty() {
-        return Err(ArtifactError::Truncated {
-            detail: "missing body line",
-        });
-    }
-    let Some(body_line) = rest.strip_suffix('\n') else {
-        return Err(ArtifactError::Truncated {
-            detail: "body line not newline-terminated",
-        });
-    };
-    if body_line.contains('\n') || body_line.is_empty() {
-        return Err(ArtifactError::schema(
-            "postmortem",
-            "expected exactly two lines: header and body",
-        ));
-    }
-
-    let header_value = serde_json::from_str(header_line).map_err(|e| {
-        ArtifactError::schema(
-            "header",
-            format!("invalid JSON at byte {}: {e}", e.offset()),
-        )
-    })?;
-    let header_obj = header_value
-        .as_object()
-        .ok_or_else(|| ArtifactError::schema("header", "expected an object"))?;
-    let magic = as_str(field(header_obj, "header", "magic")?, "header.magic")?;
-    if magic != POSTMORTEM_MAGIC {
-        return Err(ArtifactError::schema(
-            "header.magic",
-            format!("expected `{POSTMORTEM_MAGIC}`, found `{magic}`"),
-        ));
-    }
-    let format = u64_field(header_obj, "header", "format")?;
-    if format != POSTMORTEM_FORMAT_VERSION {
-        return Err(ArtifactError::VersionSkew {
-            found: format,
-            supported: POSTMORTEM_FORMAT_VERSION,
-        });
-    }
-    let producer = as_str(field(header_obj, "header", "producer")?, "header.producer")?.to_owned();
-    let content_hash = as_str(
-        field(header_obj, "header", "content_hash")?,
-        "header.content_hash",
-    )?
-    .to_owned();
-    let reason = as_str(field(header_obj, "header", "reason")?, "header.reason")?.to_owned();
-
-    let computed = sha256_hex(body_line.as_bytes());
-    if computed != content_hash {
-        return Err(ArtifactError::HashMismatch {
-            field: "content_hash",
-            recorded: content_hash,
-            computed,
-        });
-    }
-
-    let body_value = serde_json::from_str(body_line).map_err(|e| {
-        ArtifactError::schema("body", format!("invalid JSON at byte {}: {e}", e.offset()))
-    })?;
-    let body_obj = body_value
-        .as_object()
-        .ok_or_else(|| ArtifactError::schema("body", "expected an object"))?;
-    for key in body_obj.keys() {
-        if !["context", "events", "metrics"].contains(&key.as_str()) {
-            return Err(ArtifactError::schema(
-                format!("body.{key}"),
-                "unknown field",
-            ));
-        }
-    }
-    let mut context = BTreeMap::new();
-    for (k, v) in as_obj(field(body_obj, "body", "context")?, "body.context")? {
-        context.insert(
-            k.clone(),
-            as_str(v, &format!("body.context.{k}"))?.to_owned(),
-        );
-    }
-    let events_value = field(body_obj, "body", "events")?
-        .as_array()
-        .ok_or_else(|| ArtifactError::schema("body.events", "expected an array"))?;
-    let mut events = Vec::with_capacity(events_value.len());
-    for (i, e) in events_value.iter().enumerate() {
-        events.push(event_from_value(e, &format!("body.events[{i}]"))?);
-    }
-    let metrics = metrics_from_value(field(body_obj, "body", "metrics")?, "body.metrics")?;
+    let framed = frame::decode(
+        bytes,
+        "postmortem",
+        POSTMORTEM_MAGIC,
+        POSTMORTEM_FORMAT_VERSION,
+    )?;
+    let reason = framed.header_str("reason")?;
+    let body = framed.body(&["context", "events", "metrics"])?;
+    let path = Path::Root("body");
+    let context_path = path.key("context");
+    let context = as_obj(field(&body, &path, "context")?, &context_path)?
+        .iter()
+        .map(|(k, v)| Ok((k.clone(), as_str(v, &context_path.key(k))?.to_owned())))
+        .collect::<Result<BTreeMap<_, _>, ArtifactError>>()?;
+    let events_path = path.key("events");
+    let events = array_field(&body, &path, "events")?
+        .iter()
+        .enumerate()
+        .map(|(i, e)| event_from_value(e, &events_path.index(i)))
+        .collect::<Result<Vec<_>, ArtifactError>>()?;
+    let metrics = metrics_from_value(field(&body, &path, "metrics")?, &path.key("metrics"))?;
 
     Ok(PostmortemArtifact {
         header: PostmortemHeader {
-            format,
-            producer,
-            content_hash,
+            format: POSTMORTEM_FORMAT_VERSION,
+            producer: framed.producer,
+            content_hash: framed.content_hash,
             reason: reason.clone(),
         },
         bundle: PostmortemBundle {

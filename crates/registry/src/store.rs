@@ -11,9 +11,11 @@
 //! re-lands identical bytes.
 //!
 //! Observability: `registry.hits`, `registry.misses`,
-//! `registry.puts`, and `registry.corrupt` counters are recorded
-//! through `paraconv-obs` (a single relaxed atomic load when the
-//! recorder is disabled).
+//! `registry.puts`, `registry.corrupt` and `registry.stale` counters
+//! are recorded through `paraconv-obs` (a single relaxed atomic load
+//! when the recorder is disabled). An object written in another format
+//! version is *stale*, not corrupt: it is counted apart, but refused
+//! and swept the same way, and its key simply re-plans on demand.
 
 use std::fs;
 use std::io::Write as _;
@@ -80,7 +82,8 @@ impl Registry {
     /// `content_hash` (structure + header + body digest, no codec), so
     /// bit rot under the registry root is a typed error — a corrupt
     /// object is **never** served as a hit. Corrupt reads record
-    /// `registry.corrupt` instead of `registry.hits`.
+    /// `registry.corrupt` (or `registry.stale` for an object in another
+    /// format version) instead of `registry.hits`.
     ///
     /// # Errors
     ///
@@ -94,7 +97,7 @@ impl Registry {
         match fs::read(self.object_path(key)) {
             Ok(bytes) => {
                 if let Err(e) = verify_artifact_bytes(&bytes) {
-                    paraconv_obs::counter_add("registry.corrupt", 1);
+                    count_refused(&e);
                     return Err(e);
                 }
                 paraconv_obs::counter_add("registry.hits", 1);
@@ -195,8 +198,9 @@ impl Registry {
 
     /// Crash recovery: sweeps the objects tree, deleting stranded
     /// `.tmp-*` files from interrupted puts and quarantining (removing)
-    /// objects whose bytes no longer verify, and returns the keys that
-    /// survived. Run once at daemon startup so a restarted server
+    /// objects whose bytes no longer verify — corrupt ones and stale
+    /// ones from another format version, counted apart — and returns
+    /// the keys that survived. Run once at daemon startup so a restarted server
     /// re-warms its cache from exactly the set of intact artifacts —
     /// a kill mid-put can never poison a later read.
     ///
@@ -231,20 +235,39 @@ impl Registry {
                 if !is_valid_key(&key) {
                     continue;
                 }
-                let intact = fs::read(object.path())
-                    .is_ok_and(|bytes| verify_artifact_bytes(&bytes).is_ok());
-                if intact {
-                    report.intact.push(key);
-                } else {
-                    let _ = fs::remove_file(object.path());
-                    paraconv_obs::counter_add("registry.corrupt", 1);
-                    report.corrupt_removed += 1;
+                let verified = fs::read(object.path())
+                    .map_err(ArtifactError::Io)
+                    .and_then(|bytes| verify_artifact_bytes(&bytes));
+                match verified {
+                    Ok(()) => report.intact.push(key),
+                    Err(e) => {
+                        let _ = fs::remove_file(object.path());
+                        if count_refused(&e) {
+                            report.stale_removed += 1;
+                        } else {
+                            report.corrupt_removed += 1;
+                        }
+                    }
                 }
             }
         }
         report.intact.sort();
         Ok(report)
     }
+}
+
+/// Counts an object [`verify_artifact_bytes`] refused: `registry.stale`
+/// for another format version, `registry.corrupt` otherwise. Returns
+/// whether it was stale.
+fn count_refused(error: &ArtifactError) -> bool {
+    let stale = matches!(error, ArtifactError::VersionSkew { .. });
+    let counter = if stale {
+        "registry.stale"
+    } else {
+        "registry.corrupt"
+    };
+    paraconv_obs::counter_add(counter, 1);
+    stale
 }
 
 /// What [`Registry::recover`] found and fixed on startup.
@@ -256,12 +279,16 @@ pub struct RecoveryReport {
     pub tmp_removed: u64,
     /// Objects dropped because their bytes no longer verify.
     pub corrupt_removed: u64,
+    /// Intact objects dropped because they were written in another
+    /// format version; their keys re-plan on demand.
+    pub stale_removed: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hash::sha256_hex;
+    use crate::FORMAT_VERSION;
 
     fn temp_root(tag: &str) -> PathBuf {
         let root = std::env::temp_dir().join(format!(
@@ -276,10 +303,14 @@ mod tests {
     /// header over an arbitrary single-line body. `get()` verifies on
     /// every read, so store tests must put verifiable objects.
     fn mini_artifact(body: &str) -> Vec<u8> {
+        versioned_artifact(FORMAT_VERSION, body)
+    }
+
+    fn versioned_artifact(format: u64, body: &str) -> Vec<u8> {
         assert!(!body.is_empty() && !body.contains('\n'));
         let hash = sha256_hex(body.as_bytes());
         format!(
-            "{{\"content_hash\":\"{hash}\",\"format\":1,\"key\":\"{hash}\",\
+            "{{\"content_hash\":\"{hash}\",\"format\":{format},\"key\":\"{hash}\",\
              \"magic\":\"paraconv-plan\",\"producer\":\"store-test\"}}\n{body}\n"
         )
         .into_bytes()
@@ -371,6 +402,26 @@ mod tests {
         assert_eq!(registry.get(&bad).unwrap(), None);
         assert!(registry.get(&good).unwrap().is_some());
         assert!(!shard.join(".tmp-999-0-deadbeef").exists());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn recover_counts_stale_formats_apart_from_corruption() {
+        let root = temp_root("stale");
+        let registry = Registry::open(&root).unwrap();
+        let (old, flipped) = (sha256_hex(b"v1"), sha256_hex(b"flipped"));
+        registry
+            .put(&old, &versioned_artifact(1, "{\"payload\":\"v1\"}"))
+            .unwrap();
+        let mut bytes = mini_artifact("{\"payload\":\"v2\"}");
+        let last = bytes.len() - 3;
+        bytes[last] ^= 0x01;
+        registry.put(&flipped, &bytes).unwrap();
+        let report = registry.recover().unwrap();
+        assert!(report.intact.is_empty());
+        assert_eq!((report.stale_removed, report.corrupt_removed), (1, 1));
+        assert!(!registry.contains(&old).unwrap());
+        assert!(!registry.contains(&flipped).unwrap());
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -13,7 +13,9 @@
 //!   independent iterations, greedy cache allocation, no retiming.
 //!
 //! [`KernelSchedule`] is the shared compaction step, exposed for
-//! analyses and tests.
+//! analyses and tests; [`emit`] unrolls a Para-CONV kernel, retiming
+//! and allocation into the concrete plan, for the scheduler, the
+//! verifier and the artifact decoder alike.
 //!
 //! # Examples
 //!
@@ -38,12 +40,14 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
+mod emit;
 mod error;
 mod kernel;
 mod paraconv;
 mod rotation;
 mod sparta;
 
+pub use emit::emit;
 pub use error::SchedError;
 pub use kernel::KernelSchedule;
 pub use paraconv::{AllocationPolicy, ParaConvOutcome, ParaConvScheduler};

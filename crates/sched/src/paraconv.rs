@@ -14,16 +14,18 @@
 //! 4. **Retiming** — the minimal legal retiming satisfying every
 //!    edge's requirement under its chosen placement; `R_max` fixes the
 //!    prologue `R_max × p`.
-//! 5. **Plan emission** — instance `V_i^ℓ` starts at
-//!    `(ℓ − 1 + R_max − R(i))·p + offset(i)` on its kernel PE, every
-//!    transfer departs when its producer finishes.
+//! 5. **Plan emission** — [`emit`] unrolls the kernel, retiming and
+//!    placements: instance `V_i^ℓ` starts at
+//!    `(g + R_max − R(i))·p + offset(i)` on its kernel PE for kernel
+//!    group `g = (ℓ − 1) div u`, and every transfer departs when its
+//!    producer finishes.
 
 use paraconv_alloc::{AllocItem, CacheAllocation, CacheAllocator, IncrementalDp};
 use paraconv_graph::{Placement, TaskGraph};
-use paraconv_pim::{CostModel, ExecutionPlan, PeId, PimConfig, PlannedTask, PlannedTransfer};
+use paraconv_pim::{CostModel, ExecutionPlan, PeId, PimConfig};
 use paraconv_retime::{minimal_relative_retiming, MovementAnalysis, Retiming};
 
-use crate::{KernelSchedule, SchedError};
+use crate::{emit, KernelSchedule, SchedError};
 
 /// Everything the Para-CONV scheduler produced for one run.
 #[derive(Debug, Clone)]
@@ -173,9 +175,11 @@ impl ParaConvScheduler {
     ///
     /// # Errors
     ///
-    /// Returns [`SchedError::ZeroIterations`] for `iterations == 0`
-    /// and [`SchedError::Analysis`] if the derived timing inputs are
-    /// internally inconsistent (which indicates a bug, not bad input).
+    /// Returns [`SchedError::ZeroIterations`] for `iterations == 0`,
+    /// [`SchedError::Analysis`] if the derived timing inputs are
+    /// internally inconsistent (which indicates a bug, not bad input),
+    /// and the [`emit`] errors — notably [`SchedError::PlanTooLarge`]
+    /// when the plan for `iterations` cannot be allocated.
     pub fn schedule(
         &self,
         graph: &TaskGraph,
@@ -340,59 +344,17 @@ impl ParaConvScheduler {
             })
             .collect();
         let retiming = Retiming::from_edge_requirements(graph, &requirements);
-        let rmax = retiming.max_value();
 
-        // Step 5: emit the concrete plan. Iteration ℓ occupies copy
-        // (ℓ−1) mod u of kernel group (ℓ−1) div u; group g of a node
-        // retimed by R(i) executes in kernel window g + R_max − R(i).
+        // Step 5: unroll the periodic core into the concrete plan.
         let _phase = phase.next("sched.emit");
-        let iters = usize::try_from(iterations).unwrap_or(usize::MAX);
-        let mut plan = ExecutionPlan::with_capacity(
+        let plan = emit(
+            graph,
+            &self.config,
+            &kernel,
+            &retiming,
+            &allocation,
             iterations,
-            graph.node_count().saturating_mul(iters),
-            graph.edge_count().saturating_mul(iters),
-        );
-        for iter in 1..=iterations {
-            if iter % 64 == 0 {
-                cancelled()?;
-            }
-            let group = (iter - 1) / unroll;
-            let copy = (iter - 1) % unroll;
-            for node in graph.nodes() {
-                let r = retiming
-                    .node_value(node.id())
-                    .map_err(|e| SchedError::Analysis(e.to_string()))?;
-                let start = (group + rmax - r) * p + kernel.start_at(node.id(), copy);
-                plan.push_task(PlannedTask {
-                    node: node.id(),
-                    iteration: iter,
-                    pe: kernel.pe_at(node.id(), copy),
-                    start,
-                    duration: node.exec_time(),
-                });
-            }
-            for ipr in graph.edges() {
-                let i = ipr.id().index();
-                let r_src = retiming
-                    .node_value(ipr.src())
-                    .map_err(|e| SchedError::Analysis(e.to_string()))?;
-                let producer_finish =
-                    (group + rmax - r_src) * p + kernel.finish_at(ipr.src(), copy);
-                let placement = placements[i];
-                let duration = match placement {
-                    Placement::Cache => cache_times[i],
-                    Placement::Edram => edram_times[i],
-                };
-                plan.push_transfer(PlannedTransfer {
-                    edge: ipr.id(),
-                    iteration: iter,
-                    placement,
-                    start: producer_finish,
-                    duration,
-                    dst_pe: kernel.pe_at(ipr.dst(), copy),
-                });
-            }
-        }
+        )?;
 
         paraconv_obs::flight_record("sched", "schedule.done", plan.makespan(), pes.len() as u64);
         Ok(ParaConvOutcome {
@@ -562,6 +524,27 @@ mod tests {
         assert_eq!(
             ParaConvScheduler::new(cfg).schedule(&g, 0).unwrap_err(),
             SchedError::ZeroIterations
+        );
+    }
+
+    #[test]
+    fn oversized_iteration_counts_are_typed_errors_not_aborts() {
+        // 2^60 iterations need more than isize::MAX bytes of plan, so
+        // the exact reservation is refused on any host.
+        let g = examples::motivational();
+        let cfg = PimConfig::neurocube(16).unwrap();
+        let iterations = 1u64 << 60;
+        assert_eq!(
+            ParaConvScheduler::new(cfg.clone())
+                .schedule(&g, iterations)
+                .unwrap_err(),
+            SchedError::PlanTooLarge { iterations }
+        );
+        assert_eq!(
+            crate::SpartaScheduler::new(cfg)
+                .schedule(&g, iterations)
+                .unwrap_err(),
+            SchedError::PlanTooLarge { iterations }
         );
     }
 

@@ -132,7 +132,9 @@ impl SpartaScheduler {
     ///
     /// # Errors
     ///
-    /// Returns [`SchedError::ZeroIterations`] for `iterations == 0`.
+    /// Returns [`SchedError::ZeroIterations`] for `iterations == 0`
+    /// and [`SchedError::PlanTooLarge`] when the plan cannot be
+    /// allocated.
     pub fn schedule(
         &self,
         graph: &TaskGraph,
@@ -211,12 +213,7 @@ impl SpartaScheduler {
         // with priority list scheduling, then replicate it.
         let template = schedule_batch(graph, copies as usize, n_pes, &priority, &transfer_time);
 
-        let iters = usize::try_from(iterations).unwrap_or(usize::MAX);
-        let mut plan = ExecutionPlan::with_capacity(
-            iterations,
-            graph.node_count().saturating_mul(iters),
-            graph.edge_count().saturating_mul(iters),
-        );
+        let mut plan = crate::emit::reserve_plan(graph, iterations)?;
         let full_batches = iterations / copies;
         let remainder = iterations % copies;
         let mut next_iteration = 1u64;

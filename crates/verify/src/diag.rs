@@ -11,6 +11,7 @@ use core::fmt;
 
 use paraconv_graph::EdgeId;
 use paraconv_retime::RetimeError;
+use paraconv_sched::SchedError;
 
 /// One edge whose retiming slack is below its placement requirement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,6 +167,20 @@ pub enum VerifyError {
         /// The observed high-water mark it must dominate.
         observed: u64,
     },
+    /// The outcome's plan differs from the plan its kernel, retiming
+    /// and allocation emit, so the static proof would not cover the
+    /// plan that executes.
+    PlanMismatch {
+        /// The plan section that differs: `tasks` or `transfers`.
+        section: &'static str,
+        /// Index of the first differing entry (the shorter length when
+        /// one list is a prefix of the other).
+        index: usize,
+    },
+    /// The outcome's kernel, retiming and allocation emit no plan at
+    /// all, so there is nothing the outcome's plan could be checked
+    /// against.
+    Unemittable(SchedError),
 }
 
 impl fmt::Display for VerifyError {
@@ -260,6 +275,11 @@ impl fmt::Display for VerifyError {
                 f,
                 "static {metric} bound {bound} below the observed high-water mark {observed}"
             ),
+            VerifyError::PlanMismatch { section, index } => write!(
+                f,
+                "plan is not the one its kernel, retiming and allocation emit: {section}[{index}] differs"
+            ),
+            VerifyError::Unemittable(e) => write!(f, "outcome emits no plan: {e}"),
         }
     }
 }
@@ -268,6 +288,7 @@ impl std::error::Error for VerifyError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             VerifyError::IllegalRetiming(e) => Some(e),
+            VerifyError::Unemittable(e) => Some(e),
             _ => None,
         }
     }
@@ -369,6 +390,11 @@ mod tests {
         assert!(e.to_string().contains("capacity 4"));
         let e = VerifyError::FailedPeUsed { pe: 7 };
         assert!(e.to_string().contains("PE7"));
+        let e = VerifyError::PlanMismatch {
+            section: "tasks",
+            index: 3,
+        };
+        assert!(e.to_string().contains("tasks[3]"));
     }
 
     #[test]

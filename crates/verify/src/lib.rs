@@ -11,9 +11,12 @@
 //!      proven `bound ≤ capacity`;
 //!    * [`dp_check`] — the §3.3 DP's invariants (profit monotonicity,
 //!      greedy dominance, reconstruction consistency) re-checked on an
-//!      independently derived instance.
+//!      independently derived instance;
+//!    * [`plan_check`] — the outcome's plan is exactly the one its
+//!      kernel, retiming and allocation emit, so the proof above
+//!      covers the plan that executes.
 //!
-//!    [`verify_outcome`] runs all three; [`verify_run`] additionally
+//!    [`verify_outcome`] runs all four; [`verify_run`] additionally
 //!    asserts the static bounds dominate a simulation report's observed
 //!    high-water marks (the differential link to the runtime auditor).
 //!
@@ -50,11 +53,13 @@ mod diag;
 pub mod dp_check;
 pub mod lint;
 pub mod occupancy;
+pub mod plan_check;
 pub mod retime_check;
 
 pub use diag::{RetimingViolation, VerifyError, VerifyReport};
 pub use dp_check::{check_dp_invariants, DpCheck};
 pub use occupancy::{occupancy_bounds, OccupancyBounds, PeakBound, PhaseProfile};
+pub use plan_check::check_plan;
 pub use retime_check::check_retiming;
 
 use paraconv_graph::TaskGraph;
@@ -83,7 +88,8 @@ pub(crate) fn guard_shape(graph: &TaskGraph, outcome: &ParaConvOutcome) -> Resul
 
 /// Statically verifies an outcome: retiming legality and sufficiency,
 /// steady-state occupancy bounds against the architecture's
-/// capacities, and the DP invariants. No simulation is run.
+/// capacities, the DP invariants, and that the plan is the one the
+/// verified core emits. No simulation is run.
 ///
 /// # Errors
 ///
@@ -144,6 +150,7 @@ pub fn verify_outcome(
     }
 
     let dp = check_dp_invariants(graph, outcome, config)?;
+    check_plan(graph, outcome, config)?;
     let (_, fifo_bound) = bounds.worst_fifo();
     let (_, vault_bound) = bounds.worst_vault();
     Ok(VerifyReport {

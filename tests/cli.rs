@@ -64,6 +64,16 @@ fn unknown_benchmark_is_a_usage_error() {
 }
 
 #[test]
+fn an_oversized_run_is_a_runtime_error_not_an_abort() {
+    // 2^60 iterations need more than isize::MAX bytes of plan: the
+    // reservation is refused on any host and `run` exits 1.
+    let out = paraconv(&["run", "cat", "--iters", "1152921504606846976"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("too large"), "stderr: {stderr}");
+}
+
+#[test]
 fn list_succeeds() {
     let out = paraconv(&["list"]);
     assert_eq!(out.status.code(), Some(0));
@@ -187,6 +197,66 @@ fn plan_import_of_a_corrupt_file_is_a_runtime_error() {
         "typed rejection expected, got: {stderr}"
     );
     std::fs::remove_file(&path).expect("cleanup");
+}
+
+#[test]
+fn plan_export_replans_over_a_stale_registry_object() {
+    // A registry written by a format-1 build holds an object under the
+    // same request key; export treats it as stale and overwrites it.
+    let registry = plan_tmp("stale-registry");
+    let _ = std::fs::remove_dir_all(&registry);
+    let fresh = plan_tmp("fresh.plan");
+    let export = |out: &std::path::Path| {
+        paraconv(&[
+            "plan",
+            "export",
+            "cat",
+            "--iters",
+            "8",
+            "--registry",
+            registry.to_str().expect("utf-8 path"),
+            "--out",
+            out.to_str().expect("utf-8 path"),
+        ])
+    };
+    assert_eq!(export(&fresh).status.code(), Some(0));
+    let objects: Vec<_> = std::fs::read_dir(registry.join("objects"))
+        .expect("objects dir")
+        .flat_map(|shard| std::fs::read_dir(shard.expect("shard").path()).expect("shard dir"))
+        .map(|object| object.expect("object").path())
+        .collect();
+    assert_eq!(objects.len(), 1);
+    let current = std::fs::read_to_string(&objects[0]).expect("object bytes");
+    std::fs::write(
+        &objects[0],
+        current.replacen("\"format\":2", "\"format\":1", 1),
+    )
+    .expect("downgrade the object");
+
+    let replanned = plan_tmp("replanned.plan");
+    let out = export(&replanned);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains("scheduled"),
+        "stale object must re-plan: {stdout}"
+    );
+    assert_eq!(
+        std::fs::read(&objects[0]).expect("object"),
+        current.into_bytes()
+    );
+    assert_eq!(
+        std::fs::read(&replanned).expect("plan"),
+        std::fs::read(&fresh).expect("plan")
+    );
+    std::fs::remove_dir_all(&registry).expect("cleanup");
+    std::fs::remove_file(&fresh).expect("cleanup");
+    std::fs::remove_file(&replanned).expect("cleanup");
 }
 
 #[test]

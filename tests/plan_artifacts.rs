@@ -21,15 +21,16 @@
 use proptest::prelude::*;
 
 use paraconv::graph::TaskGraph;
-use paraconv::pim::PimConfig;
+use paraconv::pim::{simulate, ExecutionPlan, PimConfig};
 use paraconv::registry::{
     decode, request_key, sha256_hex, ArtifactError, PlanBundle, PlanPolicy, Registry,
     FORMAT_VERSION, PRODUCER,
 };
 use paraconv::retime::Retiming;
-use paraconv::sched::{AllocationPolicy, ParaConvScheduler};
+use paraconv::sched::{AllocationPolicy, ParaConvScheduler, SchedError};
 use paraconv::synth::benchmarks;
-use paraconv::verify::verify_outcome;
+use paraconv::verify::{verify_outcome, VerifyError};
+use serde_json::{Map, Number, Value};
 
 const PES: usize = 16;
 const ITERS: u64 = 8;
@@ -133,6 +134,218 @@ fn request_keys_ignore_the_outcome_and_separate_requests() {
     );
 }
 
+#[test]
+fn the_request_key_is_pinned() {
+    // Format 2 changed the body, never the key: the key covers only the
+    // request (graph, config, policy), so registries keep addressing
+    // the same requests by the same names across the format bump.
+    let key = request_key(
+        &cat_graph(),
+        &PimConfig::neurocube(16).expect("valid config"),
+        &PlanPolicy {
+            allocation: AllocationPolicy::DynamicProgram,
+            iterations: 50,
+        },
+    );
+    assert_eq!(
+        key,
+        "2d41a7eb5cb10929ca1d085aaea433889069b908307567edf8fb75185f1588e4"
+    );
+}
+
+/// Schedules `graph` and asserts that the decoded artifact re-derives
+/// exactly the scheduler's plan, which simulates identically.
+fn assert_decoded_plan_is_the_scheduled_one(name: &str, graph: TaskGraph, pes: usize, iters: u64) {
+    let config = PimConfig::neurocube(pes).expect("valid config");
+    let outcome = ParaConvScheduler::new(config.clone())
+        .schedule(&graph, iters)
+        .expect("schedulable");
+    let scheduled = simulate(&graph, &outcome.plan, &config).expect("valid plan");
+    let bundle = PlanBundle {
+        graph,
+        config,
+        policy: PlanPolicy {
+            allocation: AllocationPolicy::DynamicProgram,
+            iterations: iters,
+        },
+        outcome,
+    };
+    let decoded = decode(&bundle.encode())
+        .unwrap_or_else(|e| panic!("{name} pes={pes} iters={iters}: {e}"))
+        .bundle;
+    assert!(
+        decoded.outcome.plan == bundle.outcome.plan,
+        "{name} pes={pes} iters={iters}: re-derived plan differs"
+    );
+    let replayed = simulate(&decoded.graph, &decoded.outcome.plan, &decoded.config)
+        .expect("re-derived plan simulates");
+    assert_eq!(replayed, scheduled, "{name} pes={pes} iters={iters}");
+}
+
+#[test]
+fn decoded_plans_equal_the_scheduled_ones_across_table1() {
+    for b in benchmarks::all() {
+        let graph = b.graph().expect("benchmark builds");
+        for pes in [16, 32, 64] {
+            for iters in [1, 5, 50, 95] {
+                assert_decoded_plan_is_the_scheduled_one(b.name(), graph.clone(), pes, iters);
+            }
+        }
+    }
+}
+
+#[test]
+fn decoded_plans_equal_the_scheduled_ones_across_the_zoo() {
+    let zoo = paraconv::cnn::zoo::all().expect("zoo builds");
+    for (class, network) in &zoo {
+        let graph = paraconv::cnn::partition(network, paraconv::cnn::PartitionConfig::default())
+            .expect("network partitions");
+        let name = format!("{class}/{}", network.name());
+        assert_decoded_plan_is_the_scheduled_one(&name, graph, PES, ITERS);
+    }
+}
+
+#[test]
+fn a_forged_plan_beside_an_honest_core_fails_the_gate() {
+    // The core (kernel, retiming, allocation) is the scheduler's own
+    // and proves clean; the plan beside it is iteration 1 alone,
+    // shifted 1000 cycles late — self-consistent, but not the plan the
+    // proof covers.
+    let graph = cat_graph();
+    let cfg = config();
+    let mut outcome = ParaConvScheduler::new(cfg.clone())
+        .schedule(&graph, 50)
+        .expect("schedulable");
+    let mut forged = ExecutionPlan::new(1);
+    for task in outcome.plan.tasks().iter().filter(|t| t.iteration == 1) {
+        forged.push_task(paraconv::pim::PlannedTask {
+            start: task.start + 1000,
+            ..*task
+        });
+    }
+    for transfer in outcome.plan.transfers().iter().filter(|t| t.iteration == 1) {
+        forged.push_transfer(paraconv::pim::PlannedTransfer {
+            start: transfer.start + 1000,
+            ..*transfer
+        });
+    }
+    outcome.plan = forged;
+    assert_eq!(
+        verify_outcome(&graph, &outcome, &cfg),
+        Err(VerifyError::PlanMismatch {
+            section: "tasks",
+            index: 0
+        })
+    );
+}
+
+/// Re-encodes the sample artifact with `edit` applied to its body,
+/// recomputing the content hash and the key honestly, so only the
+/// codec and the plan re-derivation stand between the edit and a plan.
+fn forge(edit: impl FnOnce(&mut Map)) -> Vec<u8> {
+    let text = String::from_utf8(sample_bytes()).expect("artifact is UTF-8");
+    let (_, body) = text.split_once('\n').expect("two-line artifact");
+    let mut body = serde_json::from_str(body.trim_end()).expect("body is JSON");
+    let Value::Object(obj) = &mut body else {
+        panic!("body is an object")
+    };
+    edit(obj);
+    let mut request = obj.clone();
+    request.remove("outcome");
+    let body_line = serde_json::to_string(&body);
+    let header = format!(
+        "{{\"content_hash\":\"{}\",\"format\":{FORMAT_VERSION},\"key\":\"{}\",\
+         \"magic\":\"paraconv-plan\",\"producer\":\"{PRODUCER}\"}}",
+        sha256_hex(body_line.as_bytes()),
+        sha256_hex(serde_json::to_string(&Value::Object(request)).as_bytes())
+    );
+    format!("{header}\n{body_line}\n").into_bytes()
+}
+
+/// The object at `path` (a chain of member names) inside `obj`.
+fn member<'a>(obj: &'a mut Map, path: &[&str]) -> &'a mut Map {
+    path.iter().fold(obj, |obj, key| match obj.get_mut(*key) {
+        Some(Value::Object(inner)) => inner,
+        _ => panic!("no object at `{key}`"),
+    })
+}
+
+fn array<'a>(obj: &'a mut Map, key: &str) -> &'a mut Vec<Value> {
+    match obj.get_mut(key) {
+        Some(Value::Array(items)) => items,
+        _ => panic!("no array at `{key}`"),
+    }
+}
+
+fn number(v: u64) -> Value {
+    Value::Number(Number::from_u64(v))
+}
+
+#[test]
+fn forging_needs_only_honest_hashes() {
+    // The forger itself is sound: with no edit it reproduces the
+    // canonical artifact byte for byte.
+    assert!(forge(|_| {}) == sample_bytes(), "forger drifted");
+}
+
+#[test]
+fn a_stored_plan_field_is_a_schema_mismatch() {
+    let forged = forge(|body| {
+        member(body, &["outcome"]).insert("plan".into(), Value::Object(Map::new()));
+    });
+    match decode_err(&forged) {
+        ArtifactError::SchemaMismatch { path, .. } => assert_eq!(path, "body.outcome.plan"),
+        other => panic!("expected SchemaMismatch, got {other}"),
+    }
+}
+
+/// A hash-honest edit of the core decodes to a typed emission error —
+/// never a panic, never a plan.
+fn assert_unemittable(name: &str, edit: impl FnOnce(&mut Map)) {
+    match decode_err(&forge(edit)) {
+        ArtifactError::Unemittable(e) => assert!(
+            matches!(
+                e,
+                SchedError::DegenerateKernel { .. }
+                    | SchedError::ShapeMismatch { .. }
+                    | SchedError::TimeOverflow
+                    | SchedError::PlanTooLarge { .. }
+            ),
+            "{name}: {e}"
+        ),
+        other => panic!("{name}: expected Unemittable, got {other}"),
+    }
+}
+
+#[test]
+fn hash_honest_cores_that_emit_no_plan_are_typed_errors() {
+    assert_unemittable("zero kernel copies", |body| {
+        let kernel = member(body, &["outcome", "kernel"]);
+        kernel.insert("copies".into(), number(0));
+        for slots in ["pe", "start", "finish"] {
+            array(kernel, slots).clear();
+        }
+    });
+    assert_unemittable("a kernel for another node count", |body| {
+        let nodes = cat_graph().node_count();
+        let kernel = member(body, &["outcome", "kernel"]);
+        let copies = kernel["copies"].as_u64().expect("copies") as usize;
+        kernel.insert("node_count".into(), number(nodes as u64 - 1));
+        for slots in ["pe", "start", "finish"] {
+            array(kernel, slots).truncate(copies * (nodes - 1));
+        }
+    });
+    assert_unemittable("a short retiming", |body| {
+        array(member(body, &["outcome", "retiming"]), "nodes").pop();
+    });
+    assert_unemittable("an overflowing retiming", |body| {
+        array(member(body, &["outcome", "retiming"]), "nodes")[0] = number(u64::MAX);
+    });
+    assert_unemittable("u64::MAX iterations", |body| {
+        member(body, &["policy"]).insert("iterations".into(), number(u64::MAX));
+    });
+}
+
 /// One valid artifact, scheduled once and shared by the hostile tests.
 fn sample_bytes() -> Vec<u8> {
     static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
@@ -183,14 +396,21 @@ fn flipped_magic_is_a_schema_mismatch() {
 #[test]
 fn stale_format_versions_are_a_version_skew() {
     let text = String::from_utf8(sample_bytes()).expect("artifact is UTF-8");
-    let stale = text.replacen("\"format\":1", "\"format\":99", 1);
-    assert_ne!(stale, text, "format field present exactly once");
-    match decode_err(stale.as_bytes()) {
-        ArtifactError::VersionSkew { found, supported } => {
-            assert_eq!(found, 99);
-            assert_eq!(supported, FORMAT_VERSION);
+    // Format 1 (which stored the unrolled plan) and a future format
+    // are both refused before the body is touched.
+    for found in [1, 99] {
+        let stale = text.replacen("\"format\":2", &format!("\"format\":{found}"), 1);
+        assert_ne!(stale, text, "format field present exactly once");
+        match decode_err(stale.as_bytes()) {
+            ArtifactError::VersionSkew {
+                found: got,
+                supported,
+            } => {
+                assert_eq!(got, found);
+                assert_eq!(supported, FORMAT_VERSION);
+            }
+            other => panic!("expected VersionSkew, got {other}"),
         }
-        other => panic!("expected VersionSkew, got {other}"),
     }
 }
 
@@ -221,8 +441,8 @@ fn hash_fixed_schema_corruption_is_a_schema_mismatch() {
     let text = String::from_utf8(sample_bytes()).expect("artifact is UTF-8");
     let (header, rest) = text.split_once('\n').expect("two-line artifact");
     let body = rest.strip_suffix('\n').expect("newline-terminated body");
-    let evil_body = body.replacen("\"plan\":", "\"plam\":", 1);
-    assert_ne!(evil_body, body, "plan section present");
+    let evil_body = body.replacen("\"retiming\":", "\"retimimg\":", 1);
+    assert_ne!(evil_body, body, "retiming section present");
     let old_hash_field = format!("\"content_hash\":\"{}\"", sha256_hex(body.as_bytes()));
     let new_hash_field = format!("\"content_hash\":\"{}\"", sha256_hex(evil_body.as_bytes()));
     let evil_header = header.replacen(&old_hash_field, &new_hash_field, 1);
@@ -259,13 +479,20 @@ fn hash_valid_tampered_outcomes_die_at_the_verifier_gate() {
     node_values[dst] = u64::MAX; // R(edge) < R(dst): structurally illegal
     bundle.outcome.retiming = Retiming::from_values(node_values, edge_values);
     let bytes = bundle.encode();
-    let artifact = decode(&bytes).expect("hashes and schema are honest");
-    let gate = verify_outcome(
-        &artifact.bundle.graph,
-        &artifact.bundle.outcome,
-        &artifact.bundle.config,
+    // Rejected, never executed: re-deriving the plan from this core
+    // overflows at decode, and were it to decode, the gate refuses it.
+    let rejected = decode(&bytes).map_or(true, |artifact| {
+        verify_outcome(
+            &artifact.bundle.graph,
+            &artifact.bundle.outcome,
+            &artifact.bundle.config,
+        )
+        .is_err()
+    });
+    assert!(
+        rejected,
+        "tampered retiming slipped past decode and the gate"
     );
-    assert!(gate.is_err(), "tampered retiming slipped the verifier gate");
 }
 
 #[test]
@@ -320,7 +547,7 @@ proptest! {
 fn mini_artifact(body: &str) -> Vec<u8> {
     let hash = sha256_hex(body.as_bytes());
     format!(
-        "{{\"content_hash\":\"{hash}\",\"format\":1,\"key\":\"{hash}\",\
+        "{{\"content_hash\":\"{hash}\",\"format\":{FORMAT_VERSION},\"key\":\"{hash}\",\
          \"magic\":\"paraconv-plan\",\"producer\":\"storm-test\"}}\n{body}\n"
     )
     .into_bytes()

@@ -202,3 +202,33 @@ fn drain_rejects_new_work_typed() {
     assert_eq!(response.status, ServeStatus::Draining);
     assert_eq!(core.stats().draining, 1);
 }
+
+#[test]
+fn an_oversized_request_is_answered_and_serving_continues() {
+    // 2^60 iterations need more than isize::MAX bytes of plan, so the
+    // exact reservation is refused on any host: the request fails with
+    // a typed error instead of aborting the process.
+    let core = ServeCore::new(storm_config(1)).expect("serve core");
+    core.start();
+    let big = core
+        .submit(request("big", "tenant-a", "cat", 16, 1 << 60))
+        .wait();
+    assert_eq!(big.status, ServeStatus::Error);
+    assert!(
+        big.detail
+            .as_deref()
+            .is_some_and(|d| d.contains("too large")),
+        "{big:?}"
+    );
+    let next = core
+        .submit(request("next", "tenant-a", "cat", 16, 4))
+        .wait();
+    assert_eq!(next.status, ServeStatus::Ok);
+    let stats = core.drain();
+    assert_eq!((stats.accepted, stats.served, stats.failed), (2, 1, 1));
+    assert_eq!(
+        stats.accepted,
+        stats.served + stats.deadline + stats.failed,
+        "conservation"
+    );
+}
