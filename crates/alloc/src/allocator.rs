@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use paraconv_graph::{EdgeId, Placement};
 
-use crate::{sort_by_deadline, AllocItem, DpTable, IncrementalDp};
+use crate::{sort_by_deadline, AllocItem, IncrementalDp};
 
 /// The result of cache allocation: a placement per intermediate
 /// processing result plus the achieved statistics.
@@ -146,28 +146,26 @@ impl CacheAllocator {
         CacheAllocator { capacity }
     }
 
-    /// Decides a placement for every item.
+    /// Decides a placement for every item: a [`reallocate`] on a
+    /// fresh session, i.e. one cold fill of the dynamic program.
+    ///
+    /// [`reallocate`]: CacheAllocator::reallocate
     #[must_use]
     pub fn allocate(&self, items: Vec<AllocItem>) -> CacheAllocation {
-        let (placements, competing) = Self::partition(items);
-        // Step 3: dynamic program + reconstruction.
-        let table = DpTable::fill(&competing, self.capacity);
-        let chosen = table.reconstruct();
-        self.assemble(placements, &competing, &chosen, table.max_profit())
+        self.reallocate(&mut IncrementalDp::new(), items)
     }
 
     /// Re-decides placements through a reusable [`IncrementalDp`]
     /// session, for replan loops and capacity sweeps that solve long
     /// runs of nearly identical instances.
     ///
-    /// The result is **byte-identical** to [`allocate`] on the same
-    /// items and capacity — the session reuses every dynamic-program
-    /// row the perturbation did not touch (shared item prefixes,
-    /// capacity moves within the stored width) instead of refilling
-    /// the whole recurrence, but it never changes the optimum or the
-    /// reconstructed subset. Degraded replans therefore produce
-    /// exactly the plan a cold solve on the surviving configuration
-    /// would, at a fraction of the fill cost.
+    /// The session reuses every dynamic-program row the perturbation
+    /// did not touch (shared item prefixes, capacity moves within the
+    /// stored width) instead of refilling the whole recurrence, but
+    /// the result is **byte-identical** to [`allocate`] on the same
+    /// items and capacity. Degraded replans therefore produce exactly
+    /// the plan a cold solve on the surviving configuration would, at
+    /// a fraction of the fill cost.
     ///
     /// [`allocate`]: CacheAllocator::allocate
     #[must_use]
@@ -177,6 +175,7 @@ impl CacheAllocator {
         items: Vec<AllocItem>,
     ) -> CacheAllocation {
         let (placements, competing) = Self::partition(items);
+        // Step 3: dynamic program + reconstruction.
         session.resolve(&competing, self.capacity);
         let chosen = session.reconstruct();
         self.assemble(placements, &competing, &chosen, session.max_profit())

@@ -11,12 +11,12 @@
 //! * [`AllocItem`] — one IPR candidate with space `sp_m`, profit
 //!   `ΔR(m)` and deadline `d_m`;
 //! * [`sort_by_deadline`] — the `O(n log n)` precomputation of §3.3.1;
-//! * [`DpTable`] — the `B[S, m]` recurrence of §3.3.2 filled in
-//!   `O(n · S)` with a rolling row pair plus a decision bitset for
-//!   backtracking (`O(S)` value memory);
-//! * [`IncrementalDp`] — a reusable session that re-solves perturbed
-//!   instances (capacity sweeps, degraded replans) by refilling only
-//!   the affected suffix rows, byte-identical to a cold fill;
+//! * [`IncrementalDp`] — the `B[S, m]` recurrence of §3.3.2, filled
+//!   in `O(n · S)` with every value row plus a decision bitset for
+//!   backtracking. The same session re-solves perturbed instances
+//!   (capacity sweeps, degraded replans) by refilling only the
+//!   affected suffix rows; a cold fill is a resolve with nothing to
+//!   reuse;
 //! * [`CacheAllocator`] / [`CacheAllocation`] — the full §3.3.3
 //!   construction (zero-`ΔR` pre-routing + DP + reconstruction);
 //! * [`brute_force_max_profit`] — an exhaustive cross-check used by the
@@ -46,11 +46,9 @@
 mod allocator;
 mod dp;
 mod feasibility;
-mod incremental;
 mod item;
 
 pub use allocator::{CacheAllocation, CacheAllocator};
-pub use dp::{brute_force_max_profit, max_profit_compact, DpTable};
+pub use dp::{brute_force_max_profit, IncrementalDp};
 pub use feasibility::{edf_feasibility, Feasibility};
-pub use incremental::IncrementalDp;
 pub use item::{sort_by_deadline, AllocItem};

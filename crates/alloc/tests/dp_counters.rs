@@ -115,3 +115,24 @@ fn diverging_perturbation_still_refills_downstream_rows() {
     assert_eq!(reused, 1, "only row 0 precedes the moved item");
     assert_eq!(filled, 30, "rows 1..4 all recompute");
 }
+
+#[test]
+fn a_cold_allocation_records_one_fill_and_no_reuse() {
+    let _guard = lock();
+    // `allocate` is a resolve on a fresh session: one full fill, one
+    // backtrack, and none of the incremental counters.
+    let items: Vec<AllocItem> = (0..5).map(|i| item(i, 1 + u64::from(i) % 3, 2)).collect();
+    paraconv_obs::reset();
+    paraconv_obs::enable();
+    let allocation = paraconv_alloc::CacheAllocator::new(7).allocate(items);
+    paraconv_obs::disable();
+    let snapshot = paraconv_obs::snapshot();
+    assert_eq!(allocation.total_profit(), 8);
+    assert_eq!(snapshot.counter("dp.fills"), 1);
+    assert_eq!(snapshot.counter("dp.cells_filled"), 5 * 8);
+    assert_eq!(snapshot.counter("dp.reconstructs"), 1);
+    assert_eq!(snapshot.counter("dp.incremental_hits"), 0);
+    assert_eq!(snapshot.counter("dp.rows_reused"), 0);
+    let per_fill = snapshot.histogram("dp.items_per_fill").expect("observed");
+    assert_eq!((per_fill.count(), per_fill.sum()), (1, 5));
+}

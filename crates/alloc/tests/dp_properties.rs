@@ -3,10 +3,31 @@
 use proptest::prelude::*;
 
 use paraconv_alloc::{
-    brute_force_max_profit, edf_feasibility, max_profit_compact, sort_by_deadline, AllocItem,
-    CacheAllocator, DpTable, IncrementalDp,
+    brute_force_max_profit, edf_feasibility, sort_by_deadline, AllocItem, CacheAllocator,
+    IncrementalDp,
 };
 use paraconv_graph::EdgeId;
+
+/// A fresh session solved once: the cold fill.
+fn solved(items: &[AllocItem], capacity: u64) -> IncrementalDp {
+    let mut session = IncrementalDp::new();
+    session.resolve(items, capacity);
+    session
+}
+
+/// The value-only form of the recurrence: one row updated in place,
+/// capacities visited downward so each item counts at most once. An
+/// independent reference for instances too large for brute force.
+fn max_profit_compact(items: &[AllocItem], capacity: u64) -> u64 {
+    let mut row = vec![0u64; capacity as usize + 1];
+    for item in items {
+        let sp = item.space() as usize;
+        for s in (sp..row.len()).rev() {
+            row[s] = row[s].max(row[s - sp] + item.delta_r());
+        }
+    }
+    row[capacity as usize]
+}
 
 fn arb_items(max_n: usize) -> impl Strategy<Value = Vec<AllocItem>> {
     proptest::collection::vec((1u64..8, 0u64..4, 0u64..50), 0..max_n).prop_map(|raw| {
@@ -23,8 +44,8 @@ proptest! {
     #[test]
     fn dp_matches_brute_force(items in arb_items(12), capacity in 0u64..30) {
         let sorted = sort_by_deadline(items.clone());
-        let table = DpTable::fill(&sorted, capacity);
-        prop_assert_eq!(table.max_profit(), brute_force_max_profit(&items, capacity));
+        let session = solved(&sorted, capacity);
+        prop_assert_eq!(session.max_profit(), brute_force_max_profit(&items, capacity));
     }
 
     #[test]
@@ -32,7 +53,7 @@ proptest! {
         let sorted = sort_by_deadline(items);
         let mut last = 0;
         for capacity in 0..25 {
-            let profit = DpTable::fill(&sorted, capacity).max_profit();
+            let profit = solved(&sorted, capacity).max_profit();
             prop_assert!(profit >= last);
             last = profit;
         }
@@ -41,18 +62,18 @@ proptest! {
     #[test]
     fn reconstruction_is_feasible_and_optimal(items in arb_items(12), capacity in 0u64..25) {
         let sorted = sort_by_deadline(items);
-        let table = DpTable::fill(&sorted, capacity);
-        let chosen = table.reconstruct();
+        let session = solved(&sorted, capacity);
+        let chosen = session.reconstruct();
         let space: u64 = sorted.iter().zip(&chosen).filter(|(_, &c)| c).map(|(i, _)| i.space()).sum();
         let profit: u64 = sorted.iter().zip(&chosen).filter(|(_, &c)| c).map(|(i, _)| i.delta_r()).sum();
         prop_assert!(space <= capacity);
-        prop_assert_eq!(profit, table.max_profit());
+        prop_assert_eq!(profit, session.max_profit());
     }
 
     #[test]
     fn allocator_profit_matches_dp_on_competing_items(items in arb_items(12), capacity in 0u64..25) {
         let competing: Vec<AllocItem> = items.iter().copied().filter(|i| i.delta_r() > 0).collect();
-        let expected = DpTable::fill(&sort_by_deadline(competing), capacity).max_profit();
+        let expected = solved(&sort_by_deadline(competing), capacity).max_profit();
         let allocation = CacheAllocator::new(capacity).allocate(items);
         prop_assert_eq!(allocation.total_profit(), expected);
         prop_assert!(allocation.used_capacity() <= capacity);
@@ -74,34 +95,36 @@ proptest! {
     #[test]
     fn compact_dp_matches_table_dp(items in arb_items(20), capacity in 0u64..40) {
         let sorted = sort_by_deadline(items);
-        prop_assert_eq!(
-            max_profit_compact(&sorted, capacity),
-            DpTable::fill(&sorted, capacity).max_profit()
-        );
+        prop_assert_eq!(max_profit_compact(&sorted, capacity), solved(&sorted, capacity).max_profit());
     }
 
     #[test]
-    fn fill_sweep_matches_per_capacity_fill(items in arb_items(14), caps in proptest::collection::vec(0u64..40, 1..8)) {
+    fn capacity_sweep_matches_per_capacity_fill(items in arb_items(14), caps in proptest::collection::vec(0u64..40, 1..8)) {
+        // One session primed at the widest point answers every sweep
+        // point, by column read and by a zero-refill narrower resolve.
         let sorted = sort_by_deadline(items);
-        let sweep = DpTable::fill_sweep(&sorted, &caps);
-        prop_assert_eq!(sweep.len(), caps.len());
-        for (&capacity, &profit) in caps.iter().zip(&sweep) {
-            prop_assert_eq!(profit, DpTable::fill(&sorted, capacity).max_profit());
-            prop_assert_eq!(profit, max_profit_compact(&sorted, capacity));
+        let widest = caps.iter().copied().max().unwrap_or(0);
+        let mut session = solved(&sorted, widest);
+        for &capacity in &caps {
+            let cold = solved(&sorted, capacity);
+            prop_assert_eq!(session.max_profit_at(capacity), cold.max_profit());
+            session.resolve(&sorted, capacity);
+            prop_assert_eq!(session.max_profit(), cold.max_profit());
         }
     }
 
     #[test]
-    fn reconstruct_at_agrees_with_dedicated_fill(items in arb_items(12), capacity in 0u64..25, extra in 0u64..15) {
-        // A table filled at a larger capacity reconstructs the same
+    fn narrower_resolve_agrees_with_dedicated_fill(items in arb_items(12), capacity in 0u64..25, extra in 0u64..15) {
+        // A session filled at a larger capacity reconstructs the same
         // optimal profit at any smaller sweep point.
         let sorted = sort_by_deadline(items);
-        let table = DpTable::fill(&sorted, capacity + extra);
-        let chosen = table.reconstruct_at(capacity);
+        let mut session = solved(&sorted, capacity + extra);
+        session.resolve(&sorted, capacity);
+        let chosen = session.reconstruct();
         let space: u64 = sorted.iter().zip(&chosen).filter(|(_, &c)| c).map(|(i, _)| i.space()).sum();
         let profit: u64 = sorted.iter().zip(&chosen).filter(|(_, &c)| c).map(|(i, _)| i.delta_r()).sum();
         prop_assert!(space <= capacity);
-        prop_assert_eq!(profit, DpTable::fill(&sorted, capacity).max_profit());
+        prop_assert_eq!(profit, solved(&sorted, capacity).max_profit());
     }
 
     #[test]
@@ -142,7 +165,7 @@ proptest! {
                 current = sort_by_deadline(current);
             }
             session.resolve(&current, capacity);
-            let cold = DpTable::fill(&current, capacity);
+            let cold = solved(&current, capacity);
             prop_assert_eq!(session.max_profit(), cold.max_profit());
             prop_assert_eq!(session.reconstruct(), cold.reconstruct());
         }

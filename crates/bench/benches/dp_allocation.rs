@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use paraconv::alloc::{AllocItem, CacheAllocator, DpTable};
+use paraconv::alloc::{AllocItem, CacheAllocator, IncrementalDp};
 use paraconv::graph::EdgeId;
 
 fn items(n: usize) -> Vec<AllocItem> {
@@ -27,7 +27,13 @@ fn bench_dp_fill(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("n{n}"), capacity),
                 &capacity,
-                |b, &cap| b.iter(|| DpTable::fill(&items, cap).max_profit()),
+                |b, &cap| {
+                    b.iter(|| {
+                        let mut session = IncrementalDp::new();
+                        session.resolve(&items, cap);
+                        session.max_profit()
+                    })
+                },
             );
         }
     }

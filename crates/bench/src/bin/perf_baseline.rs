@@ -15,9 +15,11 @@
 //!    a one-item perturbation workload (the degraded-replan /
 //!    capacity-sweep pattern the allocator actually runs); the
 //!    from-scratch rate is reported alongside as
-//!    `cold_fills_per_sec`, and the `"workload"` field records what
-//!    the headline measures. The capacity sweep is timed both as a
-//!    per-capacity `fill` loop and as one suffix-sharing `fill_sweep`.
+//!    `cold_fills_per_sec` (a resolve on a fresh session), and the
+//!    `"workload"` field records what the headline measures. The
+//!    capacity sweep is timed both as a per-capacity cold-fill loop
+//!    and as one session primed at the widest point and re-solved at
+//!    every capacity.
 //!
 //! All timed passes run with `paraconv-obs` recording **disabled**,
 //! the flight recorder **inactive**, and no fault spec installed —
@@ -41,7 +43,7 @@
 
 use std::time::Instant;
 
-use paraconv::alloc::{sort_by_deadline, AllocItem, DpTable, IncrementalDp};
+use paraconv::alloc::{sort_by_deadline, AllocItem, IncrementalDp};
 use paraconv::graph::EdgeId;
 use paraconv::pim::simulate;
 use paraconv::sweep::{self, SweepPoint};
@@ -115,22 +117,43 @@ fn dp_items(n: usize) -> Vec<AllocItem> {
     sort_by_deadline(items)
 }
 
+/// A resolve on a fresh session: one from-scratch fill.
+fn cold_fill(items: &[AllocItem], capacity: u64) -> IncrementalDp {
+    let mut session = IncrementalDp::new();
+    session.resolve(items, capacity);
+    session
+}
+
+/// One session primed at the widest capacity and re-solved at every
+/// point of the sweep, returning each point's optimum.
+fn capacity_sweep(items: &[AllocItem], capacities: &[u64]) -> Vec<u64> {
+    let widest = capacities.iter().copied().max().unwrap_or(0);
+    let mut session = cold_fill(items, widest);
+    capacities
+        .iter()
+        .map(|&c| {
+            session.resolve(items, c);
+            session.max_profit()
+        })
+        .collect()
+}
+
 /// DP throughput: incremental re-solves per second under a one-item
 /// perturbation workload (headline), from-scratch fills per second,
-/// and the capacity-sweep comparison (per-capacity `fill` loop versus
-/// one `fill_sweep`).
+/// and the capacity-sweep comparison (per-capacity cold fills versus
+/// one primed session).
 fn dp_throughput() -> (f64, f64, f64, f64) {
     let items = dp_items(200);
     let capacity = 256u64;
 
-    // From-scratch fills: the BENCH_3 measurement, on the rolling-row
-    // table. Best of three batches, like every other timed section.
+    // From-scratch fills: the BENCH_3 measurement, on a fresh session
+    // each time. Best of three batches, like every other timed section.
     let cold_repeats = 100;
     let cold_secs = (0..3)
         .map(|_| {
             let start = Instant::now();
             for _ in 0..cold_repeats {
-                std::hint::black_box(DpTable::fill(std::hint::black_box(&items), capacity));
+                std::hint::black_box(cold_fill(std::hint::black_box(&items), capacity));
             }
             start.elapsed().as_secs_f64()
         })
@@ -169,13 +192,13 @@ fn dp_throughput() -> (f64, f64, f64, f64) {
     session.resolve(&items, capacity);
     assert_eq!(
         session.max_profit(),
-        DpTable::fill(&items, capacity).max_profit(),
+        cold_fill(&items, capacity).max_profit(),
         "incremental re-solve must agree with a cold fill"
     );
     session.resolve(&perturbed, capacity);
     assert_eq!(
         session.max_profit(),
-        DpTable::fill(&perturbed, capacity).max_profit(),
+        cold_fill(&perturbed, capacity).max_profit(),
         "incremental re-solve must agree with a cold fill"
     );
 
@@ -183,15 +206,15 @@ fn dp_throughput() -> (f64, f64, f64, f64) {
     let start = Instant::now();
     let per_point: Vec<u64> = capacities
         .iter()
-        .map(|&c| DpTable::fill(&items, c).max_profit())
+        .map(|&c| cold_fill(&items, c).max_profit())
         .collect();
     let per_point_secs = start.elapsed().as_secs_f64();
     let start = Instant::now();
-    let swept = DpTable::fill_sweep(&items, &capacities);
+    let swept = capacity_sweep(&items, &capacities);
     let sweep_secs = start.elapsed().as_secs_f64();
     assert_eq!(
         per_point, swept,
-        "fill_sweep must agree with per-capacity fills"
+        "the primed sweep must agree with per-capacity fills"
     );
     (
         fills_per_sec,
@@ -210,9 +233,9 @@ fn instrumented_snapshot(points: &[SweepPoint]) -> paraconv_obs::MetricsSnapshot
     let sample = &points[..points.len().min(4)];
     sweep::compare_all_with(sample, 2).expect("pinned suite schedules cleanly");
     let items = dp_items(200);
-    std::hint::black_box(DpTable::fill(&items, 256));
+    std::hint::black_box(cold_fill(&items, 256));
     let capacities: Vec<u64> = (0..=64).collect();
-    std::hint::black_box(DpTable::fill_sweep(&items, &capacities));
+    std::hint::black_box(capacity_sweep(&items, &capacities));
     paraconv_obs::disable();
     paraconv_obs::snapshot()
 }

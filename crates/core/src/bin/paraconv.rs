@@ -29,12 +29,19 @@
 //! $ paraconv analyze registry-put-shared-tmp
 //! ```
 //!
+//! Every subcommand's positional arity and the flags it reads are
+//! declared once, in [`COMMANDS`] and [`FLAGS`]. One parser enforces
+//! them, and the usage text is generated from the same tables, so a
+//! flag a subcommand would not read is refused instead of ignored.
+//! Positionals may appear anywhere among the flags.
+//!
 //! Exit codes: `0` success, `1` runtime failure (a run that errored,
 //! a rejected artifact, plans that differ, a perf regression, a
 //! malformed artifact under `check`), `2` usage error (unknown
-//! subcommand, malformed or unknown flags — usage is printed to
-//! stderr).
+//! subcommand, undeclared or malformed flags, a missing or extra
+//! positional — usage is printed to stderr).
 
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use paraconv::fault::FaultSpec;
@@ -42,6 +49,7 @@ use paraconv::graph::TaskGraph;
 use paraconv::pim::PimConfig;
 use paraconv::registry::{self as plan_registry, PlanBundle, PlanPolicy, Registry};
 use paraconv::sched::{AllocationPolicy, ParaConvScheduler};
+use paraconv::serve::ServeConfig;
 use paraconv::synth::benchmarks;
 use paraconv::{experiments, obs, ParaConv};
 
@@ -60,6 +68,10 @@ impl From<String> for CliError {
     }
 }
 
+fn usage(msg: impl Into<String>) -> CliError {
+    CliError::Usage(msg.into())
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -67,7 +79,7 @@ fn main() -> ExitCode {
         Err(CliError::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
-            eprintln!("{USAGE}");
+            eprint!("{}", usage_text());
             ExitCode::from(2)
         }
         Err(CliError::Runtime(msg)) => {
@@ -77,122 +89,324 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage:
-  paraconv list                         list the benchmark suite
-  paraconv show <benchmark>             structural summary of a benchmark
-  paraconv dot <benchmark>              Graphviz DOT on stdout
-  paraconv run <benchmark> [opts]       schedule + simulate with Para-CONV
-  paraconv compare <benchmark> [opts]   Para-CONV vs the SPARTA baseline
-  paraconv gantt <benchmark> [opts]     ASCII Gantt of the Para-CONV plan
-  paraconv audit <benchmark> [opts]     audit both schedulers' plans
-  paraconv verify [<benchmark>] [opts]  statically prove the Para-CONV plan
-  paraconv table1 [opts]                Table 1 (SPARTA vs Para-CONV sweep)
-  paraconv stats <benchmark> [opts]     run compare and print its metrics
-  paraconv chaos <benchmark> [opts]     deterministic fault campaign + recovery
-  paraconv chaos --serve [opts]         in-process serving chaos campaign
-  paraconv postmortem <dump>            render a flight-recorder dump
-  paraconv serve [opts]                 long-running multi-tenant planner daemon
-  paraconv client --addr <a> [opts]     JSONL stdin/stdout client for a daemon
-  paraconv bench report [opts]          BENCH_*.json trajectory + regression gate
-  paraconv bench diff <a> <b>           compare two bench reports
-  paraconv check trace|metrics|prom <file>
-                                        validate an exported artifact's format
-  paraconv plan export <benchmark>|--all [--zoo] [opts]
-                                        export verified plan artifact(s)
-  paraconv plan import <file> [opts]    decode + verify-gate an artifact
-  paraconv plan diff <a> <b>            compare two plan artifacts
-  paraconv analyze [<harness>...] [opts]
-                                        model-check the concurrent serving path
-  paraconv analyze --list               list the model-check harnesses
-
-options:
-  --pes <n>       processing engines (default 16; table1 sweeps 16/32/64)
-  --iters <n>     iterations (default 50)
-  --window <n>    gantt window length in time units (default 60)
-  --quick         table1 only: small benchmark prefix, 10 iterations
-  --all           verify only: the whole benchmark suite (the default)
-  --zoo           verify only: also verify the real-CNN model zoo
-  --trace <path>  write a Chrome trace-event JSON (Perfetto-loadable)
-  --metrics <path> write the metrics snapshot as JSONL
-
-stats options:
-  --prom          print the Prometheus text exposition instead
-  --watch <n>     re-run and re-print the metrics n times (live refresh)
-
-chaos options:
-  --seed <n>          campaign seed (default 0; same seed => same report)
-  --fault-rate <bp>   vault/congestion/corruption rate in basis points (0-10000)
-  --kill-pe <id>@<c>  fail-stop PE <id> at cycle <c> (repeatable)
-  --json              machine-readable result on stdout
-  --postmortem <path> where a failed campaign dumps the flight recorder
-                      (default <benchmark>.postmortem)
-
-bench options:
-  --dir <path>        directory holding BENCH_<n>.json (default .)
-  --tolerance-bp <n>  regression tolerance in basis points (default 2000)
-
-plan options:
-  --out <path>      export: artifact path (default <benchmark>.plan);
-                    import: re-emit the canonical artifact bytes here
-  --dir <path>      export --all: output directory (default plans/)
-  --registry <dir>  content-addressed store to consult and populate
-  --key <hex>       import: fetch by registry key instead of a file
-  --run             import: simulate the plan after the verifier gate
-
-analyze options:
-  --schedules <n>   cap on explored interleavings (default 100000)
-  --preemptions <n> preemption budget per schedule (default 2)
-  --json            machine-readable results on stdout
-
-serve options (also chaos --serve):
-  --addr <host:port>    bind address (default 127.0.0.1:0, ephemeral)
-  --addr-file <path>    write the bound address here once listening
-  --jobs <n>            worker pool width (default PARACONV_JOBS or cores)
-  --queue <n>           admission queue capacity (default 64)
-  --registry <dir>      persistent plan store (recovered on startup)
-  --quota <n>           per-tenant in-flight quota (default 16)
-  --breaker-threshold <n>  consecutive poisons tripping the breaker (default 3)
-  --breaker-cooldown <n>   rejections before a half-open probe (default 8)
-  --seed <n>            fault campaign seed (default 0)
-  --worker-kill <bp>    worker kill rate, basis points (default 0)
-  --slow <bp>           slow-request injection rate (default 0)
-  --disk-fail <bp>      cache-write failure rate (default 0)
-
-chaos --serve options:
-  --requests <n>        total requests across all clients (default 512)
-  --clients <n>         concurrent client threads (default 8)
-  --json                machine-readable campaign report on stdout
-  --postmortem <path>   dump the campaign (flight recorder + metrics)
-                        as a postmortem artifact for `paraconv postmortem`";
-
-/// Parsed command options shared by the scheduling subcommands.
-struct Opts {
-    /// `--pes`, kept optional so `table1` can distinguish "sweep the
-    /// paper's three sizes" from "pin one size".
-    pes: Option<usize>,
-    iters: u64,
-    window: u64,
-    quick: bool,
-    trace: Option<String>,
-    metrics: Option<String>,
+/// How a flag's value is read and validated.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// A switch taking no value.
+    Switch,
+    /// A free-form value: a path, an address or a key.
+    Text,
+    /// An unsigned integer within `min..=max`.
+    Count(u64, u64),
+    /// A repeatable `<id>@<cycle>` PE kill.
+    Kill,
 }
 
-impl Opts {
+use Kind::{Count, Kill, Switch, Text};
+
+const ANY: u64 = u64::MAX;
+
+/// One flag: name, value kind, usage placeholder and help line.
+struct Flag(&'static str, Kind, &'static str, &'static str);
+
+/// Every flag any subcommand reads. A subcommand accepts exactly the
+/// ones its [`Command`] entry lists.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag("--pes", Count(1, ANY), "<n>", "processing engines (default 16; table1 sweeps 16/32/64)"),
+    Flag("--iters", Count(1, ANY), "<n>", "iterations (default 50)"),
+    Flag("--window", Count(0, ANY), "<n>", "gantt window length in time units (default 60)"),
+    Flag("--quick", Switch, "", "small benchmark prefix, 10 iterations"),
+    Flag("--all", Switch, "", "the whole benchmark suite (verify's default)"),
+    Flag("--zoo", Switch, "", "also the partitioned real-CNN model zoo"),
+    Flag("--trace", Text, "<path>", "write a Chrome trace-event JSON (Perfetto-loadable)"),
+    Flag("--metrics", Text, "<path>", "write the metrics snapshot as JSONL"),
+    Flag("--prom", Switch, "", "print the Prometheus text exposition instead"),
+    Flag("--watch", Count(1, ANY), "<n>", "re-run and re-print the metrics n times (live refresh)"),
+    Flag("--json", Switch, "", "machine-readable results on stdout"),
+    Flag("--seed", Count(0, ANY), "<n>", "campaign seed (default 0; same seed => same report)"),
+    Flag("--fault-rate", Count(0, 10_000), "<bp>", "vault/congestion/corruption rate in basis points (0-10000)"),
+    Flag("--kill-pe", Kill, "<id>@<c>", "fail-stop PE <id> at cycle <c> (repeatable)"),
+    Flag("--postmortem", Text, "<path>", "chaos: where a failed campaign dumps the flight recorder\n\
+        (default <benchmark>.postmortem); chaos --serve: dump the campaign"),
+    Flag("--serve", Switch, "", "run the in-process serving chaos campaign"),
+    Flag("--requests", Count(0, ANY), "<n>", "total requests across all clients (default 512)"),
+    Flag("--clients", Count(1, ANY), "<n>", "concurrent client threads (default 8)"),
+    Flag("--addr", Text, "<host:port>", "serve: bind address (default 127.0.0.1:0); client: the daemon"),
+    Flag("--addr-file", Text, "<path>", "write the bound address here once listening"),
+    Flag("--jobs", Count(0, ANY), "<n>", "worker pool width (default PARACONV_JOBS or cores)"),
+    Flag("--queue", Count(1, ANY), "<n>", "admission queue capacity (default 64)"),
+    Flag("--quota", Count(0, ANY), "<n>", "per-tenant in-flight quota (default 16)"),
+    Flag("--breaker-threshold", Count(0, ANY), "<n>", "consecutive poisons tripping the breaker (default 3)"),
+    Flag("--breaker-cooldown", Count(0, ANY), "<n>", "rejections before a half-open probe (default 8)"),
+    Flag("--worker-kill", Count(0, 10_000), "<bp>", "worker kill rate, basis points (default 0; chaos --serve 500 unless a rate is set)"),
+    Flag("--slow", Count(0, 10_000), "<bp>", "slow-request injection rate (default 0; chaos --serve 200 unless a rate is set)"),
+    Flag("--disk-fail", Count(0, 10_000), "<bp>", "cache-write failure rate (default 0; chaos --serve 300 unless a rate is set)"),
+    Flag("--registry", Text, "<dir>", "content-addressed plan store to consult and populate"),
+    Flag("--dir", Text, "<path>", "bench: directory holding BENCH_<n>.json (default .);\n\
+        plan export --all: output directory (default plans/)"),
+    Flag("--tolerance-bp", Count(0, 10_000), "<n>", "regression tolerance in basis points (default 2000)"),
+    Flag("--out", Text, "<path>", "export: artifact path (default <benchmark>.plan);\n\
+        import: re-emit the canonical artifact bytes here"),
+    Flag("--key", Text, "<hex>", "import: fetch by registry key instead of a file"),
+    Flag("--run", Switch, "", "import: simulate the plan after the verifier gate"),
+    Flag("--list", Switch, "", "list the model-check harnesses"),
+    Flag("--schedules", Count(1, ANY), "<n>", "cap on explored interleavings (default 100000)"),
+    Flag("--preemptions", Count(0, ANY), "<n>", "preemption budget per schedule (default 2)"),
+];
+
+/// One subcommand: the words selecting it, its positionals (usage
+/// text and accepted count range), the flags it reads and a summary.
+struct Command {
+    name: &'static str,
+    args: &'static str,
+    arity: (usize, usize),
+    flags: &'static [&'static str],
+    about: &'static str,
+}
+
+const fn cmd(
+    name: &'static str,
+    args: &'static str,
+    arity: (usize, usize),
+    flags: &'static [&'static str],
+    about: &'static str,
+) -> Command {
+    Command {
+        name,
+        args,
+        arity,
+        flags,
+        about,
+    }
+}
+
+const PLAN_FLAGS: &[&str] = &["--pes", "--iters", "--trace", "--metrics"];
+
+/// Every subcommand, in usage order. A two-word name is a verb
+/// (`plan export`) or, for `chaos --serve`, a mode selected by its
+/// flag anywhere on the line — listed before plain `chaos`.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    cmd("list", "", (0, 0), &[], "list the benchmark suite"),
+    cmd("show", "<benchmark>", (1, 1), &[], "structural summary of a benchmark"),
+    cmd("dot", "<benchmark>", (1, 1), &[], "Graphviz DOT on stdout"),
+    cmd("run", "<benchmark>", (1, 1), PLAN_FLAGS, "schedule + simulate with Para-CONV"),
+    cmd("compare", "<benchmark>", (1, 1), PLAN_FLAGS, "Para-CONV vs the SPARTA baseline"),
+    cmd("gantt", "<benchmark>", (1, 1), &["--pes", "--iters", "--window", "--trace", "--metrics"],
+        "ASCII Gantt of the Para-CONV plan"),
+    cmd("audit", "<benchmark>", (1, 1), PLAN_FLAGS, "audit both schedulers' plans"),
+    cmd("verify", "[<benchmark>]", (0, 1), &["--pes", "--iters", "--all", "--zoo"],
+        "statically prove the Para-CONV plan(s)"),
+    cmd("table1", "", (0, 0), &["--pes", "--iters", "--quick", "--trace", "--metrics"],
+        "Table 1 (SPARTA vs Para-CONV sweep)"),
+    cmd("stats", "<benchmark>", (1, 1), &["--pes", "--iters", "--prom", "--watch", "--trace", "--metrics"],
+        "run compare and print its metrics"),
+    cmd("chaos --serve", "", (0, 0),
+        &["--serve", "--requests", "--clients", "--json", "--postmortem", "--jobs", "--queue",
+          "--registry", "--quota", "--breaker-threshold", "--breaker-cooldown", "--seed",
+          "--worker-kill", "--slow", "--disk-fail"],
+        "in-process serving chaos campaign"),
+    cmd("chaos", "<benchmark>", (1, 1),
+        &["--seed", "--fault-rate", "--kill-pe", "--pes", "--iters", "--json", "--postmortem"],
+        "deterministic fault campaign + recovery"),
+    cmd("postmortem", "<dump>", (1, 1), &[], "render a flight-recorder dump"),
+    cmd("serve", "", (0, 0),
+        &["--addr", "--addr-file", "--jobs", "--queue", "--registry", "--quota",
+          "--breaker-threshold", "--breaker-cooldown", "--seed", "--worker-kill", "--slow",
+          "--disk-fail"],
+        "long-running multi-tenant planner daemon"),
+    cmd("client", "", (0, 0), &["--addr"], "JSONL stdin/stdout client for a daemon (needs --addr)"),
+    cmd("bench report", "", (0, 0), &["--dir", "--tolerance-bp"], "BENCH_*.json trajectory + regression gate"),
+    cmd("bench diff", "<a> <b>", (2, 2), &["--tolerance-bp"], "compare two bench reports"),
+    cmd("check", "trace|metrics|prom <file>", (2, 2), &[], "validate an exported artifact's format"),
+    cmd("plan export", "<benchmark>|--all", (0, 1),
+        &["--all", "--zoo", "--pes", "--iters", "--out", "--dir", "--registry"],
+        "export verified plan artifact(s)"),
+    cmd("plan import", "<file>|--key <hex>", (0, 1), &["--out", "--registry", "--key", "--run"],
+        "decode + verify-gate an artifact"),
+    cmd("plan diff", "<a> <b>", (2, 2), &[], "compare two plan artifacts"),
+    cmd("analyze", "[<harness>...]", (0, usize::MAX), &["--list", "--json", "--schedules", "--preemptions"],
+        "model-check the concurrent serving path"),
+];
+
+/// The usage text, generated from [`COMMANDS`] and [`FLAGS`].
+fn usage_text() -> String {
+    let mut out = String::from("usage:\n");
+    for command in COMMANDS {
+        let call = format!("paraconv {} {}", command.name, command.args);
+        let call = call.trim_end();
+        if call.len() < 38 {
+            out += &format!("  {call:<38}{}\n", command.about);
+        } else {
+            out += &format!("  {call}\n  {:<38}{}\n", "", command.about);
+        }
+        let mut line = String::from("     ");
+        for flag in command.flags {
+            if line.len() + flag.len() > 76 {
+                out += &format!("{line}\n");
+                line = String::from("     ");
+            }
+            line += &format!(" {flag}");
+        }
+        if !command.flags.is_empty() {
+            out += &format!("{line}\n");
+        }
+    }
+    out += "\noptions:\n";
+    for Flag(name, _, value, help) in FLAGS {
+        let head = format!("{name} {value}");
+        let help = help.replace('\n', &format!("\n{:24}", ""));
+        out += &format!("  {:<21} {help}\n", head.trim_end());
+    }
+    out
+}
+
+/// A parsed invocation: its positionals in order and every value
+/// given per flag (none for a switch).
+struct Args {
+    positional: Vec<String>,
+    flags: BTreeMap<&'static str, Vec<String>>,
+}
+
+impl Args {
+    /// Whether `flag` was given.
+    fn on(&self, flag: &str) -> bool {
+        self.flags.contains_key(flag)
+    }
+
+    /// The last value given for `flag`.
+    fn text(&self, flag: &str) -> Option<&str> {
+        self.flags.get(flag)?.last().map(String::as_str)
+    }
+
+    /// The last value given for a [`Kind::Count`] flag (validated by
+    /// [`parse`]).
+    fn num(&self, flag: &str) -> Option<u64> {
+        self.text(flag)?.parse().ok()
+    }
+
+    /// The first positional; present whenever the arity requires it.
+    fn name(&self) -> &str {
+        self.positional.first().map_or("", String::as_str)
+    }
+
     fn pes(&self) -> usize {
-        self.pes.unwrap_or(16)
+        self.num("--pes").map_or(16, |n| n as usize)
     }
 
-    /// True when any observability export was requested.
-    fn observing(&self) -> bool {
-        self.trace.is_some() || self.metrics.is_some()
+    fn iters(&self) -> u64 {
+        self.num("--iters").unwrap_or(50)
+    }
+
+    /// Every `--kill-pe`, in order.
+    fn kills(&self) -> Vec<(u32, u64)> {
+        self.flags.get("--kill-pe").map_or(Vec::new(), |v| {
+            v.iter().filter_map(|k| kill_pe(k)).collect()
+        })
     }
 }
 
-fn run(args: &[String]) -> Result<(), CliError> {
-    let command = args
-        .first()
-        .ok_or_else(|| CliError::Usage("missing command".into()))?;
-    match command.as_str() {
+fn kill_pe(value: &str) -> Option<(u32, u64)> {
+    let (pe, cycle) = value.split_once('@')?;
+    Some((pe.parse().ok()?, cycle.parse().ok()?))
+}
+
+/// Finds the command `words` invoke, returning it with the words left
+/// for [`parse`].
+fn lookup(words: &[String]) -> Result<(&'static Command, &[String]), CliError> {
+    let (first, rest) = words
+        .split_first()
+        .ok_or_else(|| usage("missing command"))?;
+    for command in COMMANDS {
+        let (head, verb) = command.name.split_once(' ').unwrap_or((command.name, ""));
+        if head != first {
+            continue;
+        }
+        if verb.is_empty() || (verb.starts_with("--") && rest.iter().any(|w| w == verb)) {
+            return Ok((command, rest));
+        }
+        if let Some((word, tail)) = rest.split_first() {
+            if word == verb {
+                return Ok((command, tail));
+            }
+        }
+    }
+    let verbs: Vec<&str> = COMMANDS
+        .iter()
+        .filter_map(|c| c.name.strip_prefix(first.as_str())?.strip_prefix(' '))
+        .collect();
+    Err(usage(if verbs.is_empty() {
+        format!("unknown command `{first}`")
+    } else {
+        format!("{first} needs one of: {}", verbs.join(", "))
+    }))
+}
+
+/// Reads `words` against `command`'s declared flags and arity.
+fn parse(command: &Command, words: &[String]) -> Result<Args, CliError> {
+    let mut args = Args {
+        positional: Vec::new(),
+        flags: BTreeMap::new(),
+    };
+    let mut words = words.iter();
+    while let Some(word) = words.next() {
+        if !word.starts_with("--") {
+            args.positional.push(word.clone());
+            continue;
+        }
+        let Some(Flag(name, kind, value_name, _)) = FLAGS
+            .iter()
+            .find(|f| f.0 == word && command.flags.contains(&f.0))
+        else {
+            return Err(usage(format!(
+                "unknown option `{word}` for `paraconv {}`",
+                command.name
+            )));
+        };
+        let values = args.flags.entry(*name).or_default();
+        if let Switch = kind {
+            continue;
+        }
+        let value = words
+            .next()
+            .ok_or_else(|| usage(format!("{name} needs a value")))?;
+        match *kind {
+            Count(min, max) => match value.parse::<u64>() {
+                Ok(n) if n < min => return Err(usage(format!("{name} must be at least {min}"))),
+                Ok(n) if n > max => return Err(usage(format!("{name} must be at most {max}"))),
+                Ok(_) => {}
+                Err(_) => return Err(usage(format!("bad {name} `{value}`"))),
+            },
+            Kill if kill_pe(value).is_none() => {
+                return Err(usage(format!(
+                    "bad {name} `{value}` (expected {value_name})"
+                )))
+            }
+            _ => {}
+        }
+        values.push(value.clone());
+    }
+    let (min, max) = command.arity;
+    if args.positional.len() < min {
+        return Err(usage(format!(
+            "`paraconv {}` needs {}",
+            command.name, command.args
+        )));
+    }
+    if let Some(extra) = args.positional.get(max) {
+        return Err(usage(format!(
+            "unexpected argument `{extra}` for `paraconv {}`",
+            command.name
+        )));
+    }
+    Ok(args)
+}
+
+fn run(words: &[String]) -> Result<(), CliError> {
+    let (command, rest) = lookup(words)?;
+    let args = parse(command, rest)?;
+    match command.name {
         "list" => {
             println!("{:<16} {:>8} {:>7}", "benchmark", "vertices", "edges");
             for b in benchmarks::all() {
@@ -201,8 +415,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "show" => {
-            let graph = load(args.get(1))?;
-            let s = graph.summary();
+            let s = load(args.name())?.summary();
             println!("name:            {}", s.name);
             println!(
                 "vertices:        {} ({} conv-like, {} pool)",
@@ -216,17 +429,17 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "dot" => {
-            let graph = load(args.get(1))?;
-            print!("{}", graph.to_dot());
+            print!("{}", load(args.name())?.to_dot());
             Ok(())
         }
         "run" => {
-            let graph = load(args.get(1))?;
-            let opts = options(args)?;
-            start_observing(&opts);
-            let cfg = config(opts.pes())?;
+            let graph = load(args.name())?;
+            start_observing(&args);
+            let cfg = config(args.pes())?;
             let runner = ParaConv::new(cfg.clone());
-            let result = runner.run(&graph, opts.iters).map_err(|e| e.to_string())?;
+            let result = runner
+                .run(&graph, args.iters())
+                .map_err(|e| e.to_string())?;
             println!(
                 "kernel p = {} ({} iters/kernel), R_max = {}, prologue = {}",
                 result.outcome.period(),
@@ -242,7 +455,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
             );
             println!("{}", result.report);
             export(
-                &opts,
+                &args,
                 Some(paraconv::pim::plan_chrome_trace(
                     &graph,
                     &result.outcome.plan,
@@ -251,12 +464,11 @@ fn run(args: &[String]) -> Result<(), CliError> {
             )
         }
         "compare" => {
-            let graph = load(args.get(1))?;
-            let opts = options(args)?;
-            start_observing(&opts);
-            let runner = ParaConv::new(config(opts.pes())?);
+            let graph = load(args.name())?;
+            start_observing(&args);
+            let runner = ParaConv::new(config(args.pes())?);
             let cmp = runner
-                .compare(&graph, opts.iters)
+                .compare(&graph, args.iters())
                 .map_err(|e| e.to_string())?;
             println!(
                 "Para-CONV: {}   SPARTA: {}   IMP: {:.2}%   speedup: {:.2}x",
@@ -265,22 +477,22 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 cmp.improvement_percent(),
                 cmp.speedup()
             );
-            export(&opts, None)
+            export(&args, None)
         }
         "gantt" => {
-            let graph = load(args.get(1))?;
-            let opts = options(args)?;
-            start_observing(&opts);
-            let cfg = config(opts.pes())?;
+            let graph = load(args.name())?;
+            start_observing(&args);
+            let cfg = config(args.pes())?;
             let result = ParaConv::new(cfg.clone())
-                .run(&graph, opts.iters)
+                .run(&graph, args.iters())
                 .map_err(|e| e.to_string())?;
+            let window = args.num("--window").unwrap_or(60);
             print!(
                 "{}",
-                paraconv::pim::gantt(&graph, &result.outcome.plan, &cfg, 0, opts.window)
+                paraconv::pim::gantt(&graph, &result.outcome.plan, &cfg, 0, window)
             );
             export(
-                &opts,
+                &args,
                 Some(paraconv::pim::plan_chrome_trace(
                     &graph,
                     &result.outcome.plan,
@@ -289,18 +501,19 @@ fn run(args: &[String]) -> Result<(), CliError> {
             )
         }
         "audit" => {
-            let graph = load(args.get(1))?;
-            let opts = options(args)?;
-            start_observing(&opts);
-            let cfg = config(opts.pes())?;
+            let graph = load(args.name())?;
+            start_observing(&args);
+            let cfg = config(args.pes())?;
             let runner = ParaConv::new(cfg.clone());
-            let result = runner.run(&graph, opts.iters).map_err(|e| e.to_string())?;
+            let result = runner
+                .run(&graph, args.iters())
+                .map_err(|e| e.to_string())?;
             let para = paraconv::pim::audit(&graph, &result.outcome.plan, &cfg, &result.report)
                 .map_err(|e| format!("Para-CONV plan failed audit: {e}"))?;
             println!("Para-CONV plan: PASS");
             println!("{para}");
             let baseline = runner
-                .run_baseline(&graph, opts.iters)
+                .run_baseline(&graph, args.iters())
                 .map_err(|e| e.to_string())?;
             let sparta =
                 paraconv::pim::audit(&graph, &baseline.outcome.plan, &cfg, &baseline.report)
@@ -308,47 +521,21 @@ fn run(args: &[String]) -> Result<(), CliError> {
             println!();
             println!("SPARTA plan: PASS");
             println!("{sparta}");
-            export(&opts, None)
+            export(&args, None)
         }
         "verify" => {
-            // `verify` takes an optional benchmark name; `--all` (the
-            // default with no name) covers the suite and `--zoo` adds
-            // the partitioned real CNNs.
-            let named = args.get(1).filter(|a| !a.starts_with("--"));
-            let mut shifted = vec![args[0].clone(), named.cloned().unwrap_or_default()];
-            shifted.extend(
-                args.iter()
-                    .skip(if named.is_some() { 2 } else { 1 })
-                    .filter(|a| a.as_str() != "--all" && a.as_str() != "--zoo")
-                    .cloned(),
-            );
-            let opts = options(&shifted)?;
-            let cfg = config(opts.pes())?;
-
-            let mut targets: Vec<(String, TaskGraph)> = Vec::new();
-            if let Some(name) = named {
-                targets.push((name.clone(), load(Some(name))?));
-            } else {
-                for b in benchmarks::all() {
-                    targets.push((b.name().to_owned(), b.graph().map_err(|e| e.to_string())?));
-                }
+            // No name (or `--all`) covers the suite; `--zoo` adds the
+            // partitioned real CNNs either way.
+            let named = args.positional.first();
+            if named.is_some() && args.on("--all") {
+                return Err(usage("--all cannot be combined with a benchmark name"));
             }
-            if args.iter().any(|a| a == "--zoo") {
-                let zoo = paraconv::cnn::zoo::all().map_err(|e| e.to_string())?;
-                for (class, network) in &zoo {
-                    let graph = paraconv::cnn::partition(
-                        network,
-                        paraconv::cnn::PartitionConfig::default(),
-                    )
-                    .map_err(|e| e.to_string())?;
-                    targets.push((format!("{class}/{}", network.name()), graph));
-                }
-            }
-
+            let cfg = config(args.pes())?;
+            let targets = targets(named, args.on("--zoo"))?;
             let runner = ParaConv::new(cfg.clone());
             for (name, graph) in &targets {
                 let result = runner
-                    .run(graph, opts.iters)
+                    .run(graph, args.iters())
                     .map_err(|e| format!("{name}: {e}"))?;
                 let report =
                     paraconv::verify::verify_run(graph, &result.outcome, &cfg, &result.report)
@@ -359,81 +546,44 @@ fn run(args: &[String]) -> Result<(), CliError> {
             println!(
                 "{} plan(s) statically verified on {} PEs, {} iterations",
                 targets.len(),
-                opts.pes(),
-                opts.iters
+                args.pes(),
+                args.iters()
             );
             Ok(())
         }
         "table1" => {
-            // `table1` takes no benchmark argument, so flags start at
-            // index 1 — prepend a placeholder to reuse the parser.
-            let shifted: Vec<String> = std::iter::once(String::new())
-                .chain(args.iter().cloned())
-                .collect();
-            let opts = options(&shifted)?;
-            start_observing(&opts);
-            let mut cfg = if opts.quick {
+            start_observing(&args);
+            let quick = args.on("--quick");
+            let mut cfg = if quick {
                 experiments::ExperimentConfig::quick()
             } else {
                 experiments::ExperimentConfig::default()
             };
-            if let Some(pes) = opts.pes {
-                cfg.pe_counts = vec![pes];
+            if args.on("--pes") {
+                cfg.pe_counts = vec![args.pes()];
             }
-            if args.iter().any(|a| a == "--iters") {
-                cfg.iterations = opts.iters;
+            if let Some(iters) = args.num("--iters") {
+                cfg.iterations = iters;
             }
-            let suite = if opts.quick {
+            let suite = if quick {
                 experiments::quick_suite()
             } else {
                 experiments::full_suite()
             };
             let rows = experiments::table1::run(&cfg, &suite).map_err(|e| e.to_string())?;
             print!("{}", experiments::table1::render(&rows));
-            export(&opts, None)
+            export(&args, None)
         }
         "stats" => {
-            let graph = load(args.get(1))?;
-            // `--prom` / `--watch <n>` are stats-only flags; peel them
-            // off before the shared parser sees them.
-            let mut shared: Vec<String> = Vec::new();
-            let mut prom = false;
-            let mut watch: u64 = 1;
-            let mut i = 0;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--prom" => {
-                        prom = true;
-                        i += 1;
-                    }
-                    "--watch" => {
-                        let value = args
-                            .get(i + 1)
-                            .ok_or_else(|| CliError::Usage("--watch needs a value".into()))?;
-                        watch = value
-                            .parse()
-                            .map_err(|_| CliError::Usage(format!("bad --watch `{value}`")))?;
-                        if watch == 0 {
-                            return Err(CliError::Usage(
-                                "--watch needs at least one refresh".into(),
-                            ));
-                        }
-                        i += 2;
-                    }
-                    other => {
-                        shared.push(other.to_owned());
-                        i += 1;
-                    }
-                }
-            }
-            let opts = options(&shared)?;
+            let graph = load(args.name())?;
+            let watch = args.num("--watch").unwrap_or(1);
             // `stats` exists to show metrics, so recording is always on.
             obs::reset();
             obs::enable();
-            let runner = ParaConv::new(config(opts.pes())?);
+            let runner = ParaConv::new(config(args.pes())?);
             for round in 0..watch {
                 let cmp = runner
-                    .compare(&graph, opts.iters)
+                    .compare(&graph, args.iters())
                     .map_err(|e| e.to_string())?;
                 if round > 0 {
                     // Clear + home, like `watch(1)`; metrics keep
@@ -448,7 +598,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 );
                 println!();
                 let snapshot = obs::snapshot();
-                if prom {
+                if args.on("--prom") {
                     print!("{}", snapshot.to_prometheus());
                 } else {
                     print!("{snapshot}");
@@ -458,104 +608,120 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 }
             }
             obs::disable();
-            export(&opts, None)
+            export(&args, None)
         }
-        "chaos" if args.iter().any(|a| a == "--serve") => serve_chaos_command(args),
-        "chaos" => {
-            let graph = load(args.get(1))?;
-            let name = args.get(1).cloned().unwrap_or_default();
-            let chaos_opts = chaos_options(args)?;
-            let spec = chaos_opts.spec()?;
-            let cfg = config(chaos_opts.pes)?;
-            obs::reset();
-            obs::enable();
-            // The flight recorder rides along on every campaign: when
-            // the run dies it holds the last structured events and is
-            // dumped as a content-hashed postmortem artifact.
-            obs::flight_enable(obs::DEFAULT_FLIGHT_CAPACITY);
-            let outcome = ParaConv::new(cfg)
-                .with_audit(true)
-                .with_verify(true)
-                .run_chaos(&graph, chaos_opts.iters, &spec);
-            let result = match outcome {
-                Ok(result) => result,
-                Err(e) => {
-                    let reason = e.to_string();
-                    let path = dump_postmortem(&name, &reason, &chaos_opts)?;
-                    obs::flight_disable();
-                    obs::disable();
-                    return Err(CliError::Runtime(format!(
-                        "{reason} (postmortem dumped to `{path}`)"
-                    )));
-                }
-            };
+        "chaos --serve" => serve_chaos_command(&args),
+        "chaos" => chaos_command(&args),
+        "postmortem" => postmortem_command(args.name()),
+        "serve" => serve_command(&args),
+        "client" => client_command(&args),
+        "bench report" | "bench diff" => bench_command(command.name, &args),
+        "check" => check_command(&args),
+        "plan export" => plan_export(&args),
+        "plan import" => plan_import(&args),
+        "plan diff" => plan_diff(&args),
+        "analyze" => analyze_command(&args),
+        other => Err(usage(format!("unknown command `{other}`"))),
+    }
+}
+
+/// `paraconv chaos <benchmark>`: a deterministic fault campaign with
+/// fail-stop recovery, audited and verified.
+fn chaos_command(args: &Args) -> Result<(), CliError> {
+    let name = args.name();
+    let graph = load(name)?;
+    let seed = args.num("--seed").unwrap_or(0);
+    let rate_bp = args.num("--fault-rate").unwrap_or(0) as u32;
+    let kills = args.kills();
+    let mut builder = FaultSpec::builder(seed).uniform_rate_bp(rate_bp);
+    for &(pe, cycle) in &kills {
+        builder = builder.kill_pe(pe, cycle);
+    }
+    let spec = builder
+        .build()
+        .map_err(|e| usage(format!("invalid fault campaign: {e}")))?;
+    let (pes, iters) = (args.pes(), args.iters());
+    let cfg = config(pes)?;
+    obs::reset();
+    obs::enable();
+    // The flight recorder rides along on every campaign: when the run
+    // dies it holds the last structured events and is dumped as a
+    // content-hashed postmortem artifact.
+    obs::flight_enable(obs::DEFAULT_FLIGHT_CAPACITY);
+    let outcome = ParaConv::new(cfg)
+        .with_audit(true)
+        .with_verify(true)
+        .run_chaos(&graph, iters, &spec);
+    let result = match outcome {
+        Ok(result) => result,
+        Err(e) => {
+            let reason = e.to_string();
+            let path = args
+                .text("--postmortem")
+                .map_or_else(|| format!("{}.postmortem", slugify(name)), str::to_owned);
+            let context = [
+                ("benchmark", name.to_owned()),
+                ("seed", seed.to_string()),
+                ("fault_rate_bp", rate_bp.to_string()),
+                ("kills", kills.len().to_string()),
+                ("pes", pes.to_string()),
+                ("iterations", iters.to_string()),
+            ];
+            write_postmortem(&path, reason.clone(), &context)?;
             obs::flight_disable();
             obs::disable();
-            let replan_count = result.replans;
-            if chaos_opts.json {
-                let f = &result.faults;
-                let failed: Vec<String> =
-                    result.failed_pes.iter().map(ToString::to_string).collect();
-                println!("{{");
-                println!("  \"benchmark\": \"{name}\",");
-                println!("  \"seed\": {},", chaos_opts.seed);
-                println!("  \"fault_rate_bp\": {},", chaos_opts.rate_bp);
-                println!("  \"pes\": {},", chaos_opts.pes);
-                println!("  \"active_pes\": {},", result.config.active_pes());
-                println!("  \"iterations\": {},", chaos_opts.iters);
-                println!("  \"replans\": {replan_count},");
-                println!("  \"failed_pes\": [{}],", failed.join(", "));
-                println!("  \"injected\": {},", f.injected);
-                println!("  \"vault_faults\": {},", f.vault_faults);
-                println!("  \"retries\": {},", f.retries);
-                println!("  \"corruptions\": {},", f.corruptions);
-                println!("  \"congestion_events\": {},", f.congestion_events);
-                println!("  \"injected_delay\": {},", f.injected_delay);
-                println!("  \"planned_makespan\": {},", f.planned_makespan);
-                println!("  \"achieved_makespan\": {},", f.achieved_makespan);
-                println!("  \"total_time\": {}", result.report.total_time);
-                println!("}}");
-            } else {
-                println!(
-                    "campaign: seed {}, rate {} bp, {} kill(s)",
-                    chaos_opts.seed,
-                    chaos_opts.rate_bp,
-                    spec.pe_kills().len()
-                );
-                println!(
-                    "recovery: {} replan(s), failed PEs {:?}, {} of {} PEs surviving",
-                    replan_count,
-                    result.failed_pes,
-                    result.config.active_pes(),
-                    result.config.num_pes()
-                );
-                println!(
-                    "faults:   {} injected ({} vault, {} congestion, {} corruption), {} retries",
-                    result.faults.injected,
-                    result.faults.vault_faults,
-                    result.faults.congestion_events,
-                    result.faults.corruptions,
-                    result.faults.retries
-                );
-                println!(
-                    "timeline: planned {} -> achieved {} (+{} injected delay)",
-                    result.faults.planned_makespan,
-                    result.faults.achieved_makespan,
-                    result.faults.injected_delay
-                );
-                println!("{}", result.report);
-            }
-            Ok(())
+            return Err(CliError::Runtime(format!(
+                "{reason} (postmortem dumped to `{path}`)"
+            )));
         }
-        "postmortem" => postmortem_command(args),
-        "serve" => serve_command(args),
-        "client" => client_command(args),
-        "bench" => bench_command(args),
-        "check" => check_command(args),
-        "plan" => plan_command(args),
-        "analyze" => analyze_command(args),
-        other => Err(CliError::Usage(format!("unknown command `{other}`"))),
+    };
+    obs::flight_disable();
+    obs::disable();
+    let f = &result.faults;
+    if args.on("--json") {
+        let failed: Vec<String> = result.failed_pes.iter().map(ToString::to_string).collect();
+        println!("{{");
+        println!("  \"benchmark\": \"{name}\",");
+        println!("  \"seed\": {seed},");
+        println!("  \"fault_rate_bp\": {rate_bp},");
+        println!("  \"pes\": {pes},");
+        println!("  \"active_pes\": {},", result.config.active_pes());
+        println!("  \"iterations\": {iters},");
+        println!("  \"replans\": {},", result.replans);
+        println!("  \"failed_pes\": [{}],", failed.join(", "));
+        println!("  \"injected\": {},", f.injected);
+        println!("  \"vault_faults\": {},", f.vault_faults);
+        println!("  \"retries\": {},", f.retries);
+        println!("  \"corruptions\": {},", f.corruptions);
+        println!("  \"congestion_events\": {},", f.congestion_events);
+        println!("  \"injected_delay\": {},", f.injected_delay);
+        println!("  \"planned_makespan\": {},", f.planned_makespan);
+        println!("  \"achieved_makespan\": {},", f.achieved_makespan);
+        println!("  \"total_time\": {}", result.report.total_time);
+        println!("}}");
+    } else {
+        println!(
+            "campaign: seed {seed}, rate {rate_bp} bp, {} kill(s)",
+            spec.pe_kills().len()
+        );
+        println!(
+            "recovery: {} replan(s), failed PEs {:?}, {} of {} PEs surviving",
+            result.replans,
+            result.failed_pes,
+            result.config.active_pes(),
+            result.config.num_pes()
+        );
+        println!(
+            "faults:   {} injected ({} vault, {} congestion, {} corruption), {} retries",
+            f.injected, f.vault_faults, f.congestion_events, f.corruptions, f.retries
+        );
+        println!(
+            "timeline: planned {} -> achieved {} (+{} injected delay)",
+            f.planned_makespan, f.achieved_makespan, f.injected_delay
+        );
+        println!("{}", result.report);
     }
+    Ok(())
 }
 
 /// `paraconv analyze`: run the paraconv-analyze model-check harnesses
@@ -563,39 +729,19 @@ fn run(args: &[String]) -> Result<(), CliError> {
 /// harness explores its bounded state space cleanly, exit 1 when any
 /// fails (the failing interleaving and its replayable schedule seed
 /// are printed), exit 2 on a malformed invocation.
-fn analyze_command(args: &[String]) -> Result<(), CliError> {
+fn analyze_command(args: &Args) -> Result<(), CliError> {
     use paraconv::analyze::{find_harness, harnesses, ExploreOpts, Harness};
 
     let mut opts = ExploreOpts::default();
-    let mut list = false;
-    let mut json = false;
-    let mut names: Vec<String> = Vec::new();
-    let mut it = args.iter().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--list" => list = true,
-            "--json" => json = true,
-            "--schedules" => {
-                opts.max_schedules = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| CliError::Usage("--schedules needs a positive count".into()))?;
-            }
-            "--preemptions" => {
-                opts.preemption_budget = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| CliError::Usage("--preemptions needs a count".into()))?;
-            }
-            other if other.starts_with('-') => {
-                return Err(CliError::Usage(format!("unknown option `{other}`")));
-            }
-            name => names.push(name.to_string()),
-        }
+    if let Some(n) = args.num("--schedules") {
+        opts.max_schedules = n as usize;
     }
+    if let Some(n) = args.num("--preemptions") {
+        opts.preemption_budget = n as usize;
+    }
+    let json = args.on("--json");
 
-    if list {
+    if args.on("--list") {
         println!("{:<26} {:<8} about", "harness", "kind");
         for h in harnesses() {
             let kind = if h.seeded_bug { "seeded" } else { "passing" };
@@ -604,16 +750,15 @@ fn analyze_command(args: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
 
-    let selected: Vec<&Harness> = if names.is_empty() {
+    let selected: Vec<&Harness> = if args.positional.is_empty() {
         // The default gate: every harness that must pass. Seeded-bug
         // fixtures are opt-in by name (they exist to fail).
         harnesses().iter().filter(|h| !h.seeded_bug).collect()
     } else {
-        names
+        args.positional
             .iter()
             .map(|n| {
-                find_harness(n)
-                    .ok_or_else(|| CliError::Usage(format!("unknown harness `{n}`; try --list")))
+                find_harness(n).ok_or_else(|| usage(format!("unknown harness `{n}`; try --list")))
             })
             .collect::<Result<_, _>>()?
     };
@@ -690,15 +835,7 @@ fn analyze_command(args: &[String]) -> Result<(), CliError> {
 
 /// `paraconv postmortem <dump>`: decode a flight-recorder dump and
 /// render it for a human.
-fn postmortem_command(args: &[String]) -> Result<(), CliError> {
-    let path = args
-        .get(1)
-        .ok_or_else(|| CliError::Usage("postmortem needs a dump file".into()))?;
-    if args.len() > 2 {
-        return Err(CliError::Usage(
-            "postmortem takes exactly one dump file".into(),
-        ));
-    }
+fn postmortem_command(path: &str) -> Result<(), CliError> {
     let bytes =
         std::fs::read(path).map_err(|e| CliError::Runtime(format!("cannot read `{path}`: {e}")))?;
     let artifact = plan_registry::decode_postmortem(&bytes)
@@ -745,80 +882,36 @@ fn postmortem_command(args: &[String]) -> Result<(), CliError> {
 
 /// `paraconv bench report|diff`: trajectory analysis over committed
 /// `BENCH_<n>.json` perf baselines.
-fn bench_command(args: &[String]) -> Result<(), CliError> {
-    let sub = args
-        .get(1)
-        .ok_or_else(|| CliError::Usage("bench needs a subcommand: report or diff".into()))?;
-    let mut dir = ".".to_owned();
-    let mut tolerance_bp = paraconv::bench_report::DEFAULT_TOLERANCE_BP;
-    let mut positional: Vec<String> = Vec::new();
-    let mut i = 2;
-    while i < args.len() {
-        let flag = &args[i];
-        if !flag.starts_with("--") {
-            positional.push(flag.clone());
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
-        match flag.as_str() {
-            "--dir" => dir = value.clone(),
-            "--tolerance-bp" => {
-                tolerance_bp = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --tolerance-bp `{value}`")))?;
-                if tolerance_bp > 10_000 {
-                    return Err(CliError::Usage(
-                        "--tolerance-bp is in basis points (0-10000)".into(),
-                    ));
-                }
-            }
-            other => return Err(CliError::Usage(format!("unknown option `{other}`"))),
-        }
-        i += 2;
-    }
-    let report = match sub.as_str() {
-        "report" => {
-            if !positional.is_empty() {
-                return Err(CliError::Usage(
-                    "bench report takes no positional arguments (use --dir)".into(),
-                ));
-            }
-            let entries = paraconv::bench_report::load_series(std::path::Path::new(&dir))
-                .map_err(CliError::Runtime)?;
-            let ids: Vec<String> = entries.iter().map(|e| e.bench_id.to_string()).collect();
-            println!(
-                "bench series: {} report(s) [{}], tolerance {:.1}%",
-                entries.len(),
-                ids.join(", "),
-                tolerance_bp as f64 / 100.0
-            );
-            paraconv::bench_report::analyze(&entries, tolerance_bp)
-        }
-        "diff" => {
-            let [a_path, b_path] = positional.as_slice() else {
-                return Err(CliError::Usage(
-                    "bench diff takes exactly two report files".into(),
-                ));
-            };
-            let read = |path: &String| -> Result<paraconv::bench_report::BenchEntry, CliError> {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| CliError::Runtime(format!("cannot read `{path}`: {e}")))?;
-                paraconv::bench_report::BenchEntry::parse(path, &text).map_err(CliError::Runtime)
-            };
-            println!(
-                "bench diff: {a_path} -> {b_path}, tolerance {:.1}%",
-                tolerance_bp as f64 / 100.0
-            );
-            paraconv::bench_report::diff(&read(a_path)?, &read(b_path)?, tolerance_bp)
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown bench subcommand `{other}`"
-            )))
-        }
+fn bench_command(name: &str, args: &Args) -> Result<(), CliError> {
+    let tolerance_bp = args
+        .num("--tolerance-bp")
+        .unwrap_or(paraconv::bench_report::DEFAULT_TOLERANCE_BP);
+    let report = if name == "bench report" {
+        let dir = args.text("--dir").unwrap_or(".");
+        let entries = paraconv::bench_report::load_series(std::path::Path::new(dir))
+            .map_err(CliError::Runtime)?;
+        let ids: Vec<String> = entries.iter().map(|e| e.bench_id.to_string()).collect();
+        println!(
+            "bench series: {} report(s) [{}], tolerance {:.1}%",
+            entries.len(),
+            ids.join(", "),
+            tolerance_bp as f64 / 100.0
+        );
+        paraconv::bench_report::analyze(&entries, tolerance_bp)
+    } else {
+        let read = |path: &String| -> Result<paraconv::bench_report::BenchEntry, CliError> {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| CliError::Runtime(format!("cannot read `{path}`: {e}")))?;
+            paraconv::bench_report::BenchEntry::parse(path, &text).map_err(CliError::Runtime)
+        };
+        let [a_path, b_path] = args.positional.as_slice() else {
+            return Err(usage("bench diff takes exactly two report files"));
+        };
+        println!(
+            "bench diff: {a_path} -> {b_path}, tolerance {:.1}%",
+            tolerance_bp as f64 / 100.0
+        );
+        paraconv::bench_report::diff(&read(a_path)?, &read(b_path)?, tolerance_bp)
     };
 
     for t in &report.trajectories {
@@ -859,197 +952,44 @@ fn bench_command(args: &[String]) -> Result<(), CliError> {
 
 /// `paraconv check trace|metrics|prom <file>`: validate an exported
 /// observability artifact's format without any external tooling.
-fn check_command(args: &[String]) -> Result<(), CliError> {
-    let kind = args
-        .get(1)
-        .ok_or_else(|| CliError::Usage("check needs a kind: trace, metrics, or prom".into()))?;
-    if !matches!(kind.as_str(), "trace" | "metrics" | "prom") {
-        return Err(CliError::Usage(format!("unknown check kind `{kind}`")));
-    }
-    let path = args
-        .get(2)
-        .ok_or_else(|| CliError::Usage(format!("check {kind} needs a file")))?;
-    if args.len() > 3 {
-        return Err(CliError::Usage("check takes exactly one file".into()));
-    }
+fn check_command(args: &Args) -> Result<(), CliError> {
+    let [kind, path] = args.positional.as_slice() else {
+        return Err(usage("check takes a kind and one file"));
+    };
+    type Check = fn(&str) -> Result<usize, String>;
+    let (check, what): (Check, &str) = match kind.as_str() {
+        "trace" => (obs::check_trace, "trace event(s)"),
+        "metrics" => (obs::check_metrics_jsonl, "metric line(s)"),
+        "prom" => (obs::check_prometheus, "sample(s)"),
+        other => return Err(usage(format!("unknown check kind `{other}`"))),
+    };
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Runtime(format!("cannot read `{path}`: {e}")))?;
-    match kind.as_str() {
-        "trace" => {
-            let events = check_trace(&text).map_err(|e| format!("{path}: {e}"))?;
-            println!("{path}: {events} trace event(s) OK");
-            Ok(())
-        }
-        "metrics" => {
-            let lines = check_metrics_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
-            println!("{path}: {lines} metric line(s) OK");
-            Ok(())
-        }
-        "prom" => {
-            let samples = obs::check_prometheus(&text).map_err(|e| format!("{path}: {e}"))?;
-            println!("{path}: {samples} sample(s) OK");
-            Ok(())
-        }
-        other => Err(CliError::Usage(format!("unknown check kind `{other}`"))),
-    }
+    let count = check(&text).map_err(|e| format!("{path}: {e}"))?;
+    println!("{path}: {count} {what} OK");
+    Ok(())
 }
 
-/// Validates a Chrome trace-event JSON export: a `traceEvents` array
-/// of objects whose `ph` is `X` or `M` with integer `pid`/`tid`.
-fn check_trace(text: &str) -> Result<usize, String> {
-    let root = serde_json::from_str(text).map_err(|e| e.to_string())?;
-    let events = root
-        .get("traceEvents")
-        .and_then(serde_json::Value::as_array)
-        .ok_or("missing `traceEvents` array")?;
-    if events.is_empty() {
-        return Err("trace has no events".into());
-    }
-    for (i, e) in events.iter().enumerate() {
-        let ph = e
-            .get("ph")
-            .and_then(serde_json::Value::as_str)
-            .ok_or_else(|| format!("event {i}: missing `ph`"))?;
-        if ph != "X" && ph != "M" {
-            return Err(format!("event {i}: unexpected phase `{ph}`"));
-        }
-        for field in ["pid", "tid"] {
-            if e.get(field).and_then(serde_json::Value::as_u64).is_none() {
-                return Err(format!("event {i}: missing integer `{field}`"));
-            }
-        }
-        if e.get("name").and_then(serde_json::Value::as_str).is_none() {
-            return Err(format!("event {i}: missing string `name`"));
+/// The benchmark `named`, or the whole suite, plus the partitioned
+/// model zoo when `zoo` is set.
+fn targets(named: Option<&String>, zoo: bool) -> Result<Vec<(String, TaskGraph)>, CliError> {
+    let mut targets: Vec<(String, TaskGraph)> = Vec::new();
+    if let Some(name) = named {
+        targets.push((name.clone(), load(name)?));
+    } else {
+        for b in benchmarks::all() {
+            targets.push((b.name().to_owned(), b.graph().map_err(|e| e.to_string())?));
         }
     }
-    Ok(events.len())
-}
-
-/// Validates a metrics JSONL export: every non-blank line is a JSON
-/// object with a known `type` and a string `name`.
-fn check_metrics_jsonl(text: &str) -> Result<usize, String> {
-    let mut count = 0usize;
-    for (n, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+    if zoo {
+        for (class, network) in &paraconv::cnn::zoo::all().map_err(|e| e.to_string())? {
+            let graph =
+                paraconv::cnn::partition(network, paraconv::cnn::PartitionConfig::default())
+                    .map_err(|e| e.to_string())?;
+            targets.push((format!("{class}/{}", network.name()), graph));
         }
-        let obj = serde_json::from_str(line).map_err(|e| format!("line {}: {e}", n + 1))?;
-        let kind = obj
-            .get("type")
-            .and_then(serde_json::Value::as_str)
-            .ok_or_else(|| format!("line {}: missing `type`", n + 1))?;
-        if !matches!(kind, "counter" | "gauge" | "histogram") {
-            return Err(format!("line {}: unknown type `{kind}`", n + 1));
-        }
-        if obj
-            .get("name")
-            .and_then(serde_json::Value::as_str)
-            .is_none()
-        {
-            return Err(format!("line {}: missing string `name`", n + 1));
-        }
-        count += 1;
     }
-    if count == 0 {
-        return Err("no metric lines".into());
-    }
-    Ok(count)
-}
-
-/// Dispatches `paraconv plan <export|import|diff>`.
-fn plan_command(args: &[String]) -> Result<(), CliError> {
-    let sub = args.get(1).ok_or_else(|| {
-        CliError::Usage("plan needs a subcommand: export, import, or diff".into())
-    })?;
-    match sub.as_str() {
-        "export" => plan_export(args),
-        "import" => plan_import(args),
-        "diff" => plan_diff(args),
-        other => Err(CliError::Usage(format!(
-            "unknown plan subcommand `{other}`"
-        ))),
-    }
-}
-
-/// Parsed `plan export` / `plan import` options.
-struct PlanOpts {
-    /// Positional arguments (benchmark name, or import/diff paths).
-    positional: Vec<String>,
-    all: bool,
-    zoo: bool,
-    run: bool,
-    pes: usize,
-    iters: u64,
-    out: Option<String>,
-    dir: Option<String>,
-    registry: Option<String>,
-    key: Option<String>,
-}
-
-/// Parses `plan` flags; `args[0]` is `plan` and `args[1]` the
-/// subcommand.
-fn plan_options(args: &[String]) -> Result<PlanOpts, CliError> {
-    let mut opts = PlanOpts {
-        positional: Vec::new(),
-        all: false,
-        zoo: false,
-        run: false,
-        pes: 16,
-        iters: 50,
-        out: None,
-        dir: None,
-        registry: None,
-        key: None,
-    };
-    let mut i = 2;
-    while i < args.len() {
-        let flag = &args[i];
-        match flag.as_str() {
-            "--all" => {
-                opts.all = true;
-                i += 1;
-                continue;
-            }
-            "--zoo" => {
-                opts.zoo = true;
-                i += 1;
-                continue;
-            }
-            "--run" => {
-                opts.run = true;
-                i += 1;
-                continue;
-            }
-            _ => {}
-        }
-        if !flag.starts_with("--") {
-            opts.positional.push(flag.clone());
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
-        match flag.as_str() {
-            "--pes" => {
-                opts.pes = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --pes `{value}`")))?;
-            }
-            "--iters" => {
-                opts.iters = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --iters `{value}`")))?;
-            }
-            "--out" => opts.out = Some(value.clone()),
-            "--dir" => opts.dir = Some(value.clone()),
-            "--registry" => opts.registry = Some(value.clone()),
-            "--key" => opts.key = Some(value.clone()),
-            other => return Err(CliError::Usage(format!("unknown option `{other}`"))),
-        }
-        i += 2;
-    }
-    Ok(opts)
+    Ok(targets)
 }
 
 /// Lowercases a target name into a filesystem-safe slug: alphanumeric
@@ -1072,9 +1012,8 @@ fn slugify(name: &str) -> String {
 }
 
 /// Opens the registry named by `--registry`, if any.
-fn open_registry(opts: &PlanOpts) -> Result<Option<Registry>, CliError> {
-    opts.registry
-        .as_ref()
+fn open_registry(args: &Args) -> Result<Option<Registry>, CliError> {
+    args.text("--registry")
         .map(|dir| {
             Registry::open(dir)
                 .map_err(|e| CliError::Runtime(format!("cannot open registry `{dir}`: {e}")))
@@ -1082,52 +1021,27 @@ fn open_registry(opts: &PlanOpts) -> Result<Option<Registry>, CliError> {
         .transpose()
 }
 
-fn plan_export(args: &[String]) -> Result<(), CliError> {
-    let opts = plan_options(args)?;
-    if opts.positional.len() > 1 {
-        return Err(CliError::Usage(
-            "plan export takes at most one benchmark name".into(),
+fn plan_export(args: &Args) -> Result<(), CliError> {
+    let named = args.positional.first();
+    let (all, zoo) = (args.on("--all"), args.on("--zoo"));
+    if named.is_none() && !all {
+        return Err(usage("plan export needs a benchmark name or --all"));
+    }
+    if named.is_some() && (all || zoo) {
+        return Err(usage(
+            "--all/--zoo cannot be combined with a benchmark name",
         ));
     }
-    let named = opts.positional.first();
-    if named.is_none() && !opts.all {
-        return Err(CliError::Usage(
-            "plan export needs a benchmark name or --all".into(),
-        ));
-    }
-    if named.is_some() && (opts.all || opts.zoo) {
-        return Err(CliError::Usage(
-            "--all/--zoo cannot be combined with a benchmark name".into(),
-        ));
-    }
-
-    let mut targets: Vec<(String, TaskGraph)> = Vec::new();
-    if let Some(name) = named {
-        targets.push((name.clone(), load(Some(name))?));
-    } else {
-        for b in benchmarks::all() {
-            targets.push((b.name().to_owned(), b.graph().map_err(|e| e.to_string())?));
-        }
-        if opts.zoo {
-            let zoo = paraconv::cnn::zoo::all().map_err(|e| e.to_string())?;
-            for (class, network) in &zoo {
-                let graph =
-                    paraconv::cnn::partition(network, paraconv::cnn::PartitionConfig::default())
-                        .map_err(|e| e.to_string())?;
-                targets.push((format!("{class}/{}", network.name()), graph));
-            }
-        }
-    }
-
-    let cfg = config(opts.pes)?;
+    let targets = targets(named, zoo)?;
+    let cfg = config(args.pes())?;
     let policy = PlanPolicy {
         allocation: AllocationPolicy::DynamicProgram,
-        iterations: opts.iters,
+        iterations: args.iters(),
     };
-    let registry = open_registry(&opts)?;
-    if targets.len() > 1 || opts.all {
-        let dir = opts.dir.clone().unwrap_or_else(|| "plans".to_owned());
-        std::fs::create_dir_all(&dir)
+    let registry = open_registry(args)?;
+    let dir = args.text("--dir").unwrap_or("plans");
+    if all {
+        std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create output directory `{dir}`: {e}"))?;
     }
     let count = targets.len();
@@ -1144,7 +1058,7 @@ fn plan_export(args: &[String]) -> Result<(), CliError> {
             None => {
                 let outcome = ParaConvScheduler::new(cfg.clone())
                     .with_policy(policy.allocation)
-                    .schedule(&graph, opts.iters)
+                    .schedule(&graph, policy.iterations)
                     .map_err(|e| format!("{name}: {e}"))?;
                 paraconv::verify::verify_outcome(&graph, &outcome, &cfg)
                     .map_err(|e| format!("{name}: refusing to export an unprovable plan: {e}"))?;
@@ -1162,13 +1076,11 @@ fn plan_export(args: &[String]) -> Result<(), CliError> {
                 (bytes, "scheduled")
             }
         };
-        let path = if opts.all {
-            let dir = opts.dir.as_deref().unwrap_or("plans");
+        let path = if all {
             format!("{dir}/{}.plan", slugify(&name))
         } else {
-            opts.out
-                .clone()
-                .unwrap_or_else(|| format!("{}.plan", slugify(&name)))
+            args.text("--out")
+                .map_or_else(|| format!("{}.plan", slugify(&name)), str::to_owned)
         };
         std::fs::write(&path, &bytes)
             .map_err(|e| format!("cannot write artifact to `{path}`: {e}"))?;
@@ -1178,31 +1090,22 @@ fn plan_export(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn plan_import(args: &[String]) -> Result<(), CliError> {
-    let opts = plan_options(args)?;
-    if opts.positional.len() > 1 {
-        return Err(CliError::Usage("plan import takes exactly one file".into()));
-    }
-    let bytes = match (opts.positional.first(), &opts.key) {
+fn plan_import(args: &Args) -> Result<(), CliError> {
+    let bytes = match (args.positional.first(), args.text("--key")) {
         (Some(path), None) => std::fs::read(path)
             .map_err(|e| CliError::Runtime(format!("cannot read `{path}`: {e}")))?,
         (None, Some(key)) => {
-            let registry = open_registry(&opts)?.ok_or_else(|| {
-                CliError::Usage("--key needs --registry <dir> to fetch from".into())
-            })?;
+            let registry = open_registry(args)?
+                .ok_or_else(|| usage("--key needs --registry <dir> to fetch from"))?;
             registry
                 .get(key)
                 .map_err(|e| CliError::Runtime(e.to_string()))?
                 .ok_or_else(|| CliError::Runtime(format!("key {key} not in registry")))?
         }
-        (Some(_), Some(_)) => {
-            return Err(CliError::Usage(
-                "plan import takes a file or --key, not both".into(),
-            ))
-        }
+        (Some(_), Some(_)) => return Err(usage("plan import takes a file or --key, not both")),
         (None, None) => {
-            return Err(CliError::Usage(
-                "plan import needs an artifact file or --registry/--key".into(),
+            return Err(usage(
+                "plan import needs an artifact file or --registry/--key",
             ))
         }
     };
@@ -1236,11 +1139,11 @@ fn plan_import(args: &[String]) -> Result<(), CliError> {
     println!("verifier gate: PROVED");
     println!("{report}");
 
-    if let Some(path) = &opts.out {
+    if let Some(path) = args.text("--out") {
         std::fs::write(path, bundle.encode())
             .map_err(|e| format!("cannot write canonical artifact to `{path}`: {e}"))?;
     }
-    if opts.run {
+    if args.on("--run") {
         let report = paraconv::pim::simulate(&bundle.graph, &bundle.outcome.plan, &bundle.config)
             .map_err(|e| format!("simulation of the imported plan failed: {e}"))?;
         println!("{report}");
@@ -1248,12 +1151,9 @@ fn plan_import(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn plan_diff(args: &[String]) -> Result<(), CliError> {
-    let opts = plan_options(args)?;
-    let [a_path, b_path] = opts.positional.as_slice() else {
-        return Err(CliError::Usage(
-            "plan diff takes exactly two artifact files".into(),
-        ));
+fn plan_diff(args: &Args) -> Result<(), CliError> {
+    let [a_path, b_path] = args.positional.as_slice() else {
+        return Err(usage("plan diff takes exactly two artifact files"));
     };
     let decode_file = |path: &String| -> Result<plan_registry::PlanArtifact, CliError> {
         let bytes = std::fs::read(path)
@@ -1274,123 +1174,32 @@ fn plan_diff(args: &[String]) -> Result<(), CliError> {
     )))
 }
 
-/// Parsed `chaos` subcommand options.
-struct ChaosOpts {
-    seed: u64,
-    rate_bp: u32,
-    kills: Vec<(u32, u64)>,
-    pes: usize,
-    iters: u64,
-    json: bool,
-    postmortem: Option<String>,
-}
-
-impl ChaosOpts {
-    /// Builds the validated fault specification.
-    fn spec(&self) -> Result<FaultSpec, CliError> {
-        let mut builder = FaultSpec::builder(self.seed).uniform_rate_bp(self.rate_bp);
-        for &(pe, cycle) in &self.kills {
-            builder = builder.kill_pe(pe, cycle);
-        }
-        builder
-            .build()
-            .map_err(|e| CliError::Usage(format!("invalid fault campaign: {e}")))
-    }
-}
-
-/// Parses `chaos` flags; `args[0]` is the subcommand and `args[1]` the
-/// benchmark name.
-fn chaos_options(args: &[String]) -> Result<ChaosOpts, CliError> {
-    let mut opts = ChaosOpts {
-        seed: 0,
-        rate_bp: 0,
-        kills: Vec::new(),
-        pes: 16,
-        iters: 50,
-        json: false,
-        postmortem: None,
-    };
-    let mut i = 2;
-    while i < args.len() {
-        let flag = &args[i];
-        if flag == "--json" {
-            opts.json = true;
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
-        match flag.as_str() {
-            "--seed" => {
-                opts.seed = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --seed `{value}`")))?;
-            }
-            "--fault-rate" => {
-                opts.rate_bp = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --fault-rate `{value}`")))?;
-            }
-            "--kill-pe" => {
-                let (pe, cycle) = value
-                    .split_once('@')
-                    .and_then(|(pe, cycle)| Some((pe.parse().ok()?, cycle.parse().ok()?)))
-                    .ok_or_else(|| {
-                        CliError::Usage(format!("bad --kill-pe `{value}` (expected <id>@<cycle>)"))
-                    })?;
-                opts.kills.push((pe, cycle));
-            }
-            "--pes" => {
-                opts.pes = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --pes `{value}`")))?;
-            }
-            "--iters" => {
-                opts.iters = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --iters `{value}`")))?;
-            }
-            "--postmortem" => opts.postmortem = Some(value.clone()),
-            other => return Err(CliError::Usage(format!("unknown option `{other}`"))),
-        }
-        i += 2;
-    }
-    Ok(opts)
-}
-
-/// Writes the flight recorder + metrics snapshot of a failed chaos
-/// campaign as a content-hashed postmortem artifact and returns its
-/// path. The context carries only campaign parameters — nothing
-/// host- or worker-count-dependent — so the bytes are identical at
-/// every `PARACONV_JOBS` width.
-fn dump_postmortem(name: &str, reason: &str, opts: &ChaosOpts) -> Result<String, CliError> {
-    let mut context = std::collections::BTreeMap::new();
-    context.insert("benchmark".to_owned(), name.to_owned());
-    context.insert("seed".to_owned(), opts.seed.to_string());
-    context.insert("fault_rate_bp".to_owned(), opts.rate_bp.to_string());
-    context.insert("kills".to_owned(), opts.kills.len().to_string());
-    context.insert("pes".to_owned(), opts.pes.to_string());
-    context.insert("iterations".to_owned(), opts.iters.to_string());
+/// Writes the flight recorder and metrics snapshot as a
+/// content-hashed postmortem artifact. Callers put only campaign
+/// parameters in `context` — nothing host- or worker-count-dependent —
+/// so the bytes are identical at every `PARACONV_JOBS` width.
+fn write_postmortem(
+    path: &str,
+    reason: String,
+    context: &[(&str, String)],
+) -> Result<(), CliError> {
     let bundle = plan_registry::PostmortemBundle {
-        reason: reason.to_owned(),
-        context,
+        reason,
+        context: context
+            .iter()
+            .map(|(k, v)| ((*k).to_owned(), v.clone()))
+            .collect(),
         events: obs::flight_events(),
         metrics: obs::snapshot(),
     };
-    let path = opts
-        .postmortem
-        .clone()
-        .unwrap_or_else(|| format!("{}.postmortem", slugify(name)));
-    std::fs::write(&path, bundle.encode())
-        .map_err(|e| CliError::Runtime(format!("cannot write postmortem to `{path}`: {e}")))?;
-    Ok(path)
+    std::fs::write(path, bundle.encode())
+        .map_err(|e| CliError::Runtime(format!("cannot write postmortem to `{path}`: {e}")))
 }
 
-/// Turns recording on (from a clean slate) when the parsed options
-/// request any export.
-fn start_observing(opts: &Opts) {
-    if opts.observing() {
+/// Turns recording on (from a clean slate) when the invocation
+/// requests any export.
+fn start_observing(args: &Args) {
+    if args.on("--trace") || args.on("--metrics") {
         obs::reset();
         obs::enable();
     }
@@ -1399,17 +1208,17 @@ fn start_observing(opts: &Opts) {
 /// Writes the requested observability artifacts and disables
 /// recording. `plan_trace` carries the simulated plan timeline for
 /// single-plan subcommands; phase spans are appended either way.
-fn export(opts: &Opts, plan_trace: Option<obs::ChromeTrace>) -> Result<(), CliError> {
-    if !opts.observing() {
+fn export(args: &Args, plan_trace: Option<obs::ChromeTrace>) -> Result<(), CliError> {
+    if !(args.on("--trace") || args.on("--metrics")) {
         return Ok(());
     }
     obs::disable();
-    if let Some(path) = &opts.metrics {
+    if let Some(path) = args.text("--metrics") {
         let snapshot = obs::snapshot();
         std::fs::write(path, snapshot.to_jsonl())
             .map_err(|e| format!("cannot write metrics to `{path}`: {e}"))?;
     }
-    if let Some(path) = &opts.trace {
+    if let Some(path) = args.text("--trace") {
         let mut trace = plan_trace.unwrap_or_default();
         trace.name_process(0, "pipeline");
         trace.push_spans(0, &obs::take_spans());
@@ -1419,210 +1228,66 @@ fn export(opts: &Opts, plan_trace: Option<obs::ChromeTrace>) -> Result<(), CliEr
     Ok(())
 }
 
-fn load(name: Option<&String>) -> Result<TaskGraph, CliError> {
-    let name = name.ok_or_else(|| CliError::Usage("missing benchmark name".into()))?;
-    let bench = benchmarks::by_name(name).ok_or_else(|| {
-        CliError::Usage(format!("unknown benchmark `{name}` (try `paraconv list`)"))
-    })?;
+fn load(name: &str) -> Result<TaskGraph, CliError> {
+    let bench = benchmarks::by_name(name)
+        .ok_or_else(|| usage(format!("unknown benchmark `{name}` (try `paraconv list`)")))?;
     bench.graph().map_err(|e| CliError::Runtime(e.to_string()))
 }
 
 fn config(pes: usize) -> Result<PimConfig, CliError> {
-    PimConfig::neurocube(pes).map_err(|e| CliError::Usage(e.to_string()))
+    PimConfig::neurocube(pes).map_err(|e| usage(e.to_string()))
 }
 
-/// Parses the shared flags with defaults; `args[0]` is the subcommand
-/// and `args[1]` the benchmark name (or a placeholder).
-fn options(args: &[String]) -> Result<Opts, CliError> {
-    let mut opts = Opts {
-        pes: None,
-        iters: 50,
-        window: 60,
-        quick: false,
-        trace: None,
-        metrics: None,
+/// The engine config `serve` and `chaos --serve` ask for, injecting
+/// the given worker-kill, slow-request and disk-fail rates.
+fn serve_config(args: &Args, [kill, slow, disk]: [u32; 3]) -> Result<ServeConfig, CliError> {
+    let fault = if kill > 0 || slow > 0 || disk > 0 {
+        Some(
+            FaultSpec::builder(args.num("--seed").unwrap_or(0))
+                .worker_kill_bp(kill)
+                .slow_request_bp(slow)
+                .cache_write_fail_bp(disk)
+                .build()
+                .map_err(|e| usage(e.to_string()))?,
+        )
+    } else {
+        None
     };
-    let mut i = 2;
-    while i < args.len() {
-        let flag = &args[i];
-        if flag == "--quick" {
-            opts.quick = true;
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
-        match flag.as_str() {
-            "--pes" => {
-                opts.pes = Some(
-                    value
-                        .parse()
-                        .map_err(|_| CliError::Usage(format!("bad --pes `{value}`")))?,
-                );
-            }
-            "--iters" => {
-                opts.iters = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --iters `{value}`")))?;
-            }
-            "--window" => {
-                opts.window = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --window `{value}`")))?;
-            }
-            "--trace" => opts.trace = Some(value.clone()),
-            "--metrics" => opts.metrics = Some(value.clone()),
-            other => return Err(CliError::Usage(format!("unknown option `{other}`"))),
-        }
-        i += 2;
-    }
-    Ok(opts)
+    let defaults = ServeConfig::default();
+    Ok(ServeConfig {
+        jobs: args.num("--jobs").map_or(defaults.jobs, |n| n as usize),
+        queue_capacity: args
+            .num("--queue")
+            .map_or(defaults.queue_capacity, |n| n as usize),
+        registry_path: args.text("--registry").map(Into::into),
+        quota: args.num("--quota").unwrap_or(defaults.quota),
+        breaker_threshold: args
+            .num("--breaker-threshold")
+            .unwrap_or(defaults.breaker_threshold),
+        breaker_cooldown: args
+            .num("--breaker-cooldown")
+            .unwrap_or(defaults.breaker_cooldown),
+        fault,
+    })
 }
 
-/// Options shared by `serve` and `chaos --serve`.
-struct ServeOpts {
-    addr: String,
-    addr_file: Option<String>,
-    jobs: Option<usize>,
-    queue: usize,
-    registry: Option<String>,
-    quota: u64,
-    breaker_threshold: u64,
-    breaker_cooldown: u64,
-    seed: u64,
-    worker_kill_bp: u32,
-    slow_bp: u32,
-    disk_fail_bp: u32,
-    requests: u64,
-    clients: u64,
-    json: bool,
-    postmortem: Option<String>,
-}
-
-impl ServeOpts {
-    /// The engine config this invocation asks for.
-    fn config(&self) -> Result<paraconv::serve::ServeConfig, CliError> {
-        let fault = if self.worker_kill_bp > 0 || self.slow_bp > 0 || self.disk_fail_bp > 0 {
-            Some(
-                FaultSpec::builder(self.seed)
-                    .worker_kill_bp(self.worker_kill_bp)
-                    .slow_request_bp(self.slow_bp)
-                    .cache_write_fail_bp(self.disk_fail_bp)
-                    .build()
-                    .map_err(|e| CliError::Usage(e.to_string()))?,
-            )
-        } else {
-            None
-        };
-        let defaults = paraconv::serve::ServeConfig::default();
-        Ok(paraconv::serve::ServeConfig {
-            jobs: self.jobs.unwrap_or(defaults.jobs),
-            queue_capacity: self.queue,
-            registry_path: self.registry.clone().map(Into::into),
-            quota: self.quota,
-            breaker_threshold: self.breaker_threshold,
-            breaker_cooldown: self.breaker_cooldown,
-            fault,
-        })
-    }
-}
-
-fn serve_options(args: &[String]) -> Result<ServeOpts, CliError> {
-    let mut opts = ServeOpts {
-        addr: "127.0.0.1:0".into(),
-        addr_file: None,
-        jobs: None,
-        queue: 64,
-        registry: None,
-        quota: 16,
-        breaker_threshold: 3,
-        breaker_cooldown: 8,
-        seed: 0,
-        worker_kill_bp: 0,
-        slow_bp: 0,
-        disk_fail_bp: 0,
-        requests: 512,
-        clients: 8,
-        json: false,
-        postmortem: None,
-    };
-    let mut i = 1;
-    while i < args.len() {
-        let flag = &args[i];
-        match flag.as_str() {
-            "--serve" | "--json" => {
-                opts.json |= flag == "--json";
-                i += 1;
-                continue;
-            }
-            _ => {}
-        }
-        if !flag.starts_with("--") {
-            return Err(CliError::Usage(format!("unexpected argument `{flag}`")));
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
-        let parse_num = |what: &str| {
-            value
-                .parse::<u64>()
-                .map_err(|_| CliError::Usage(format!("bad {what} `{value}`")))
-        };
-        match flag.as_str() {
-            "--addr" => opts.addr = value.clone(),
-            "--addr-file" => opts.addr_file = Some(value.clone()),
-            "--registry" => opts.registry = Some(value.clone()),
-            "--jobs" => {
-                opts.jobs = Some(usize::try_from(parse_num("--jobs")?).unwrap_or(usize::MAX));
-            }
-            "--queue" => {
-                opts.queue = usize::try_from(parse_num("--queue")?).unwrap_or(usize::MAX);
-                if opts.queue == 0 {
-                    return Err(CliError::Usage("--queue must be positive".into()));
-                }
-            }
-            "--quota" => opts.quota = parse_num("--quota")?,
-            "--breaker-threshold" => opts.breaker_threshold = parse_num("--breaker-threshold")?,
-            "--breaker-cooldown" => opts.breaker_cooldown = parse_num("--breaker-cooldown")?,
-            "--seed" => opts.seed = parse_num("--seed")?,
-            "--worker-kill" => {
-                opts.worker_kill_bp = u32::try_from(parse_num("--worker-kill")?)
-                    .map_err(|_| CliError::Usage("bad --worker-kill".into()))?;
-            }
-            "--slow" => {
-                opts.slow_bp = u32::try_from(parse_num("--slow")?)
-                    .map_err(|_| CliError::Usage("bad --slow".into()))?;
-            }
-            "--disk-fail" => {
-                opts.disk_fail_bp = u32::try_from(parse_num("--disk-fail")?)
-                    .map_err(|_| CliError::Usage("bad --disk-fail".into()))?;
-            }
-            "--requests" => opts.requests = parse_num("--requests")?,
-            "--postmortem" => opts.postmortem = Some(value.clone()),
-            "--clients" => {
-                opts.clients = parse_num("--clients")?;
-                if opts.clients == 0 {
-                    return Err(CliError::Usage("--clients must be positive".into()));
-                }
-            }
-            other => return Err(CliError::Usage(format!("unknown option `{other}`"))),
-        }
-        i += 2;
-    }
-    Ok(opts)
+/// The `--worker-kill`, `--slow` and `--disk-fail` rates.
+fn serve_fault_rates(args: &Args) -> [u32; 3] {
+    ["--worker-kill", "--slow", "--disk-fail"].map(|f| args.num(f).unwrap_or(0) as u32)
 }
 
 /// `paraconv serve`: bind, announce the address, park until a client
 /// drains the daemon, then print the final counters.
-fn serve_command(args: &[String]) -> Result<(), CliError> {
-    let opts = serve_options(args)?;
+fn serve_command(args: &Args) -> Result<(), CliError> {
     obs::reset();
     obs::enable();
-    let handle = paraconv::serve::daemon::serve(&opts.addr, opts.config()?)
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
+    let handle = paraconv::serve::daemon::serve(
+        args.text("--addr").unwrap_or("127.0.0.1:0"),
+        serve_config(args, serve_fault_rates(args))?,
+    )
+    .map_err(|e| CliError::Runtime(e.to_string()))?;
     let addr = handle.addr();
-    if let Some(path) = &opts.addr_file {
+    if let Some(path) = args.text("--addr-file") {
         std::fs::write(path, format!("{addr}\n"))
             .map_err(|e| CliError::Runtime(format!("cannot write `{path}`: {e}")))?;
     }
@@ -1644,25 +1309,12 @@ fn serve_command(args: &[String]) -> Result<(), CliError> {
 /// `paraconv client`: stream JSONL requests from stdin to a daemon and
 /// its responses to stdout. Exits non-zero only on transport failure —
 /// per-request failures are data, not process errors.
-fn client_command(args: &[String]) -> Result<(), CliError> {
+fn client_command(args: &Args) -> Result<(), CliError> {
     use std::io::{BufRead, Write};
-    let mut addr = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                addr = Some(
-                    args.get(i + 1)
-                        .ok_or_else(|| CliError::Usage("--addr needs a value".into()))?
-                        .clone(),
-                );
-                i += 2;
-            }
-            other => return Err(CliError::Usage(format!("unknown option `{other}`"))),
-        }
-    }
-    let addr = addr.ok_or_else(|| CliError::Usage("client needs --addr <host:port>".into()))?;
-    let stream = std::net::TcpStream::connect(&addr)
+    let addr = args
+        .text("--addr")
+        .ok_or_else(|| usage("client needs --addr <host:port>"))?;
+    let stream = std::net::TcpStream::connect(addr)
         .map_err(|e| CliError::Runtime(format!("cannot connect to `{addr}`: {e}")))?;
     let mut writer = std::io::BufWriter::new(
         stream
@@ -1711,28 +1363,29 @@ fn chaos_mix(mut x: u64) -> u64 {
 /// disk-full injection; then prove the robustness contract:
 /// every accepted request answered exactly once, every `ok` key maps
 /// to one decodable (untorn) artifact, and drain is clean.
-fn serve_chaos_command(args: &[String]) -> Result<(), CliError> {
+fn serve_chaos_command(args: &Args) -> Result<(), CliError> {
     use paraconv::serve::{ServeCore, ServeStatus, Submission};
-    use std::collections::BTreeMap;
     use std::sync::{Arc, Mutex};
 
-    let mut opts = serve_options(args)?;
+    let seed = args.num("--seed").unwrap_or(0);
+    let requests = args.num("--requests").unwrap_or(512);
+    let clients = args.num("--clients").unwrap_or(8);
     // A chaos campaign with no faults proves nothing: default the
     // injection rates up when the user did not pin them.
-    if opts.worker_kill_bp == 0 && opts.slow_bp == 0 && opts.disk_fail_bp == 0 {
-        opts.worker_kill_bp = 500;
-        opts.slow_bp = 200;
-        opts.disk_fail_bp = 300;
-    }
-    let temp_registry = opts.registry.is_none();
+    let rates = match serve_fault_rates(args) {
+        [0, 0, 0] => [500, 200, 300],
+        pinned => pinned,
+    };
+    let [worker_kill_bp, slow_bp, disk_fail_bp] = rates;
+    let mut config = serve_config(args, rates)?;
+    let temp_registry = config.registry_path.is_none();
     if temp_registry {
-        let dir = std::env::temp_dir().join(format!(
-            "paraconv-serve-chaos-{}-{}",
-            std::process::id(),
-            opts.seed
-        ));
-        opts.registry = Some(dir.to_string_lossy().into_owned());
+        config.registry_path = Some(std::env::temp_dir().join(format!(
+            "paraconv-serve-chaos-{}-{seed}",
+            std::process::id()
+        )));
     }
+    let registry = config.registry_path.clone();
 
     obs::reset();
     obs::enable();
@@ -1740,21 +1393,22 @@ fn serve_chaos_command(args: &[String]) -> Result<(), CliError> {
     // flight recorder; keep it on for the whole campaign so the
     // optional postmortem dump carries the injected failures.
     obs::flight_enable(obs::DEFAULT_FLIGHT_CAPACITY);
-    let core =
-        Arc::new(ServeCore::new(opts.config()?).map_err(|e| CliError::Runtime(e.to_string()))?);
+    let core = Arc::new(ServeCore::new(config).map_err(|e| CliError::Runtime(e.to_string()))?);
     core.start();
 
     let benches = ["cat", "car"];
     let responses: Arc<Mutex<Vec<paraconv::serve::ServeResponse>>> =
         Arc::new(Mutex::new(Vec::new()));
-    let per_client = opts.requests / opts.clients;
-    let threads: Vec<_> = (0..opts.clients)
+    // Exactly `requests` submissions: the remainder goes one each to
+    // the first clients.
+    let (share, extra) = (requests / clients, requests % clients);
+    let threads: Vec<_> = (0..clients)
         .map(|c| {
             let core = Arc::clone(&core);
             let responses = Arc::clone(&responses);
-            let seed = opts.seed;
+            let count = share + u64::from(c < extra);
             std::thread::spawn(move || {
-                for r in 0..per_client {
+                for r in 0..count {
                     let roll = chaos_mix(seed ^ (c << 32) ^ r);
                     // Mix: ~1/8 poisoned, ~1/8 zero-deadline, the rest
                     // split between a handful of hot keys (cached) and
@@ -1801,11 +1455,10 @@ fn serve_chaos_command(args: &[String]) -> Result<(), CliError> {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner),
     );
-    let submitted = per_client * opts.clients;
     let mut violations: Vec<String> = Vec::new();
-    if responses.len() as u64 != submitted {
+    if responses.len() as u64 != requests {
         violations.push(format!(
-            "submitted {submitted} requests but saw {} responses",
+            "submitted {requests} requests but saw {} responses",
             responses.len()
         ));
     }
@@ -1843,10 +1496,10 @@ fn serve_chaos_command(args: &[String]) -> Result<(), CliError> {
     }
 
     let report = |k: &str, v: u64| println!("  \"{k}\": {v},");
-    if opts.json {
+    if args.on("--json") {
         println!("{{");
-        println!("  \"seed\": {},", opts.seed);
-        report("requests", submitted);
+        println!("  \"seed\": {seed},");
+        report("requests", requests);
         report("accepted", stats.accepted);
         report("served", stats.served);
         report("hits", stats.hits);
@@ -1863,14 +1516,14 @@ fn serve_chaos_command(args: &[String]) -> Result<(), CliError> {
         println!("  \"violations\": {}", violations.len());
         println!("}}");
     } else {
+        let per_client = if extra == 0 {
+            share.to_string()
+        } else {
+            format!("{share}-{}", share + 1)
+        };
         println!(
-            "campaign: seed {}, {} clients x {} requests, kill {} bp, slow {} bp, disk-fail {} bp",
-            opts.seed,
-            opts.clients,
-            per_client,
-            opts.worker_kill_bp,
-            opts.slow_bp,
-            opts.disk_fail_bp
+            "campaign: seed {seed}, {clients} clients x {per_client} requests, \
+             kill {worker_kill_bp} bp, slow {slow_bp} bp, disk-fail {disk_fail_bp} bp"
         );
         println!(
             "traffic:  {} accepted ({} served = {} hits + {} misses, {} deadline, {} failed)",
@@ -1905,35 +1558,30 @@ fn serve_chaos_command(args: &[String]) -> Result<(), CliError> {
     // `--postmortem` snapshots the campaign — injected worker kills in
     // the flight recorder plus the final metrics — whether or not the
     // contract held, so `paraconv postmortem` can replay the faults.
-    if let Some(path) = &opts.postmortem {
-        let mut context = BTreeMap::new();
-        context.insert("campaign".to_owned(), "chaos --serve".to_owned());
-        context.insert("seed".to_owned(), opts.seed.to_string());
-        context.insert("requests".to_owned(), submitted.to_string());
-        context.insert("clients".to_owned(), opts.clients.to_string());
-        context.insert("worker_kill_bp".to_owned(), opts.worker_kill_bp.to_string());
-        context.insert("slow_bp".to_owned(), opts.slow_bp.to_string());
-        context.insert("disk_fail_bp".to_owned(), opts.disk_fail_bp.to_string());
-        let bundle = plan_registry::PostmortemBundle {
-            reason: format!(
-                "serving chaos campaign: survived {} injected worker kill(s), \
-                 {} slow injection(s), {} violation(s)",
-                stats.worker_kills,
-                stats.slow_injected,
-                violations.len()
-            ),
-            context,
-            events: obs::flight_events(),
-            metrics: obs::snapshot(),
-        };
-        std::fs::write(path, bundle.encode())
-            .map_err(|e| CliError::Runtime(format!("cannot write postmortem to `{path}`: {e}")))?;
+    if let Some(path) = args.text("--postmortem") {
+        let reason = format!(
+            "serving chaos campaign: survived {} injected worker kill(s), \
+             {} slow injection(s), {} violation(s)",
+            stats.worker_kills,
+            stats.slow_injected,
+            violations.len()
+        );
+        let context = [
+            ("campaign", "chaos --serve".to_owned()),
+            ("seed", seed.to_string()),
+            ("requests", requests.to_string()),
+            ("clients", clients.to_string()),
+            ("worker_kill_bp", worker_kill_bp.to_string()),
+            ("slow_bp", slow_bp.to_string()),
+            ("disk_fail_bp", disk_fail_bp.to_string()),
+        ];
+        write_postmortem(path, reason, &context)?;
         println!("postmortem: campaign dumped to `{path}`");
     }
     obs::flight_disable();
 
     if temp_registry {
-        if let Some(dir) = &opts.registry {
+        if let Some(dir) = &registry {
             let _ = std::fs::remove_dir_all(dir);
         }
     }

@@ -178,6 +178,44 @@ impl ChromeTrace {
     }
 }
 
+/// Validates a Chrome trace-event JSON export ([`ChromeTrace::to_json`]):
+/// a non-empty `traceEvents` array of objects whose `ph` is `X` or `M`,
+/// with integer `pid`/`tid` and a string `name`. Returns the number of
+/// events.
+///
+/// # Errors
+///
+/// The first offending event as `event <i>: <reason>`, or what is
+/// wrong with the document around the events.
+pub fn check_trace(text: &str) -> Result<usize, String> {
+    let root = serde_json::from_str(text).map_err(|e| e.to_string())?;
+    let events = root
+        .get("traceEvents")
+        .and_then(serde_json::Value::as_array)
+        .ok_or("missing `traceEvents` array")?;
+    if events.is_empty() {
+        return Err("trace has no events".into());
+    }
+    for (i, e) in events.iter().enumerate() {
+        let ph = e
+            .get("ph")
+            .and_then(serde_json::Value::as_str)
+            .ok_or_else(|| format!("event {i}: missing `ph`"))?;
+        if ph != "X" && ph != "M" {
+            return Err(format!("event {i}: unexpected phase `{ph}`"));
+        }
+        for field in ["pid", "tid"] {
+            if e.get(field).and_then(serde_json::Value::as_u64).is_none() {
+                return Err(format!("event {i}: missing integer `{field}`"));
+            }
+        }
+        if e.get("name").and_then(serde_json::Value::as_str).is_none() {
+            return Err(format!("event {i}: missing string `name`"));
+        }
+    }
+    Ok(events.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,6 +229,26 @@ mod tests {
             ts_us: ts,
             dur_us: 1,
             args: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn trace_checker_accepts_exports_and_rejects_garbage() {
+        let mut trace = ChromeTrace::new();
+        trace.name_process(0, "pipeline");
+        trace.push(event(0, 1, 5, "span"));
+        assert_eq!(check_trace(&trace.to_json()), Ok(2));
+        for bad in [
+            "not json",
+            "{\"type\":\"counter\",\"name\":\"x\"}",
+            "{\"traceEvents\":[]}",
+            "{\"traceEvents\":[{\"pid\":0,\"tid\":0,\"name\":\"a\"}]}",
+            "{\"traceEvents\":[{\"ph\":\"B\",\"pid\":0,\"tid\":0,\"name\":\"a\"}]}",
+            "{\"traceEvents\":[{\"ph\":\"X\",\"pid\":\"0\",\"tid\":0,\"name\":\"a\"}]}",
+            "{\"traceEvents\":[{\"ph\":\"X\",\"pid\":0,\"name\":\"a\"}]}",
+            "{\"traceEvents\":[{\"ph\":\"M\",\"pid\":0,\"tid\":0}]}",
+        ] {
+            assert!(check_trace(bad).is_err(), "accepted {bad:?}");
         }
     }
 

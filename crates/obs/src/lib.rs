@@ -68,13 +68,14 @@ mod recorder;
 mod window;
 
 pub use cancel::{cancel_requested, CancelScope, CancelToken};
-pub use chrome::{ChromeEvent, ChromeTrace};
+pub use chrome::{check_trace, ChromeEvent, ChromeTrace};
 pub use flight::{
     flight_active, flight_disable, flight_enable, flight_events, flight_record, flight_reset,
     FlightEvent, DEFAULT_FLIGHT_CAPACITY,
 };
 pub use metrics::{
-    check_prometheus, prometheus_name, Histogram, MetricsSnapshot, HISTOGRAM_BUCKETS,
+    check_metrics_jsonl, check_prometheus, prometheus_name, Histogram, MetricsSnapshot,
+    HISTOGRAM_BUCKETS,
 };
 pub use recorder::{
     counter_add, current_tid, disable, enable, enabled, flush_thread, gauge_max, logical_time,

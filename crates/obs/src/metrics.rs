@@ -525,6 +525,44 @@ pub fn check_prometheus(text: &str) -> Result<usize, String> {
     Ok(samples)
 }
 
+/// Validates a metrics JSONL export ([`MetricsSnapshot::to_jsonl`]):
+/// every non-blank line is a JSON object with a known `type` and a
+/// string `name`. Returns the number of metric lines.
+///
+/// # Errors
+///
+/// The first offending line as `line <n>: <reason>`, or a note that
+/// the export holds no metric lines at all.
+pub fn check_metrics_jsonl(text: &str) -> Result<usize, String> {
+    let mut count = 0usize;
+    for (idx, line) in text.lines().enumerate() {
+        let n = idx + 1;
+        if line.trim().is_empty() {
+            continue;
+        }
+        let obj = serde_json::from_str(line).map_err(|e| format!("line {n}: {e}"))?;
+        let kind = obj
+            .get("type")
+            .and_then(serde_json::Value::as_str)
+            .ok_or_else(|| format!("line {n}: missing `type`"))?;
+        if !matches!(kind, "counter" | "gauge" | "histogram") {
+            return Err(format!("line {n}: unknown type `{kind}`"));
+        }
+        if obj
+            .get("name")
+            .and_then(serde_json::Value::as_str)
+            .is_none()
+        {
+            return Err(format!("line {n}: missing string `name`"));
+        }
+        count += 1;
+    }
+    if count == 0 {
+        return Err("no metric lines".into());
+    }
+    Ok(count)
+}
+
 impl fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (name, v) in &self.counters {
@@ -734,6 +772,35 @@ mod tests {
         assert!(check_prometheus("name not-a-number").is_err());
         assert_eq!(check_prometheus("# just a comment\n"), Ok(0));
         assert_eq!(check_prometheus("ok{le=\"+Inf\"} 3\n"), Ok(1));
+    }
+
+    #[test]
+    fn metrics_jsonl_checker_accepts_exports_and_rejects_garbage() {
+        let mut s = MetricsSnapshot::new();
+        s.counters.insert("dp.fills".into(), 3);
+        s.gauges.insert("peak".into(), 9);
+        let mut h = Histogram::new();
+        h.record(4);
+        s.histograms.insert("lat".into(), h);
+        assert_eq!(check_metrics_jsonl(&s.to_jsonl()), Ok(3));
+        assert_eq!(
+            check_metrics_jsonl("\n{\"type\":\"gauge\",\"name\":\"g\"}\n\n"),
+            Ok(1)
+        );
+        for bad in [
+            "",
+            "\n  \n",
+            "not json",
+            "{\"name\":\"x\"}",
+            "{\"type\":\"timer\",\"name\":\"x\"}",
+            "{\"type\":\"counter\"}",
+            "{\"type\":\"counter\",\"name\":7}",
+        ] {
+            assert!(check_metrics_jsonl(bad).is_err(), "accepted {bad:?}");
+        }
+        let err = check_metrics_jsonl("{\"type\":\"counter\",\"name\":\"a\"}\n{}")
+            .expect_err("second line lacks a type");
+        assert!(err.starts_with("line 2:"), "{err}");
     }
 
     #[test]

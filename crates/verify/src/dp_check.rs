@@ -1,8 +1,8 @@
 //! DP-invariant checking over emitted allocations.
 //!
-//! The §3.3 dynamic program is re-run *once* (never `fill_sweep`) on
-//! an independently re-derived item set, and the outcome's allocation
-//! is judged against it:
+//! The §3.3 dynamic program is re-solved *once*, on a fresh session,
+//! over an independently re-derived item set, and the outcome's
+//! allocation is judged against it:
 //!
 //! * **monotonicity** — `B[s, n]` never decreases as the capacity
 //!   grows (one filled table answers the whole sweep);
@@ -10,17 +10,17 @@
 //!   greedy-by-density profit on the same instance;
 //! * **reconstruction consistency** — the backtracked item set fits
 //!   the capacity and re-sums to the table's optimum;
-//! * **incremental agreement** — an [`IncrementalDp`] session primed
-//!   at a wider capacity and re-solved at the real one lands on the
-//!   same optimum and the same reconstructed set as the table (the
-//!   suffix-row reuse the replan path depends on is sound);
+//! * **incremental agreement** — a second session primed at a wider
+//!   capacity and re-solved at the real one lands on the same optimum
+//!   and the same reconstructed set as the fresh one (the suffix-row
+//!   reuse the replan path depends on is sound);
 //! * **allocation soundness** — the emitted allocation fits its own
 //!   capacity and claims no more profit than the optimum (degraded
 //!   policies may claim less);
 //! * on small instances, an exhaustive subset enumeration confirms the
 //!   optimum exactly.
 
-use paraconv_alloc::{brute_force_max_profit, sort_by_deadline, AllocItem, DpTable, IncrementalDp};
+use paraconv_alloc::{brute_force_max_profit, sort_by_deadline, AllocItem, IncrementalDp};
 use paraconv_graph::TaskGraph;
 use paraconv_pim::{CostModel, PimConfig};
 use paraconv_retime::minimal_relative_retiming;
@@ -61,7 +61,8 @@ pub fn check_dp_invariants(
 
     let competing: Vec<AllocItem> =
         sort_by_deadline(items.iter().copied().filter(|i| i.delta_r() > 0).collect());
-    let table = DpTable::fill(&competing, capacity);
+    let mut table = IncrementalDp::new();
+    table.resolve(&competing, capacity);
     let dp_max = table.max_profit();
 
     // Monotonicity in the cache size: the filled table answers every
@@ -103,10 +104,10 @@ pub fn check_dp_invariants(
         });
     }
 
-    // The incremental session must agree with the table it shares a
-    // recurrence with. Priming at a wider capacity first forces the
-    // re-solve through the suffix-row-reuse path the degraded replan
-    // relies on, not a cold fill in disguise.
+    // A reusing session must agree with the fresh one. Priming at a
+    // wider capacity first forces the re-solve through the
+    // suffix-row-reuse path the degraded replan relies on, not a cold
+    // fill in disguise.
     let mut session = IncrementalDp::new();
     session.resolve(&competing, capacity.saturating_add(1));
     session.resolve(&competing, capacity);

@@ -710,3 +710,136 @@ fn analyze_rejects_malformed_invocations() {
     assert_usage_error(&["analyze", "--bogus-flag"]);
     assert_usage_error(&["analyze", "no-such-harness"]);
 }
+
+// ---- flag table: declared flags, arity, counts ------------------------
+
+/// Runs the binary with stdout discarded, killing it if it has not
+/// exited within 60 s: an invocation that should be refused must not
+/// start a daemon.
+fn paraconv_bounded(args: &[&str], cwd: &std::path::Path) -> (Option<i32>, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_paraconv"))
+        .args(args)
+        .current_dir(cwd)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while child.try_wait().expect("child status").is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().expect("kill a runaway child");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("child output");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn subcommands_refuse_flags_and_arguments_they_do_not_read() {
+    let dir = plan_tmp("undeclared");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let refused: &[&[&str]] = &[
+        &["verify", "cat", "--trace", "t.json", "--metrics", "m.jsonl"],
+        &["run", "cat", "--quick"],
+        &["run", "cat", "--window", "5"],
+        &["plan", "export", "cat", "--run"],
+        &["list", "extra"],
+        &["dot", "cat", "--pes", "8"],
+        &["serve", "--requests", "5"],
+        &["serve", "--clients", "2"],
+        &["serve", "--json"],
+        &["serve", "--postmortem", "serve.postmortem"],
+        &["verify", "cat", "--all"],
+        &["run", "cat", "extra"],
+    ];
+    for args in refused {
+        let (code, stderr) = paraconv_bounded(args, &dir);
+        assert_eq!(code, Some(2), "{args:?} should exit 2, stderr: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?} prints usage: {stderr}");
+    }
+    let left: Vec<_> = std::fs::read_dir(&dir).expect("dir").collect();
+    assert!(
+        left.is_empty(),
+        "a refused invocation wrote files: {left:?}"
+    );
+
+    // Positionals may come before, between or after the flags.
+    for args in [
+        &["verify", "--zoo", "cat", "--iters", "2"][..],
+        &["run", "--pes", "8", "cat", "--iters", "5"][..],
+    ] {
+        let out = paraconv(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn zero_counts_are_usage_errors_before_any_work() {
+    let dir = plan_tmp("zero-counts");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for args in [
+        &["chaos", "cat", "--iters", "0"][..],
+        &["chaos", "cat", "--pes", "0"][..],
+        &["table1", "--pes", "0"][..],
+        &["table1", "--iters", "0"][..],
+        &["run", "cat", "--iters", "0"][..],
+        &["plan", "export", "cat", "--iters", "0"][..],
+    ] {
+        let (code, stderr) = paraconv_bounded(args, &dir);
+        assert_eq!(code, Some(2), "{args:?} should exit 2, stderr: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?} prints usage: {stderr}");
+    }
+    assert!(
+        !dir.join("cat.postmortem").exists(),
+        "a refused chaos campaign must not dump a postmortem"
+    );
+    let left: Vec<_> = std::fs::read_dir(&dir).expect("dir").collect();
+    assert!(
+        left.is_empty(),
+        "a refused invocation wrote files: {left:?}"
+    );
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn chaos_serve_submits_exactly_the_requested_count() {
+    let out = paraconv(&[
+        "chaos",
+        "--serve",
+        "--requests",
+        "10",
+        "--clients",
+        "3",
+        "--json",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // The JSON object is followed by the contract verdict line.
+    let end = stdout.find("\n}\n").expect("a JSON object") + 2;
+    let value: serde_json::Value =
+        serde_json::from_str(&stdout[..end]).unwrap_or_else(|e| panic!("bad JSON ({e}): {stdout}"));
+    let field = |key: &str| {
+        value
+            .get(key)
+            .and_then(serde_json::Value::as_u64)
+            .unwrap_or_else(|| panic!("missing {key}"))
+    };
+    assert_eq!(field("requests"), 10);
+    let answered = ["accepted", "shed", "invalid", "quota", "circuit_open"]
+        .into_iter()
+        .map(field)
+        .sum::<u64>();
+    assert_eq!(answered, 10, "every request was submitted: {stdout}");
+    assert_eq!(field("violations"), 0);
+}
