@@ -305,20 +305,6 @@ impl IncrementalDp {
         chosen
     }
 
-    /// The capacity of the last resolve.
-    #[must_use]
-    pub const fn query_capacity(&self) -> u64 {
-        self.query
-    }
-
-    /// The largest capacity the stored rows cover, or `None` while the
-    /// session is unprimed. Resolves at or below this bound reuse
-    /// every shared row.
-    #[must_use]
-    pub fn filled_capacity(&self) -> Option<u64> {
-        (self.cols > 0).then(|| self.cols as u64 - 1)
-    }
-
     /// The item list of the last resolve (deadline order).
     #[must_use]
     pub fn items(&self) -> &[AllocItem] {
@@ -534,7 +520,11 @@ mod tests {
         for &cap in &capacities {
             assert_eq!(session.max_profit_at(cap), solved(&items, cap).max_profit());
             session.resolve(&items, cap);
-            assert_eq!(session.filled_capacity(), Some(12), "no reprime expected");
+            assert_eq!(
+                Some(session.cols as u64 - 1),
+                Some(12),
+                "no reprime expected"
+            );
             assert_matches_cold(&session, &items, cap);
         }
     }
@@ -556,7 +546,7 @@ mod tests {
         let items = vec![item(0, 1, 1), item(1, 3, 4), item(2, 4, 5), item(3, 5, 7)];
         let session = solved(&items, 7);
         assert_eq!(session.max_profit(), 9);
-        assert_eq!(session.filled_capacity(), Some(7));
+        assert_eq!(Some(session.cols as u64 - 1), Some(7));
         assert_eq!(session.items(), &items[..]);
     }
 
@@ -611,8 +601,12 @@ mod tests {
         let mut session = solved(&items, 5);
         for capacity in [0u64, 3, 5, 1, 4, 2] {
             session.resolve(&items, capacity);
-            assert_eq!(session.query_capacity(), capacity);
-            assert_eq!(session.filled_capacity(), Some(5), "no reprime expected");
+            assert_eq!(session.query, capacity);
+            assert_eq!(
+                Some(session.cols as u64 - 1),
+                Some(5),
+                "no reprime expected"
+            );
             assert_matches_cold(&session, &items, capacity);
         }
     }
@@ -622,7 +616,7 @@ mod tests {
         let items = vec![item(0, 2, 5), item(1, 2, 4), item(2, 1, 3)];
         let mut session = solved(&items, 2);
         session.resolve(&items, 9);
-        assert_eq!(session.filled_capacity(), Some(9));
+        assert_eq!(Some(session.cols as u64 - 1), Some(9));
         assert_matches_cold(&session, &items, 9);
     }
 

@@ -45,10 +45,8 @@
 
 mod allocator;
 mod dp;
-mod feasibility;
 mod item;
 
 pub use allocator::{CacheAllocation, CacheAllocator};
 pub use dp::{brute_force_max_profit, IncrementalDp};
-pub use feasibility::{edf_feasibility, Feasibility};
 pub use item::{sort_by_deadline, AllocItem};

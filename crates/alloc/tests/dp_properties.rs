@@ -3,8 +3,7 @@
 use proptest::prelude::*;
 
 use paraconv_alloc::{
-    brute_force_max_profit, edf_feasibility, sort_by_deadline, AllocItem, CacheAllocator,
-    IncrementalDp,
+    brute_force_max_profit, sort_by_deadline, AllocItem, CacheAllocator, IncrementalDp,
 };
 use paraconv_graph::EdgeId;
 
@@ -168,28 +167,6 @@ proptest! {
             let cold = solved(&current, capacity);
             prop_assert_eq!(session.max_profit(), cold.max_profit());
             prop_assert_eq!(session.reconstruct(), cold.reconstruct());
-        }
-    }
-
-    #[test]
-    fn edf_feasibility_is_order_invariant(items in arb_items(10), seed in 0usize..10) {
-        let mut shuffled = items.clone();
-        let rot = seed % shuffled.len().max(1);
-        shuffled.rotate_left(rot);
-        prop_assert_eq!(edf_feasibility(&items), edf_feasibility(&shuffled));
-    }
-
-    #[test]
-    fn edf_slack_zero_sets_are_tight(items in arb_items(8)) {
-        // Adding any positive-length item with the same final deadline
-        // to a zero-slack set makes it infeasible.
-        if let paraconv_alloc::Feasibility::Feasible { slack } = edf_feasibility(&items) {
-            if !items.is_empty() && slack == 0 {
-                let last_deadline = items.iter().map(|i| i.deadline()).max().unwrap();
-                let mut extended = items.clone();
-                extended.push(AllocItem::new(EdgeId::new(999), 1, 1, last_deadline));
-                prop_assert!(!edf_feasibility(&extended).is_feasible());
-            }
         }
     }
 

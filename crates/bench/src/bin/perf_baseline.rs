@@ -21,9 +21,9 @@
 //!    and as one session primed at the widest point and re-solved at
 //!    every capacity.
 //!
-//! All timed passes run with `paraconv-obs` recording **disabled**,
-//! the flight recorder **inactive**, and no fault spec installed —
-//! each of those hooks must cost one relaxed atomic load when idle,
+//! All timed passes run with `paraconv-obs` recording **disabled** and
+//! the flight recorder **inactive** — each of those hooks must cost
+//! one relaxed atomic load when idle,
 //! so `simulate.planned_tasks_per_sec` here *is* the disabled-hook
 //! overhead measurement: its ratio against `BENCH_4.json` (embedded
 //! as `throughput_vs_bench4` when that file is present in the working

@@ -46,7 +46,7 @@ use std::process::ExitCode;
 
 use paraconv::fault::FaultSpec;
 use paraconv::graph::TaskGraph;
-use paraconv::pim::PimConfig;
+use paraconv::pim::{PimConfig, MAX_PES};
 use paraconv::registry::{self as plan_registry, PlanBundle, PlanPolicy, Registry};
 use paraconv::sched::{AllocationPolicy, ParaConvScheduler};
 use paraconv::serve::ServeConfig;
@@ -113,7 +113,7 @@ struct Flag(&'static str, Kind, &'static str, &'static str);
 /// ones its [`Command`] entry lists.
 #[rustfmt::skip]
 const FLAGS: &[Flag] = &[
-    Flag("--pes", Count(1, ANY), "<n>", "processing engines (default 16; table1 sweeps 16/32/64)"),
+    Flag("--pes", Count(1, MAX_PES as u64), "<n>", "processing engines (default 16; table1 sweeps 16/32/64)"),
     Flag("--iters", Count(1, ANY), "<n>", "iterations (default 50)"),
     Flag("--window", Count(0, ANY), "<n>", "gantt window length in time units (default 60)"),
     Flag("--quick", Switch, "", "small benchmark prefix, 10 iterations"),

@@ -62,12 +62,6 @@ pub struct ExperimentConfig {
     /// the `paraconv verify` subcommand and the CI static-analysis job
     /// turn it on.
     pub verify: bool,
-    /// Replay every Para-CONV run under this deterministic fault
-    /// campaign (degradation-curve experiments; see
-    /// [`crate::sweep::SweepPoint::fault`]). `None` (the default)
-    /// keeps all experiments fault-free and byte-identical to a build
-    /// without the fault layer.
-    pub fault: Option<paraconv_fault::FaultSpec>,
 }
 
 impl Default for ExperimentConfig {
@@ -81,7 +75,6 @@ impl Default for ExperimentConfig {
             jobs: None,
             audit: false,
             verify: false,
-            fault: None,
         }
     }
 }
@@ -129,13 +122,11 @@ impl ExperimentConfig {
     ///
     /// Returns [`CoreError::Config`] if the knobs are out of range.
     pub fn sweep_point(&self, benchmark: Benchmark, pes: usize) -> Result<SweepPoint, CoreError> {
-        let mut point = SweepPoint::new(benchmark, self.pim_config(pes)?, self.iterations)
-            .with_audit(self.audit)
-            .with_verify(self.verify);
-        if let Some(spec) = &self.fault {
-            point = point.with_faults(spec.clone());
-        }
-        Ok(point)
+        Ok(
+            SweepPoint::new(benchmark, self.pim_config(pes)?, self.iterations)
+                .with_audit(self.audit)
+                .with_verify(self.verify),
+        )
     }
 }
 

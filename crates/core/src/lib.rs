@@ -22,7 +22,7 @@
 //! | application model | [`graph`] | weighted task DAGs `G=(V,E,P,R)` |
 //! | CNN front end | [`cnn`] | typed layers, GoogLeNet builder, partitioner |
 //! | benchmarks | [`synth`] | the twelve Table 1 graphs, pinned seeds |
-//! | architecture | [`pim`] | PE array, vaults, crossbar, validating simulator |
+//! | architecture | [`pim`] | PE array, vaults, validating simulator |
 //! | retiming | [`retime`] | Definition 3.1, Theorem 3.1, Figure 4 cases |
 //! | allocation | [`alloc`] | the §3.3 dynamic program |
 //! | schedulers | [`sched`] | Para-CONV and the SPARTA baseline |

@@ -184,7 +184,7 @@ impl ParaConv {
     /// Transient faults (vault retries, congestion, IPR corruption)
     /// are absorbed inside the replay; a PE fail-stop aborts it, after
     /// which the runner degrades the architecture
-    /// ([`PimConfig::degrade`]), remaps the dead PE's rotation slots
+    /// ([`PimConfig::degrade`]), remaps the dead PE's kernel slots
     /// onto the survivors, incrementally re-solves the allocation DP
     /// under the reduced cache budget (through one persistent
     /// [`paraconv_alloc::IncrementalDp`] session threaded into

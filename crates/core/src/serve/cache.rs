@@ -168,12 +168,6 @@ impl PlanCache {
         (result, role)
     }
 
-    /// Artifacts currently resident in memory.
-    #[must_use]
-    pub fn resident(&self) -> usize {
-        self.lock_memory().len()
-    }
-
     /// The resident artifact for `key`, if any. The chaos campaign
     /// uses this to prove every `ok` response maps to one decodable,
     /// byte-stable artifact even when disk writes were failed.

@@ -11,7 +11,9 @@
 //! The robustness contract:
 //!
 //! * **Admission control** — a full queue sheds with a typed
-//!   `overloaded` response; memory use is bounded by construction.
+//!   `overloaded` response, so queued work is bounded. The
+//!   [`PlanCache`] is not: it keeps every artifact it serves in
+//!   memory until the daemon exits.
 //! * **Deadlines** — each request carries a [`CancelToken`] armed by a
 //!   watchdog; the scheduler and DP fill poll it cooperatively, so an
 //!   expired request stops burning CPU within one phase.
@@ -493,6 +495,9 @@ fn validate(request: &PlanRequest) -> Result<(), String> {
     if request.pes == 0 {
         return Err("pes must be positive".into());
     }
+    if request.pes > crate::pim::MAX_PES {
+        return Err(format!("pes must be at most {}", crate::pim::MAX_PES));
+    }
     if request.iterations == 0 {
         return Err("iterations must be positive".into());
     }
@@ -656,8 +661,9 @@ impl ServeInner {
                     other => format!("scheduling failed: {other}"),
                 })?;
             crate::verify::verify_outcome(&graph, &outcome, &config).map_err(|e| match e {
-                // The verifier re-emits the plan, which polls the token.
-                VerifyError::Unemittable(SchedError::Cancelled) => CANCELLED_SENTINEL.to_owned(),
+                // The verifier's DP re-solve and re-emission poll the
+                // token; only their typed cancellation is a deadline.
+                VerifyError::Cancelled => CANCELLED_SENTINEL.to_owned(),
                 other => format!("refusing to serve an unprovable plan: {other}"),
             })?;
             Ok(PlanBundle {
@@ -682,4 +688,59 @@ const CANCELLED_SENTINEL: &str = "__cancelled__";
 enum PlanFailure {
     Cancelled,
     Poisoned(String),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn request(benchmark: &str, pes: usize, iterations: u64) -> PlanRequest {
+        PlanRequest {
+            id: "r".into(),
+            tenant: "tenant-a".into(),
+            benchmark: benchmark.into(),
+            pes,
+            iterations,
+            policy: crate::sched::AllocationPolicy::DynamicProgram,
+            deadline_ms: None,
+        }
+    }
+
+    #[test]
+    fn validate_accepts_every_suite_benchmark() {
+        for benchmark in crate::synth::benchmarks::all() {
+            assert_eq!(validate(&request(benchmark.name(), 16, 8)), Ok(()));
+        }
+    }
+
+    #[test]
+    fn validate_bounds_the_pe_count_at_the_configs_limit() {
+        let max = crate::pim::MAX_PES;
+        assert_eq!(validate(&request("cat", max, 1)), Ok(()));
+        let err = validate(&request("cat", max + 1, 1)).unwrap_err();
+        assert!(err.contains(&max.to_string()), "{err}");
+        // Whatever validate admits, the planner's config accepts.
+        assert!(crate::pim::PimConfig::neurocube(max).is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_empty_arrays_and_empty_plans() {
+        assert_eq!(
+            validate(&request("cat", 0, 4)),
+            Err("pes must be positive".into())
+        );
+        assert_eq!(
+            validate(&request("cat", 16, 0)),
+            Err("iterations must be positive".into())
+        );
+    }
+
+    #[test]
+    fn validate_rejects_unknown_benchmarks_and_anonymous_tenants() {
+        let err = validate(&request("no-such-net", 16, 4)).unwrap_err();
+        assert_eq!(err, "unknown benchmark `no-such-net`");
+        let mut anonymous = request("cat", 16, 4);
+        anonymous.tenant.clear();
+        assert_eq!(validate(&anonymous), Err("tenant must be non-empty".into()));
+    }
 }

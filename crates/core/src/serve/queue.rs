@@ -119,12 +119,6 @@ impl<T> BoundedQueue<T> {
         self.available.notify_all();
     }
 
-    /// Whether [`drain`](Self::drain) has been called.
-    #[must_use]
-    pub fn is_draining(&self) -> bool {
-        self.lock().draining
-    }
-
     /// Items currently queued (racy by nature; for stats only).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -174,7 +168,6 @@ mod tests {
         let q = BoundedQueue::new(4);
         q.push(1).unwrap();
         q.drain();
-        assert!(q.is_draining());
         assert_eq!(q.push(2), Err(PushError::Draining(2)));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), None);

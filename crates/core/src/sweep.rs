@@ -34,7 +34,7 @@
 //!     .iter()
 //!     .map(|&b| SweepPoint::new(b, config.clone(), 8))
 //!     .collect();
-//! let comparisons = sweep::compare_all(&points)?;
+//! let comparisons = sweep::compare_all_with(&points, sweep::max_jobs())?;
 //! assert_eq!(comparisons.len(), 2);
 //! assert!(comparisons.iter().all(|c| c.paraconv.report.total_time > 0));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -43,7 +43,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
-use paraconv_fault::FaultSpec;
 use paraconv_pim::PimConfig;
 use paraconv_sched::AllocationPolicy;
 use paraconv_synth::Benchmark;
@@ -67,11 +66,6 @@ pub struct SweepPoint {
     /// Whether the static plan verifier proves every Para-CONV run's
     /// retiming and occupancy bounds (SPARTA runs are never verified).
     pub verify: bool,
-    /// When set, [`SweepPoint::run`] replays under this deterministic
-    /// fault campaign via [`ParaConv::run_chaos`] (degradation-curve
-    /// experiments). Baseline and comparison runs stay fault-free: the
-    /// SPARTA scheduler has no degraded-mode replanning to exercise.
-    pub fault: Option<FaultSpec>,
 }
 
 impl SweepPoint {
@@ -85,7 +79,6 @@ impl SweepPoint {
             iterations,
             audit: false,
             verify: false,
-            fault: None,
         }
     }
 
@@ -111,14 +104,6 @@ impl SweepPoint {
         self
     }
 
-    /// Replays this point's Para-CONV run under a deterministic fault
-    /// campaign (see [`SweepPoint::fault`]).
-    #[must_use]
-    pub fn with_faults(mut self, spec: FaultSpec) -> Self {
-        self.fault = Some(spec);
-        self
-    }
-
     fn runner(&self) -> ParaConv {
         ParaConv::new(self.config.clone())
             .with_policy(self.policy)
@@ -133,16 +118,7 @@ impl SweepPoint {
     /// Propagates generation, scheduling and simulation errors.
     pub fn run(&self) -> Result<RunResult, CoreError> {
         let graph = self.benchmark.graph()?;
-        match &self.fault {
-            Some(spec) => {
-                let chaos = self.runner().run_chaos(&graph, self.iterations, spec)?;
-                Ok(RunResult {
-                    outcome: chaos.outcome,
-                    report: chaos.report,
-                })
-            }
-            None => self.runner().run(&graph, self.iterations),
-        }
+        self.runner().run(&graph, self.iterations)
     }
 
     /// Runs the SPARTA baseline at this point.
@@ -252,15 +228,6 @@ pub fn run_all_with(points: &[SweepPoint], jobs: usize) -> Result<Vec<RunResult>
     first_error(parallel_map(points, jobs, SweepPoint::run))
 }
 
-/// [`run_all_with`] at the [`max_jobs`] default width.
-///
-/// # Errors
-///
-/// Same as [`run_all_with`].
-pub fn run_all(points: &[SweepPoint]) -> Result<Vec<RunResult>, CoreError> {
-    run_all_with(points, max_jobs())
-}
-
 /// [`SweepPoint::run_baseline`] over every point, on `jobs` workers.
 ///
 /// # Errors
@@ -273,15 +240,6 @@ pub fn baseline_all_with(
     first_error(parallel_map(points, jobs, SweepPoint::run_baseline))
 }
 
-/// [`baseline_all_with`] at the [`max_jobs`] default width.
-///
-/// # Errors
-///
-/// Same as [`run_all_with`].
-pub fn baseline_all(points: &[SweepPoint]) -> Result<Vec<BaselineResult>, CoreError> {
-    baseline_all_with(points, max_jobs())
-}
-
 /// [`SweepPoint::compare`] over every point, on `jobs` workers.
 ///
 /// # Errors
@@ -289,15 +247,6 @@ pub fn baseline_all(points: &[SweepPoint]) -> Result<Vec<BaselineResult>, CoreEr
 /// Same as [`run_all_with`].
 pub fn compare_all_with(points: &[SweepPoint], jobs: usize) -> Result<Vec<Comparison>, CoreError> {
     first_error(parallel_map(points, jobs, SweepPoint::compare))
-}
-
-/// [`compare_all_with`] at the [`max_jobs`] default width.
-///
-/// # Errors
-///
-/// Same as [`run_all_with`].
-pub fn compare_all(points: &[SweepPoint]) -> Result<Vec<Comparison>, CoreError> {
-    compare_all_with(points, max_jobs())
 }
 
 #[cfg(test)]

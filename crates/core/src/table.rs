@@ -49,12 +49,6 @@ impl TextTable {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    #[must_use]
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders RFC-4180-ish CSV (fields containing commas or quotes are
     /// quoted).
     #[must_use]
@@ -146,7 +140,6 @@ mod tests {
         let mut t = TextTable::new(["a", "b"]);
         t.push_row(["only"]);
         t.push_row(["one", "two", "three"]);
-        assert_eq!(t.row_count(), 2);
         let csv = t.to_csv();
         assert!(csv.contains("only,\n"));
         assert!(!csv.contains("three"));

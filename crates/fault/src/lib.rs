@@ -25,11 +25,12 @@
 //! fault events (the threshold test is monotone while the site hash
 //! is pinned), which is what makes degradation provably monotone.
 //!
-//! ## Gating
+//! ## Entry points
 //!
-//! [`install`]/[`clear`]/[`active`] manage a process-global hook with
-//! the same `AtomicBool` discipline as `paraconv-obs`: compiled in
-//! but not installed costs one relaxed load per `simulate()` call.
+//! A campaign is always an explicit [`FaultSpec`] argument: to
+//! `paraconv_pim::simulate_with_faults`, `paraconv::ParaConv::run_chaos`
+//! or the serving engine's `ServeConfig::fault`. There is no global
+//! switch, so `paraconv_pim::simulate` is always the fault-free replay.
 //!
 //! # Examples
 //!
@@ -51,10 +52,8 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-mod hook;
 mod spec;
 
-pub use hook::{active, clear, current, install};
 pub use spec::{FaultSpec, FaultSpecBuilder, FaultSpecError, PeKill, RetryPolicy, BASIS_POINTS};
 
 /// Metric names the fault layer emits through `paraconv-obs`. All are

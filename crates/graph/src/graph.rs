@@ -123,32 +123,6 @@ impl TaskGraph {
             .ok_or(GraphError::UnknownNode(id))
     }
 
-    /// Returns the successor operations of `id`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::UnknownNode`] if `id` is not in the graph.
-    pub fn successors(&self, id: NodeId) -> Result<Vec<NodeId>, GraphError> {
-        Ok(self
-            .out_edges(id)?
-            .iter()
-            .map(|&e| self.edges[e.index()].dst())
-            .collect())
-    }
-
-    /// Returns the predecessor operations of `id`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::UnknownNode`] if `id` is not in the graph.
-    pub fn predecessors(&self, id: NodeId) -> Result<Vec<NodeId>, GraphError> {
-        Ok(self
-            .in_edges(id)?
-            .iter()
-            .map(|&e| self.edges[e.index()].src())
-            .collect())
-    }
-
     /// Returns the in-degree of `id`.
     ///
     /// # Errors
@@ -156,15 +130,6 @@ impl TaskGraph {
     /// Returns [`GraphError::UnknownNode`] if `id` is not in the graph.
     pub fn in_degree(&self, id: NodeId) -> Result<usize, GraphError> {
         Ok(self.in_edges(id)?.len())
-    }
-
-    /// Returns the out-degree of `id`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::UnknownNode`] if `id` is not in the graph.
-    pub fn out_degree(&self, id: NodeId) -> Result<usize, GraphError> {
-        Ok(self.out_edges(id)?.len())
     }
 
     /// Returns the nodes with no predecessors (the graph inputs).
@@ -175,36 +140,11 @@ impl TaskGraph {
             .collect()
     }
 
-    /// Returns the nodes with no successors (the graph outputs).
-    #[must_use]
-    pub fn sinks(&self) -> Vec<NodeId> {
-        self.node_ids()
-            .filter(|id| self.succ[id.index()].is_empty())
-            .collect()
-    }
-
-    /// Looks up the edge between an ordered node pair, if one exists.
-    #[must_use]
-    pub fn find_edge(&self, src: NodeId, dst: NodeId) -> Option<EdgeId> {
-        self.succ.get(src.index()).and_then(|out| {
-            out.iter()
-                .copied()
-                .find(|&e| self.edges[e.index()].dst() == dst)
-        })
-    }
-
     /// Returns the sum of all node execution times — the serial workload
     /// of one iteration.
     #[must_use]
     pub fn total_exec_time(&self) -> u64 {
         self.nodes.iter().map(TaskNode::exec_time).sum()
-    }
-
-    /// Returns the sum of all IPR sizes — the total intermediate-data
-    /// footprint of one iteration.
-    #[must_use]
-    pub fn total_ipr_size(&self) -> u64 {
-        self.edges.iter().map(Ipr::size).sum()
     }
 }
 
@@ -227,7 +167,7 @@ impl TaskGraph {
 /// b.add_edge(a, p, 1)?;
 /// let g = b.build()?;
 /// assert_eq!(g.sources(), vec![a]);
-/// assert_eq!(g.sinks(), vec![p]);
+/// assert_eq!(g.in_edges(p)?.len(), 1);
 /// # Ok::<(), paraconv_graph::GraphError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -374,9 +314,7 @@ mod tests {
         assert_eq!(g.edge_count(), 4);
         assert_eq!(g.name(), "diamond");
         assert_eq!(g.sources(), vec![NodeId::new(0)]);
-        assert_eq!(g.sinks(), vec![NodeId::new(3)]);
         assert_eq!(g.total_exec_time(), 7);
-        assert_eq!(g.total_ipr_size(), 6);
     }
 
     #[test]
@@ -384,23 +322,9 @@ mod tests {
         let g = diamond();
         let a = NodeId::new(0);
         let d = NodeId::new(3);
-        assert_eq!(g.out_degree(a).unwrap(), 2);
+        assert_eq!(g.out_edges(a).unwrap().len(), 2);
         assert_eq!(g.in_degree(a).unwrap(), 0);
         assert_eq!(g.in_degree(d).unwrap(), 2);
-        let mut succ = g.successors(a).unwrap();
-        succ.sort();
-        assert_eq!(succ, vec![NodeId::new(1), NodeId::new(2)]);
-        let mut pred = g.predecessors(d).unwrap();
-        pred.sort();
-        assert_eq!(pred, vec![NodeId::new(1), NodeId::new(2)]);
-    }
-
-    #[test]
-    fn find_edge_works() {
-        let g = diamond();
-        assert!(g.find_edge(NodeId::new(0), NodeId::new(1)).is_some());
-        assert!(g.find_edge(NodeId::new(1), NodeId::new(0)).is_none());
-        assert!(g.find_edge(NodeId::new(0), NodeId::new(3)).is_none());
     }
 
     #[test]
@@ -492,6 +416,7 @@ mod tests {
         b.add_conv(1);
         let g = b.build().unwrap();
         assert_eq!(g.node_count(), 1);
-        assert_eq!(g.sources(), g.sinks());
+        assert_eq!(g.sources(), vec![NodeId::new(0)]);
+        assert!(g.out_edges(NodeId::new(0)).unwrap().is_empty());
     }
 }

@@ -13,15 +13,6 @@ use core::fmt;
 use crate::{EdgeId, NodeId};
 
 /// Where an intermediate processing result is allocated.
-///
-/// # Examples
-///
-/// ```
-/// use paraconv_graph::Placement;
-///
-/// assert!(Placement::Cache.is_on_chip());
-/// assert!(!Placement::Edram.is_on_chip());
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Placement {
@@ -32,14 +23,6 @@ pub enum Placement {
     /// cache latency/energy).
     #[default]
     Edram,
-}
-
-impl Placement {
-    /// Returns `true` if the placement is the on-chip PE-array cache.
-    #[must_use]
-    pub const fn is_on_chip(self) -> bool {
-        matches!(self, Placement::Cache)
-    }
 }
 
 impl fmt::Display for Placement {
@@ -117,12 +100,6 @@ impl Ipr {
     pub const fn size(&self) -> u64 {
         self.size
     }
-
-    /// Returns the `(src, dst)` endpoint pair.
-    #[must_use]
-    pub const fn endpoints(&self) -> (NodeId, NodeId) {
-        (self.src, self.dst)
-    }
 }
 
 impl fmt::Display for Ipr {
@@ -146,7 +123,6 @@ mod tests {
         assert_eq!(ipr.src(), NodeId::new(0));
         assert_eq!(ipr.dst(), NodeId::new(1));
         assert_eq!(ipr.size(), 5);
-        assert_eq!(ipr.endpoints(), (NodeId::new(0), NodeId::new(1)));
     }
 
     #[test]

@@ -57,7 +57,6 @@ mod graph;
 mod id;
 mod ipr;
 mod node;
-mod timing;
 mod topo;
 
 pub use analysis::GraphSummary;
@@ -66,4 +65,3 @@ pub use graph::{TaskGraph, TaskGraphBuilder};
 pub use id::{EdgeId, NodeId};
 pub use ipr::{Ipr, Placement};
 pub use node::{OpKind, TaskNode};
-pub use timing::TimingTuple;

@@ -61,10 +61,8 @@ impl fmt::Display for OpKind {
 ///
 /// Each node carries its worst-case execution time `c_i` in abstract
 /// time units. Start time `s_i` and deadline `d_i` are *schedule*
-/// artifacts and therefore live in timing tables produced by the
-/// schedulers, not on the node itself (see [`TimingTuple`]).
-///
-/// [`TimingTuple`]: crate::TimingTuple
+/// artifacts and therefore live in the plans the schedulers emit,
+/// not on the node itself.
 ///
 /// # Examples
 ///

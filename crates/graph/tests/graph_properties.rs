@@ -72,29 +72,89 @@ proptest! {
 
     #[test]
     fn degrees_are_consistent_with_edge_count(g in arb_dag()) {
-        let out_sum: usize = g.node_ids().map(|id| g.out_degree(id).unwrap()).sum();
+        let out_sum: usize = g.node_ids().map(|id| g.out_edges(id).unwrap().len()).sum();
         let in_sum: usize = g.node_ids().map(|id| g.in_degree(id).unwrap()).sum();
         prop_assert_eq!(out_sum, g.edge_count());
         prop_assert_eq!(in_sum, g.edge_count());
     }
 
     #[test]
-    fn sources_have_no_predecessors_sinks_no_successors(g in arb_dag()) {
-        for s in g.sources() {
-            prop_assert!(g.predecessors(s).unwrap().is_empty());
+    fn sources_are_exactly_the_nodes_without_inputs(g in arb_dag()) {
+        let sources = g.sources();
+        prop_assert!(!sources.is_empty());
+        for id in g.node_ids() {
+            prop_assert_eq!(sources.contains(&id), g.in_edges(id).unwrap().is_empty());
         }
-        for s in g.sinks() {
-            prop_assert!(g.successors(s).unwrap().is_empty());
-        }
-        prop_assert!(!g.sources().is_empty());
-        prop_assert!(!g.sinks().is_empty());
     }
 
     #[test]
-    fn find_edge_agrees_with_edges(g in arb_dag()) {
+    fn levels_are_the_tight_longest_unweighted_path(g in arb_dag()) {
+        let levels = g.levels();
         for e in g.edges() {
-            prop_assert_eq!(g.find_edge(e.src(), e.dst()), Some(e.id()));
+            prop_assert!(levels[e.dst().index()] > levels[e.src().index()]);
         }
+        for id in g.node_ids() {
+            let preds: Vec<usize> = g
+                .in_edges(id)
+                .unwrap()
+                .iter()
+                .map(|&e| levels[g.edge(e).unwrap().src().index()])
+                .collect();
+            // A node sits one level below its deepest predecessor, and
+            // exactly the sources sit at level zero.
+            let expected = preds.iter().map(|l| l + 1).max().unwrap_or(0);
+            prop_assert_eq!(levels[id.index()], expected);
+        }
+    }
+
+    #[test]
+    fn longest_path_through_any_node_is_at_most_the_critical_path(g in arb_dag()) {
+        let finish = g.finish_depths();
+        let bottom = g.bottom_levels();
+        let cp = g.critical_path_length();
+        let through: Vec<u64> = g
+            .nodes()
+            .map(|n| finish[n.id().index()] + bottom[n.id().index()] - n.exec_time())
+            .collect();
+        prop_assert!(through.iter().all(|&t| t <= cp));
+        prop_assert_eq!(through.iter().copied().max().unwrap(), cp);
+        // Sources finish after exactly their own execution time.
+        for id in g.sources() {
+            prop_assert_eq!(finish[id.index()], g.node(id).unwrap().exec_time());
+        }
+    }
+
+    #[test]
+    fn adjacency_lists_mirror_the_edge_list(g in arb_dag()) {
+        for (i, e) in g.edges().enumerate() {
+            prop_assert_eq!(e.id().index(), i);
+            prop_assert_eq!(g.edge(e.id()).unwrap(), e);
+            prop_assert!(g.out_edges(e.src()).unwrap().contains(&e.id()));
+            prop_assert!(g.in_edges(e.dst()).unwrap().contains(&e.id()));
+        }
+        for id in g.node_ids() {
+            prop_assert_eq!(g.node(id).unwrap().id(), id);
+            for &e in g.out_edges(id).unwrap() {
+                prop_assert_eq!(g.edge(e).unwrap().src(), id);
+            }
+            for &e in g.in_edges(id).unwrap() {
+                prop_assert_eq!(g.edge(e).unwrap().dst(), id);
+            }
+        }
+    }
+
+    #[test]
+    fn summary_agrees_with_the_individual_analyses(g in arb_dag()) {
+        let s = g.summary();
+        prop_assert_eq!(s.vertices, g.node_count());
+        prop_assert_eq!(s.edges, g.edge_count());
+        prop_assert_eq!(s.depth, g.depth());
+        prop_assert_eq!(s.max_width, g.max_width());
+        prop_assert_eq!(s.total_exec_time, g.total_exec_time());
+        prop_assert_eq!(s.critical_path, g.critical_path_length());
+        // Every generated node is a convolution.
+        prop_assert_eq!(s.conv_ops, g.node_count());
+        prop_assert_eq!(s.pool_ops, 0);
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! process kept notes. The flight recorder is that notebook: a
 //! process-wide ring buffer of the last [`FlightEvent`]s — schedule
 //! milestones, fault injections, chaos replans — gated by one
-//! [`AtomicBool`] exactly like the metric recorder and the fault hook,
-//! so an instrumented hot path costs **one relaxed load** while the
-//! recorder is off. When a simulation error, verifier rejection or
+//! [`AtomicBool`] exactly like the metric recorder, so an instrumented
+//! hot path costs **one relaxed load** while the recorder is off. When a simulation error, verifier rejection or
 //! chaos failure surfaces, the driver drains the ring into a
 //! canonical-bytes postmortem artifact (see `paraconv-registry`).
 //!
@@ -122,6 +121,7 @@ pub fn flight_events() -> Vec<FlightEvent> {
 
 /// Clears the ring, restarts the sequence at 0 and turns the recorder
 /// off.
+// lint: allow(unused-pub) — tests clear the process-global ring between cases
 pub fn flight_reset() {
     flight_disable();
     let mut r = lock();

@@ -23,10 +23,9 @@
 //!   (only the vendored `serde_json` stand-in below it, supplying the
 //!   one shared JSON string escaper) and serializes its own JSON.
 //!
-//! On top of the snapshot layer sit three serving-grade facilities:
-//! [`Histogram::quantile`] (deterministic p50/p90/p99),
-//! [`WindowedMetrics`] (cycle-keyed rolling windows checked against
-//! [`Slo`] objectives) and the **flight recorder**
+//! On top of the snapshot layer sit two serving-grade facilities:
+//! [`Histogram::quantile`] (deterministic p50/p90/p99) and the
+//! **flight recorder**
 //! ([`flight_enable`]/[`flight_record`]) — a bounded ring of
 //! structured events drained into postmortem artifacts when a
 //! campaign dies.
@@ -65,7 +64,6 @@ mod flight;
 pub mod json;
 mod metrics;
 mod recorder;
-mod window;
 
 pub use cancel::{cancel_requested, CancelScope, CancelToken};
 pub use chrome::{check_trace, ChromeEvent, ChromeTrace};
@@ -79,7 +77,5 @@ pub use metrics::{
 };
 pub use recorder::{
     counter_add, current_tid, disable, enable, enabled, flush_thread, gauge_max, logical_time,
-    now_us, observe, reset, set_enabled, snapshot, span, take_spans, BufferedRecorder,
-    NoopRecorder, Recorder, SpanEvent, SpanGuard,
+    now_us, observe, reset, set_enabled, snapshot, span, take_spans, SpanEvent, SpanGuard,
 };
-pub use window::{Slo, SloStatus, WindowedMetrics};

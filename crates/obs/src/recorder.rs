@@ -40,62 +40,6 @@ pub struct SpanEvent {
     pub dur_us: u64,
 }
 
-/// The sink instrumentation writes into.
-///
-/// Two implementations ship: [`NoopRecorder`] (statically free) and
-/// [`BufferedRecorder`] (the thread-local machinery behind the
-/// module-level functions). Custom recorders are mainly useful in
-/// tests that want to observe records synchronously.
-pub trait Recorder: Send + Sync {
-    /// Adds `delta` to a monotonic counter.
-    fn counter_add(&self, name: &'static str, delta: u64);
-    /// Raises a high-water-mark gauge to at least `value`.
-    fn gauge_max(&self, name: &'static str, value: u64);
-    /// Records one histogram sample.
-    fn observe(&self, name: &'static str, value: u64);
-    /// Records a completed span.
-    fn record_span(&self, span: SpanEvent);
-}
-
-/// A recorder that drops everything (static dispatch, zero cost).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn counter_add(&self, _name: &'static str, _delta: u64) {}
-    fn gauge_max(&self, _name: &'static str, _value: u64) {}
-    fn observe(&self, _name: &'static str, _value: u64) {}
-    fn record_span(&self, _span: SpanEvent) {}
-}
-
-/// The thread-local buffered recorder behind [`counter_add`] and
-/// friends. Unlike the module-level functions it does **not** check
-/// the global enable gate — callers holding one explicitly asked for
-/// recording.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BufferedRecorder;
-
-impl Recorder for BufferedRecorder {
-    fn counter_add(&self, name: &'static str, delta: u64) {
-        with_local(|b| *b.counters.entry(name).or_insert(0) += delta);
-    }
-
-    fn gauge_max(&self, name: &'static str, value: u64) {
-        with_local(|b| {
-            let g = b.gauges.entry(name).or_insert(0);
-            *g = (*g).max(value);
-        });
-    }
-
-    fn observe(&self, name: &'static str, value: u64) {
-        with_local(|b| b.histograms.entry(name).or_default().record(value));
-    }
-
-    fn record_span(&self, span: SpanEvent) {
-        with_local(|b| b.spans.push(span));
-    }
-}
-
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_TID: AtomicU32 = AtomicU32::new(0);
 
@@ -245,7 +189,7 @@ pub fn disable() {
 #[inline]
 pub fn counter_add(name: &'static str, delta: u64) {
     if enabled() {
-        BufferedRecorder.counter_add(name, delta);
+        with_local(|b| *b.counters.entry(name).or_insert(0) += delta);
     }
 }
 
@@ -254,7 +198,10 @@ pub fn counter_add(name: &'static str, delta: u64) {
 #[inline]
 pub fn gauge_max(name: &'static str, value: u64) {
     if enabled() {
-        BufferedRecorder.gauge_max(name, value);
+        with_local(|b| {
+            let g = b.gauges.entry(name).or_insert(0);
+            *g = (*g).max(value);
+        });
     }
 }
 
@@ -262,7 +209,7 @@ pub fn gauge_max(name: &'static str, value: u64) {
 #[inline]
 pub fn observe(name: &'static str, value: u64) {
     if enabled() {
-        BufferedRecorder.observe(name, value);
+        with_local(|b| b.histograms.entry(name).or_default().record(value));
     }
 }
 
@@ -316,13 +263,14 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(name) = self.name.take() {
             let end = now_us();
-            BufferedRecorder.record_span(SpanEvent {
+            let span = SpanEvent {
                 name,
                 cat: self.cat,
                 tid: current_tid(),
                 ts_us: self.start_us,
                 dur_us: end.saturating_sub(self.start_us),
-            });
+            };
+            with_local(|b| b.spans.push(span));
         }
     }
 }
@@ -502,20 +450,6 @@ mod tests {
         assert_eq!(par.counter("t.par"), 400);
         assert_eq!(par.gauge("t.par.peak"), 99);
         assert_eq!(par.histogram("t.par.h").unwrap().count(), 400);
-    }
-
-    #[test]
-    fn noop_recorder_is_silent() {
-        let _l = test_lock();
-        reset();
-        enable();
-        let r = NoopRecorder;
-        r.counter_add("t.noop", 1);
-        r.observe("t.noop", 1);
-        r.gauge_max("t.noop", 1);
-        disable();
-        assert_eq!(snapshot().counter("t.noop"), 0);
-        reset();
     }
 
     #[test]

@@ -10,6 +10,19 @@
 
 use core::fmt;
 
+/// The largest PE array a [`PimConfig`] may describe. The paper
+/// evaluates 16–64 PEs and every experiment stays within 256; the
+/// bound is what a plan request or `--pes` flag may ask for.
+pub const MAX_PES: usize = 1024;
+
+/// The largest aggregate cache, `num_pes × per_pe_cache_units`, a
+/// [`PimConfig`] may describe: the Neurocube preset's 4 units per PE
+/// at [`MAX_PES`]. The §3.3 DP keeps `capacity + 1` words per
+/// competing item, so this bounds its table: `protein`, the largest
+/// benchmark, peaks at about 49 MiB resident at this bound (x86-64
+/// release build).
+pub const MAX_CACHE_UNITS: u64 = 4 * MAX_PES as u64;
+
 /// Errors produced when validating a [`PimConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -26,6 +39,10 @@ pub enum ConfigError {
     FailedPeOutOfRange(u32),
     /// Every PE in the array is marked failed; nothing can execute.
     NoSurvivingPes,
+    /// The PE array is larger than [`MAX_PES`].
+    TooManyPes(usize),
+    /// The aggregate cache is larger than [`MAX_CACHE_UNITS`].
+    CacheTooLarge(u64),
 }
 
 impl fmt::Display for ConfigError {
@@ -46,6 +63,13 @@ impl fmt::Display for ConfigError {
             ConfigError::NoSurvivingPes => {
                 f.write_str("every PE is marked failed; no capacity survives")
             }
+            ConfigError::TooManyPes(n) => {
+                write!(f, "{n} PEs exceed the supported maximum of {MAX_PES}")
+            }
+            ConfigError::CacheTooLarge(units) => write!(
+                f,
+                "aggregate cache of {units} units exceeds the supported maximum of {MAX_CACHE_UNITS}"
+            ),
         }
     }
 }
@@ -105,12 +129,13 @@ impl PimConfig {
     /// 32 and 64), 16 HMC vaults, per-PE cache of 4 capacity units,
     /// and a 4× eDRAM penalty (middle of the cited 2–10× band).
     ///
-    /// Any PE count ≥ 1 is accepted so scalability sweeps beyond the
-    /// paper's points are possible.
+    /// Any PE count from 1 to [`MAX_PES`] is accepted so scalability
+    /// sweeps beyond the paper's points are possible.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::NoProcessingEngines`] if `num_pes == 0`.
+    /// Returns [`ConfigError::NoProcessingEngines`] if `num_pes == 0`
+    /// and [`ConfigError::TooManyPes`] above [`MAX_PES`].
     pub fn neurocube(num_pes: usize) -> Result<PimConfig, ConfigError> {
         PimConfig::builder(num_pes).build()
     }
@@ -329,11 +354,19 @@ impl PimConfigBuilder {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if the PE count or vault count is
-    /// zero, the penalty is outside `2..=10`, or the cache cost is
-    /// zero.
+    /// zero, the penalty is outside `2..=10`, the cache cost is zero,
+    /// or the PE count or aggregate cache exceeds [`MAX_PES`] or
+    /// [`MAX_CACHE_UNITS`].
     pub fn build(self) -> Result<PimConfig, ConfigError> {
         if self.num_pes == 0 {
             return Err(ConfigError::NoProcessingEngines);
+        }
+        if self.num_pes > MAX_PES {
+            return Err(ConfigError::TooManyPes(self.num_pes));
+        }
+        let cache = (self.num_pes as u64).saturating_mul(self.per_pe_cache_units);
+        if cache > MAX_CACHE_UNITS {
+            return Err(ConfigError::CacheTooLarge(cache));
         }
         if self.vaults == 0 {
             return Err(ConfigError::NoVaults);
@@ -525,5 +558,60 @@ mod tests {
                 .unwrap_err(),
             ConfigError::NoSurvivingPes
         );
+    }
+
+    #[test]
+    fn the_largest_supported_array_builds() {
+        let cfg = PimConfig::neurocube(MAX_PES).unwrap();
+        assert_eq!(cfg.num_pes(), MAX_PES);
+        assert_eq!(cfg.total_cache_units(), MAX_CACHE_UNITS);
+    }
+
+    #[test]
+    fn rejects_pe_counts_above_the_bound() {
+        assert_eq!(
+            PimConfig::neurocube(MAX_PES + 1).unwrap_err(),
+            ConfigError::TooManyPes(MAX_PES + 1)
+        );
+        // The PE bound is checked before the cache bound it implies.
+        assert_eq!(
+            PimConfig::builder(usize::MAX)
+                .per_pe_cache_units(u64::MAX)
+                .build()
+                .unwrap_err(),
+            ConfigError::TooManyPes(usize::MAX)
+        );
+    }
+
+    #[test]
+    fn rejects_aggregate_cache_above_the_bound() {
+        let per_pe = MAX_CACHE_UNITS / 16;
+        assert!(PimConfig::builder(16)
+            .per_pe_cache_units(per_pe)
+            .build()
+            .is_ok());
+        assert_eq!(
+            PimConfig::builder(16)
+                .per_pe_cache_units(per_pe + 1)
+                .build()
+                .unwrap_err(),
+            ConfigError::CacheTooLarge(16 * (per_pe + 1))
+        );
+        // The product saturates rather than wrapping back under the bound.
+        assert_eq!(
+            PimConfig::builder(2)
+                .per_pe_cache_units(u64::MAX / 2 + 1)
+                .build()
+                .unwrap_err(),
+            ConfigError::CacheTooLarge(u64::MAX)
+        );
+    }
+
+    #[test]
+    fn bound_errors_name_the_limits() {
+        let pes = ConfigError::TooManyPes(MAX_PES + 1).to_string();
+        assert!(pes.contains("1025") && pes.contains("1024"), "{pes}");
+        let cache = ConfigError::CacheTooLarge(5000).to_string();
+        assert!(cache.contains("5000") && cache.contains("4096"), "{cache}");
     }
 }

@@ -99,21 +99,6 @@ impl CostModel {
         }
     }
 
-    /// The profit `P_α` of holding an IPR of `size` units on chip:
-    /// the time (and energy) avoided relative to an eDRAM fetch.
-    /// Satisfies `P_α ≫ P_β` ( [`profit_beta`](Self::profit_beta) is 0).
-    #[must_use]
-    pub const fn profit_alpha(&self, size: u64) -> u64 {
-        self.edram_transfer_time(size) - self.cache_transfer_time(size)
-    }
-
-    /// The profit `P_β` of placing an IPR in eDRAM — the reference
-    /// point, zero by construction.
-    #[must_use]
-    pub const fn profit_beta(&self, _size: u64) -> u64 {
-        0
-    }
-
     /// Energy to move an IPR of `size` units under a placement,
     /// in arbitrary units (eDRAM pays the same 2–10× factor).
     #[must_use]
@@ -188,23 +173,6 @@ mod tests {
         let m = CostModel::new(&cfg, 160);
         assert_eq!(m.checked_transfer_time(1, Placement::Cache), Some(1));
         assert_eq!(m.checked_transfer_time(1, Placement::Edram), None);
-    }
-
-    #[test]
-    fn profit_alpha_dominates_beta() {
-        let m = model();
-        for size in 1..10 {
-            assert!(m.profit_alpha(size) > m.profit_beta(size));
-        }
-    }
-
-    #[test]
-    fn profit_alpha_is_time_saved() {
-        let m = model();
-        assert_eq!(
-            m.profit_alpha(2),
-            m.edram_transfer_time(2) - m.cache_transfer_time(2)
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fault-injected plan replay.
 //!
 //! [`simulate_with_faults`] first validates the plan through the
-//! ordinary fault-free [`crate::sim::replay`] (the streaming pass, with
+//! ordinary fault-free [`crate::simulate`] (the streaming pass, with
 //! the per-event reference pass behind it — fault injection changes
 //! nothing about validation), then re-times it
 //! under a seeded [`FaultSpec`] with a *self-timed* sweep: every task
@@ -69,6 +69,14 @@ pub struct FaultOutcome {
     pub achieved_makespan: u64,
 }
 
+/// Event kinds of the self-timed sweep. Transfers sort before tasks
+/// at equal planned starts: a zero-latency transfer completing at `t`
+/// may feed a consumer starting at `t`, while a producer task always
+/// finishes strictly after it starts (durations ≥ 1) and therefore
+/// sorts strictly earlier than its outgoing transfers.
+const KIND_TRANSFER: u8 = 0;
+const KIND_TASK: u8 = 1;
+
 /// Replays `plan` under the fault campaign `spec`.
 ///
 /// Returns the (possibly re-timed) report plus the campaign's
@@ -85,26 +93,7 @@ pub fn simulate_with_faults(
     config: &PimConfig,
     spec: &FaultSpec,
 ) -> Result<(SimReport, FaultOutcome), SimError> {
-    let report = crate::sim::replay(graph, plan, config)?;
-    perturb(graph, plan, config, spec, report)
-}
-
-/// Event kinds of the self-timed sweep. Transfers sort before tasks
-/// at equal planned starts: a zero-latency transfer completing at `t`
-/// may feed a consumer starting at `t`, while a producer task always
-/// finishes strictly after it starts (durations ≥ 1) and therefore
-/// sorts strictly earlier than its outgoing transfers.
-const KIND_TRANSFER: u8 = 0;
-const KIND_TASK: u8 = 1;
-
-/// The achieved-timeline pass over an already validated plan.
-pub(crate) fn perturb(
-    graph: &TaskGraph,
-    plan: &ExecutionPlan,
-    config: &PimConfig,
-    spec: &FaultSpec,
-    report: SimReport,
-) -> Result<(SimReport, FaultOutcome), SimError> {
+    let report = crate::simulate(graph, plan, config)?;
     let mut out = FaultOutcome {
         planned_makespan: plan.makespan(),
         achieved_makespan: plan.makespan(),
@@ -454,11 +443,6 @@ mod tests {
         let spec = FaultSpec::builder(0).kill_pe(1, 4).build().unwrap();
         assert!(simulate_with_faults(&g, &cached_plan(), &cfg, &spec).is_ok());
     }
-
-    // The global-hook path (`paraconv_fault::install` → `simulate`)
-    // is exercised in `tests/chaos.rs`, where every test serializes on
-    // one lock: the hook is process-global, and installing it here
-    // would race with this binary's other simulate-based tests.
 
     #[test]
     fn raising_the_rate_never_speeds_up_the_replay() {

@@ -23,8 +23,10 @@
 //! * [`audit_plan`] / [`audit`] — an independent second opinion that
 //!   re-derives the paper's architectural invariants from scratch and
 //!   cross-checks the simulator's own report;
-//! * component models ([`Pe`], [`Fifo`], [`VaultArray`], [`Crossbar`])
-//!   used by the simulator and reusable for custom analyses.
+//! * [`simulate_with_faults`] — the same replay under an explicit,
+//!   seeded [`paraconv_fault::FaultSpec`];
+//! * [`gantt`] / [`plan_chrome_trace`] — a plan as an ASCII timeline
+//!   or a Perfetto-loadable trace.
 //!
 //! # Examples
 //!
@@ -49,9 +51,6 @@ mod config;
 mod cost;
 mod error;
 mod faulty;
-mod fifo;
-mod interconnect;
-mod latency;
 mod pe;
 mod plan;
 mod report;
@@ -60,16 +59,13 @@ mod trace;
 mod vault;
 
 pub use audit::{audit, audit_plan, AuditError, AuditReport};
-pub use config::{ConfigError, PimConfig, PimConfigBuilder};
+pub use config::{ConfigError, PimConfig, PimConfigBuilder, MAX_CACHE_UNITS, MAX_PES};
 pub use cost::CostModel;
 pub use error::SimError;
 pub use faulty::{simulate_with_faults, FaultOutcome};
-pub use fifo::{Fifo, FifoOverflow};
-pub use interconnect::Crossbar;
-pub use latency::{LatencyModel, MemoryTech};
 pub use pe::{Pe, RecordError};
 pub use plan::{ExecutionPlan, PeId, PlannedTask, PlannedTransfer};
 pub use report::SimReport;
 pub use sim::{simulate, simulate_reference, simulate_streaming};
-pub use trace::{gantt, plan_chrome_trace, trace, trace_events, TraceEvent};
+pub use trace::{gantt, plan_chrome_trace};
 pub use vault::{Vault, VaultArray};

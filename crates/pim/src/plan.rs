@@ -201,23 +201,6 @@ impl ExecutionPlan {
             .unwrap_or(0);
         t.max(x)
     }
-
-    /// Looks up the instance of `node` in `iteration`, if planned.
-    #[must_use]
-    pub fn find_task(&self, node: NodeId, iteration: u64) -> Option<&PlannedTask> {
-        self.tasks
-            .iter()
-            .find(|t| t.node == node && t.iteration == iteration)
-    }
-
-    /// Looks up the transfer of `edge` produced in `iteration`, if
-    /// planned.
-    #[must_use]
-    pub fn find_transfer(&self, edge: EdgeId, iteration: u64) -> Option<&PlannedTransfer> {
-        self.transfers
-            .iter()
-            .find(|t| t.edge == edge && t.iteration == iteration)
-    }
 }
 
 #[cfg(test)]
@@ -248,22 +231,6 @@ mod tests {
             dst_pe: PeId::new(1),
         });
         assert_eq!(plan.makespan(), 8);
-    }
-
-    #[test]
-    fn find_task_and_transfer() {
-        let mut plan = ExecutionPlan::new(2);
-        let task = PlannedTask {
-            node: NodeId::new(2),
-            iteration: 2,
-            pe: PeId::new(1),
-            start: 4,
-            duration: 1,
-        };
-        plan.push_task(task);
-        assert_eq!(plan.find_task(NodeId::new(2), 2), Some(&task));
-        assert_eq!(plan.find_task(NodeId::new(2), 1), None);
-        assert_eq!(plan.find_transfer(EdgeId::new(0), 1), None);
     }
 
     #[test]

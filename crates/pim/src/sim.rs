@@ -209,26 +209,6 @@ pub fn simulate(
     plan: &ExecutionPlan,
     config: &PimConfig,
 ) -> Result<SimReport, SimError> {
-    let report = replay(graph, plan, config)?;
-    // Zero-cost-when-disabled fault hook: one relaxed load on the
-    // fault-free path, same gating discipline as paraconv-obs.
-    if paraconv_fault::active() {
-        if let Some(spec) = paraconv_fault::current() {
-            let (report, _faults) = crate::faulty::perturb(graph, plan, config, &spec, report)?;
-            return Ok(report);
-        }
-    }
-    Ok(report)
-}
-
-/// The fault-free validation and replay behind [`simulate`]; the fault
-/// layer (`crate::faulty`) reuses it so every fault campaign starts
-/// from a fully validated plan.
-pub(crate) fn replay(
-    graph: &TaskGraph,
-    plan: &ExecutionPlan,
-    config: &PimConfig,
-) -> Result<SimReport, SimError> {
     let _span = paraconv_obs::span("pim.simulate", "pim");
     simulate_streaming(graph, plan, config)
         .map_or_else(|| simulate_reference(graph, plan, config), Ok)
@@ -362,11 +342,11 @@ fn iteration_row(iteration: u64, iterations: usize) -> Option<usize> {
         .filter(|&row| row < iterations)
 }
 
-/// The streaming pass alone, without the reference pass or the fault
-/// hook: the report when it accepts `plan`, `None` on any violation or
-/// any plan it does not cover, leaving the diagnosis to the reference
-/// pass. Emits nothing to the obs layer until it accepts. Exposed for
-/// differential tests.
+/// The streaming pass alone, without the reference pass: the report
+/// when it accepts `plan`, `None` on any violation or any plan it does
+/// not cover, leaving the diagnosis to the reference pass. Emits
+/// nothing to the obs layer until it accepts. Exposed for differential
+/// tests.
 #[doc(hidden)]
 #[must_use]
 pub fn simulate_streaming(
@@ -597,8 +577,8 @@ impl ReplayState {
     }
 }
 
-/// The per-event reference pass alone, without the streaming pass or
-/// the fault hook: the pass that names every [`SimError`] [`simulate`]
+/// The per-event reference pass alone, without the streaming pass:
+/// the pass that names every [`SimError`] [`simulate`]
 /// returns. Exposed for differential tests.
 ///
 /// # Errors

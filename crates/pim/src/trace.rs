@@ -1,10 +1,10 @@
-//! Plan visualization: ASCII Gantt charts and event traces.
+//! Plan visualization: ASCII Gantt charts and Chrome trace timelines.
 //!
 //! Debugging a scheduler means looking at the schedule. This module
 //! renders an [`ExecutionPlan`] as a per-PE timeline (one row per
-//! engine, one column per time unit) and as a flat event trace, both
-//! over a caller-chosen window so steady-state kernels and prologues
-//! can be inspected separately.
+//! engine, one column per time unit, over a caller-chosen window so
+//! steady-state kernels and prologues can be inspected separately) and
+//! as a Perfetto-loadable trace of tasks and transfers.
 
 use std::fmt::Write as _;
 
@@ -140,73 +140,6 @@ pub fn plan_chrome_trace(
         });
     }
     t
-}
-
-/// One row of the flat event trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Event start time.
-    pub start: u64,
-    /// Event end time.
-    pub end: u64,
-    /// Human-readable description.
-    pub what: String,
-}
-
-/// Produces the plan's events inside `[from, to)`, sorted by start
-/// time (tasks before transfers on ties).
-#[must_use]
-pub fn trace_events(
-    graph: &TaskGraph,
-    plan: &ExecutionPlan,
-    from: u64,
-    to: u64,
-) -> Vec<TraceEvent> {
-    let mut events = Vec::new();
-    for task in plan.tasks() {
-        if task.start < to && task.finish() > from {
-            let name = graph
-                .node(task.node)
-                .map(|n| n.name().to_owned())
-                .unwrap_or_else(|_| task.node.to_string());
-            events.push(TraceEvent {
-                start: task.start,
-                end: task.finish(),
-                what: format!(
-                    "exec {name} ({}) iter {} on {}",
-                    task.node, task.iteration, task.pe
-                ),
-            });
-        }
-    }
-    for x in plan.transfers() {
-        if x.start < to && x.finish() > from {
-            let loc = match x.placement {
-                Placement::Cache => "cache",
-                Placement::Edram => "eDRAM",
-            };
-            events.push(TraceEvent {
-                start: x.start,
-                end: x.finish(),
-                what: format!(
-                    "xfer {} iter {} via {loc} -> {}",
-                    x.edge, x.iteration, x.dst_pe
-                ),
-            });
-        }
-    }
-    events.sort_by(|a, b| (a.start, a.end, &a.what).cmp(&(b.start, b.end, &b.what)));
-    events
-}
-
-/// Renders [`trace_events`] one per line.
-#[must_use]
-pub fn trace(graph: &TaskGraph, plan: &ExecutionPlan, from: u64, to: u64) -> String {
-    let mut out = String::new();
-    for e in trace_events(graph, plan, from, to) {
-        let _ = writeln!(out, "[{:>6}..{:>6}) {}", e.start, e.end, e.what);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -349,26 +282,6 @@ mod tests {
         assert!(json.contains("\"transfers\""), "{json}");
         assert!(json.contains("\"placement\":\"cache\""), "{json}");
         assert!(json.contains("\"ph\":\"X\""), "{json}");
-    }
-
-    #[test]
-    fn trace_lists_events_in_order() {
-        let (g, plan) = demo_plan();
-        let events = trace_events(&g, &plan, 0, 10);
-        assert_eq!(events.len(), 3);
-        assert!(events[0].what.starts_with("exec"));
-        assert!(events[1].what.starts_with("xfer"));
-        assert!(events[2].what.contains("iter 1 on PE1"));
-        assert!(events.windows(2).all(|w| w[0].start <= w[1].start));
-    }
-
-    #[test]
-    fn trace_window_filters() {
-        let (g, plan) = demo_plan();
-        assert_eq!(trace_events(&g, &plan, 0, 1).len(), 1);
-        assert_eq!(trace_events(&g, &plan, 5, 10).len(), 0);
-        let text = trace(&g, &plan, 0, 10);
-        assert_eq!(text.lines().count(), 3);
     }
 
     #[test]

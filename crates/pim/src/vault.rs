@@ -95,18 +95,6 @@ impl VaultArray {
         self.vaults.iter()
     }
 
-    /// Total fetches over all vaults.
-    #[must_use]
-    pub fn total_fetches(&self) -> u64 {
-        self.vaults.iter().map(Vault::fetches).sum()
-    }
-
-    /// Total units moved over all vaults.
-    #[must_use]
-    pub fn total_units_moved(&self) -> u64 {
-        self.vaults.iter().map(Vault::units_moved).sum()
-    }
-
     /// The highest per-vault fetch count — a hot-spotting indicator.
     #[must_use]
     pub fn peak_fetches(&self) -> u64 {
@@ -132,8 +120,6 @@ mod tests {
         va.record_fetch(EdgeId::new(0), 3, 12);
         va.record_fetch(EdgeId::new(1), 2, 8);
         va.record_fetch(EdgeId::new(2), 1, 4);
-        assert_eq!(va.total_fetches(), 3);
-        assert_eq!(va.total_units_moved(), 6);
         assert_eq!(va.peak_fetches(), 2); // vault 0 served edges 0 and 2
     }
 

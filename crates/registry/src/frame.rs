@@ -142,3 +142,164 @@ fn parse_object(line: &str, path: &str) -> Result<Map, ArtifactError> {
         )),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MAGIC: &str = "paraconv-test";
+
+    fn framed(body_line: &str) -> Vec<u8> {
+        let mut header = Map::new();
+        header.insert("kind".into(), Value::String("unit".into()));
+        encode(MAGIC, 3, header, body_line)
+    }
+
+    fn decode_err(bytes: &[u8]) -> ArtifactError {
+        match decode(bytes, "test artifact", MAGIC, 3) {
+            Ok(_) => panic!("decoded {:?}", String::from_utf8_lossy(bytes)),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn encode_then_decode_round_trips_every_member() {
+        let bytes = framed(r#"{"a":1,"b":"x"}"#);
+        let f = decode(&bytes, "test artifact", MAGIC, 3).unwrap();
+        assert_eq!(f.producer, PRODUCER);
+        assert_eq!(f.content_hash, sha256_hex(br#"{"a":1,"b":"x"}"#));
+        assert_eq!(f.body_line, r#"{"a":1,"b":"x"}"#);
+        assert_eq!(f.header_str("kind").unwrap(), "unit");
+        let body = f.body(&["a", "b"]).unwrap();
+        assert_eq!(body.len(), 2);
+    }
+
+    #[test]
+    fn encoding_is_two_lines_with_alphabetical_header_members() {
+        let bytes = framed("{}");
+        let text = String::from_utf8(bytes.clone()).unwrap();
+        let lines: Vec<&str> = text.split_terminator('\n').collect();
+        assert_eq!(lines.len(), 2);
+        assert!(text.ends_with("{}\n"));
+        let keys = ["content_hash", "format", "kind", "magic", "producer"];
+        let at: Vec<usize> = keys.iter().map(|k| lines[0].find(k).unwrap()).collect();
+        assert!(at.windows(2).all(|w| w[0] < w[1]), "{}", lines[0]);
+        assert_eq!(framed("{}"), bytes, "byte-deterministic");
+    }
+
+    #[test]
+    fn short_inputs_are_typed_truncations() {
+        let whole = framed("{}");
+        let header_end = whole.iter().position(|&b| b == b'\n').unwrap();
+        for (bytes, detail) in [
+            (&b""[..], "empty file"),
+            (
+                &whole[..header_end],
+                "missing body line (no newline after header)",
+            ),
+            (&whole[..=header_end], "missing body line"),
+            (
+                &whole[..whole.len() - 1],
+                "body line not newline-terminated",
+            ),
+        ] {
+            match decode_err(bytes) {
+                ArtifactError::Truncated { detail: d } => assert_eq!(d, detail),
+                e => panic!("expected truncation `{detail}`, got {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_third_line_or_bad_utf8_is_a_schema_mismatch() {
+        let mut three = framed("{}");
+        three.extend_from_slice(b"{}\n");
+        assert!(matches!(
+            decode_err(&three),
+            ArtifactError::SchemaMismatch { ref detail, .. } if detail.contains("exactly two lines")
+        ));
+        assert!(matches!(
+            decode_err(b"\xff\xfe\n{}\n"),
+            ArtifactError::SchemaMismatch { ref detail, .. } if detail == "not valid UTF-8"
+        ));
+    }
+
+    #[test]
+    fn header_must_be_a_json_object() {
+        match decode_err(b"[1,2]\n{}\n") {
+            ArtifactError::SchemaMismatch { path, detail } => {
+                assert_eq!(path, "header");
+                assert_eq!(detail, "expected an object");
+            }
+            e => panic!("{e}"),
+        }
+        match decode_err(b"{\"magic\":\n{}\n") {
+            ArtifactError::SchemaMismatch { path, detail } => {
+                assert_eq!(path, "header");
+                assert!(detail.starts_with("invalid JSON at byte"), "{detail}");
+            }
+            e => panic!("{e}"),
+        }
+    }
+
+    #[test]
+    fn a_foreign_magic_is_rejected_before_the_version() {
+        let bytes = encode("someone-else", 99, Map::new(), "{}");
+        match decode_err(&bytes) {
+            ArtifactError::SchemaMismatch { path, detail } => {
+                assert_eq!(path, "header.magic");
+                assert!(detail.contains("someone-else"), "{detail}");
+            }
+            e => panic!("{e}"),
+        }
+    }
+
+    #[test]
+    fn another_format_version_is_a_version_skew() {
+        let bytes = encode(MAGIC, 2, Map::new(), "{}");
+        assert!(matches!(
+            decode_err(&bytes),
+            ArtifactError::VersionSkew {
+                found: 2,
+                supported: 3
+            }
+        ));
+    }
+
+    #[test]
+    fn an_edited_body_is_a_hash_mismatch_not_a_codec_error() {
+        let bytes = framed(r#"{"a":1}"#);
+        let text = String::from_utf8(bytes)
+            .unwrap()
+            .replace(r#""a":1"#, r#""a":2"#);
+        match decode_err(text.as_bytes()) {
+            ArtifactError::HashMismatch {
+                field,
+                recorded,
+                computed,
+            } => {
+                assert_eq!(field, "content_hash");
+                assert_eq!(recorded, sha256_hex(br#"{"a":1}"#));
+                assert_eq!(computed, sha256_hex(br#"{"a":2}"#));
+            }
+            e => panic!("{e}"),
+        }
+    }
+
+    #[test]
+    fn body_requires_exactly_the_named_members() {
+        let bytes = framed(r#"{"a":1,"z":2}"#);
+        let f = decode(&bytes, "test artifact", MAGIC, 3).unwrap();
+        let unknown = f.body(&["a"]).unwrap_err().to_string();
+        assert!(
+            unknown.contains("body.z") && unknown.contains("unknown field"),
+            "{unknown}"
+        );
+        let missing = f.body(&["a", "b", "z"]).unwrap_err().to_string();
+        assert!(
+            missing.contains("body.b") && missing.contains("missing field"),
+            "{missing}"
+        );
+        assert!(f.header_str("absent").is_err());
+    }
+}

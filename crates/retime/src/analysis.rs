@@ -6,7 +6,7 @@ use core::fmt;
 
 use paraconv_graph::{EdgeId, Placement, TaskGraph};
 
-use crate::{bounded_relative_retiming, Retiming, RetimingCase};
+use crate::{bounded_relative_retiming, RetimingCase};
 
 /// Error produced by [`MovementAnalysis::analyze`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,6 +184,7 @@ impl MovementAnalysis {
     ///
     /// Panics if `placements.len()` differs from the edge count.
     #[must_use]
+    // lint: allow(unused-pub) — the retime property tests and the crate example check the retiming each placement induces through it
     pub fn requirements_for(&self, placements: &[Placement]) -> Vec<u64> {
         assert_eq!(placements.len(), self.cases.len(), "one placement per edge");
         self.cases
@@ -195,30 +196,12 @@ impl MovementAnalysis {
             })
             .collect()
     }
-
-    /// The minimal legal retiming induced by a placement assignment —
-    /// the composition of [`requirements_for`](Self::requirements_for)
-    /// and [`Retiming::from_edge_requirements`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `placements.len()` differs from the edge count.
-    #[must_use]
-    pub fn retiming_for(&self, graph: &TaskGraph, placements: &[Placement]) -> Retiming {
-        Retiming::from_edge_requirements(graph, &self.requirements_for(placements))
-    }
-
-    /// Total `ΔR` available if every competing edge were cached — the
-    /// upper bound of the dynamic program's objective.
-    #[must_use]
-    pub fn total_delta_r(&self) -> u64 {
-        self.cases.iter().map(|c| c.delta_r()).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Retiming;
     use paraconv_graph::examples;
 
     fn chain3_analysis() -> (paraconv_graph::TaskGraph, MovementAnalysis) {
@@ -237,7 +220,6 @@ mod tests {
         assert_eq!(a.case(ids[0]).unwrap(), RetimingCase::Case3);
         // Edge 1: gap 0, cache needs 1; eDRAM needs ceil(9/4)=3 → clamped 2.
         assert_eq!(a.case(ids[1]).unwrap(), RetimingCase::Case5);
-        assert_eq!(a.total_delta_r(), 2 + 1);
     }
 
     #[test]
@@ -262,13 +244,13 @@ mod tests {
     fn retiming_chain_accumulates() {
         let (g, a) = chain3_analysis();
         let all_edram = vec![Placement::Edram; g.edge_count()];
-        let r = a.retiming_for(&g, &all_edram);
+        let r = Retiming::from_edge_requirements(&g, &a.requirements_for(&all_edram));
         // chain: R = [4, 2, 0].
         assert_eq!(r.max_value(), 4);
         assert!(r.check_legal(&g).is_ok());
 
         let all_cache = vec![Placement::Cache; g.edge_count()];
-        let r = a.retiming_for(&g, &all_cache);
+        let r = Retiming::from_edge_requirements(&g, &a.requirements_for(&all_cache));
         assert_eq!(r.max_value(), 1);
     }
 

@@ -22,16 +22,16 @@
 //! ```
 //! use paraconv_graph::examples;
 //! use paraconv_graph::Placement;
-//! use paraconv_retime::MovementAnalysis;
+//! use paraconv_retime::{MovementAnalysis, Retiming};
 //!
 //! let g = examples::chain(3);
 //! let analysis = MovementAnalysis::analyze(&g, 4, &[0, 0], &[1, 1], &[6, 6])?;
 //! // Leaving everything in eDRAM costs a long prologue …
 //! let edram = vec![Placement::Edram; g.edge_count()];
-//! let r_edram = analysis.retiming_for(&g, &edram);
+//! let r_edram = Retiming::from_edge_requirements(&g, &analysis.requirements_for(&edram));
 //! // … caching everything shrinks it.
 //! let cache = vec![Placement::Cache; g.edge_count()];
-//! let r_cache = analysis.retiming_for(&g, &cache);
+//! let r_cache = Retiming::from_edge_requirements(&g, &analysis.requirements_for(&cache));
 //! assert!(r_cache.max_value() < r_edram.max_value());
 //! # Ok::<(), paraconv_retime::AnalysisError>(())
 //! ```
@@ -42,13 +42,12 @@
 
 mod analysis;
 mod cases;
-mod incremental;
 mod requirement;
 mod retiming;
 
 pub use analysis::{AnalysisError, MovementAnalysis};
 pub use cases::{ClassifyError, RetimingCase};
 pub use requirement::{
-    bounded_relative_retiming, minimal_relative_retiming, theorem_3_1_holds, MAX_RELATIVE_RETIMING,
+    bounded_relative_retiming, minimal_relative_retiming, MAX_RELATIVE_RETIMING,
 };
 pub use retiming::{RetimeError, Retiming};

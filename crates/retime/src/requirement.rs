@@ -63,19 +63,6 @@ pub fn bounded_relative_retiming(transfer_time: u64, gap: i64, period: u64) -> u
     minimal_relative_retiming(transfer_time, gap, period).min(MAX_RELATIVE_RETIMING)
 }
 
-/// Verifies the statement of Theorem 3.1 for one edge: under its
-/// premises (`transfer_time ≤ period` and `gap ≥ −period`, i.e. both
-/// endpoints inside one kernel), two iterations of relative retiming
-/// always schedule the transfer.
-#[must_use]
-pub fn theorem_3_1_holds(transfer_time: u64, gap: i64, period: u64) -> bool {
-    if transfer_time > period || gap < -(period as i64) {
-        // Premises violated; the theorem says nothing.
-        return true;
-    }
-    minimal_relative_retiming(transfer_time, gap, period) <= MAX_RELATIVE_RETIMING
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,10 +102,6 @@ mod tests {
         for period in 1u64..=12 {
             for transfer in 0..=period {
                 for gap in -(period as i64)..=(2 * period as i64) {
-                    assert!(
-                        theorem_3_1_holds(transfer, gap, period),
-                        "violated at c={transfer}, gap={gap}, p={period}"
-                    );
                     assert!(
                         minimal_relative_retiming(transfer, gap, period) <= MAX_RELATIVE_RETIMING,
                         "requirement exceeds bound at c={transfer}, gap={gap}, p={period}"

@@ -128,61 +128,6 @@ impl Retiming {
         }
     }
 
-    /// Returns `R(i)` for a node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RetimeError::UnknownNode`] for an out-of-range ID.
-    pub fn node_value(&self, id: NodeId) -> Result<u64, RetimeError> {
-        self.node_values
-            .get(id.index())
-            .copied()
-            .ok_or(RetimeError::UnknownNode(id))
-    }
-
-    /// Returns `R(i,j)` for an edge.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RetimeError::UnknownEdge`] for an out-of-range ID.
-    pub fn edge_value(&self, id: EdgeId) -> Result<u64, RetimeError> {
-        self.edge_values
-            .get(id.index())
-            .copied()
-            .ok_or(RetimeError::UnknownEdge(id))
-    }
-
-    /// Retimes `T_i` once (Definition 3.1): `R(i) ← R(i) + 1`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RetimeError::UnknownNode`] for an out-of-range ID.
-    /// Note the increment may make the retiming illegal with respect to
-    /// incoming edges until their values are raised too; use
-    /// [`check_legal`](Self::check_legal) to validate the final state.
-    pub fn retime_node(&mut self, id: NodeId) -> Result<(), RetimeError> {
-        let slot = self
-            .node_values
-            .get_mut(id.index())
-            .ok_or(RetimeError::UnknownNode(id))?;
-        *slot += 1;
-        Ok(())
-    }
-
-    /// Sets `R(i,j)` for an edge.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RetimeError::UnknownEdge`] for an out-of-range ID.
-    pub fn set_edge_value(&mut self, id: EdgeId, value: u64) -> Result<(), RetimeError> {
-        let slot = self
-            .edge_values
-            .get_mut(id.index())
-            .ok_or(RetimeError::UnknownEdge(id))?;
-        *slot = value;
-        Ok(())
-    }
-
     /// The relative retiming `R(i) − R(j)` of an edge's endpoints —
     /// negative if the consumer was retimed further than the producer
     /// (always illegal).
@@ -245,24 +190,6 @@ impl Retiming {
     #[must_use]
     pub fn prologue_time(&self, period: u64) -> u64 {
         self.max_value() * period
-    }
-
-    /// Subtracts `amount` from every node and edge value (used by
-    /// [`normalize`](Retiming::normalize)).
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics if any value would underflow; callers pass the
-    /// global minimum.
-    pub(crate) fn shift_down(&mut self, amount: u64) {
-        for v in &mut self.node_values {
-            debug_assert!(*v >= amount);
-            *v -= amount;
-        }
-        for v in &mut self.edge_values {
-            debug_assert!(*v >= amount);
-            *v -= amount;
-        }
     }
 
     /// Iterates over `(NodeId, R(i))` pairs.
@@ -333,10 +260,9 @@ mod tests {
             }
         }
         let r = Retiming::from_edge_requirements(&g, &reqs);
-        assert_eq!(r.node_value(NodeId::new(2)).unwrap(), 2);
-        assert_eq!(r.node_value(NodeId::new(1)).unwrap(), 0);
+        let values: Vec<u64> = r.node_values().map(|(_, v)| v).collect();
         // T0 inherits through max(R(T1)+0, R(T2)+0) = 2.
-        assert_eq!(r.node_value(NodeId::new(0)).unwrap(), 2);
+        assert_eq!(values[..3], [2, 0, 2]);
         assert_eq!(r.max_value(), 2);
         assert!(r.check_legal(&g).is_ok());
     }
@@ -351,9 +277,11 @@ mod tests {
     #[test]
     fn illegal_edge_value_detected() {
         let g = examples::chain(2);
-        let mut r = Retiming::zero(&g);
         // R(edge) = 1 > R(src) = 0.
-        r.set_edge_value(EdgeId::new(0), 1).unwrap();
+        let r = Retiming {
+            node_values: vec![0, 0],
+            edge_values: vec![1],
+        };
         assert_eq!(
             r.check_legal(&g).unwrap_err(),
             RetimeError::ProducerBelowEdge(EdgeId::new(0))
@@ -363,9 +291,11 @@ mod tests {
     #[test]
     fn consumer_above_edge_detected() {
         let g = examples::chain(2);
-        let mut r = Retiming::zero(&g);
         // Retime the *consumer* (node 1) without touching the edge.
-        r.retime_node(NodeId::new(1)).unwrap();
+        let r = Retiming {
+            node_values: vec![0, 1],
+            edge_values: vec![0],
+        };
         assert_eq!(
             r.check_legal(&g).unwrap_err(),
             RetimeError::EdgeBelowConsumer(EdgeId::new(0))
@@ -375,8 +305,10 @@ mod tests {
     #[test]
     fn retime_producer_stays_legal() {
         let g = examples::chain(2);
-        let mut r = Retiming::zero(&g);
-        r.retime_node(NodeId::new(0)).unwrap();
+        let r = Retiming {
+            node_values: vec![1, 0],
+            edge_values: vec![0],
+        };
         assert!(r.check_legal(&g).is_ok());
         assert_eq!(r.relative_value(&g, EdgeId::new(0)).unwrap(), 1);
     }
@@ -390,14 +322,6 @@ mod tests {
             r.check_legal(&g3).unwrap_err(),
             RetimeError::ShapeMismatch { .. }
         ));
-    }
-
-    #[test]
-    fn unknown_ids_error() {
-        let g = examples::chain(2);
-        let r = Retiming::zero(&g);
-        assert!(r.node_value(NodeId::new(9)).is_err());
-        assert!(r.edge_value(EdgeId::new(9)).is_err());
     }
 
     #[test]

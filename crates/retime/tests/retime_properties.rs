@@ -4,8 +4,8 @@ use proptest::prelude::*;
 
 use paraconv_graph::{NodeId, OpKind, Placement, TaskGraph, TaskGraphBuilder};
 use paraconv_retime::{
-    bounded_relative_retiming, minimal_relative_retiming, MovementAnalysis, Retiming, RetimingCase,
-    MAX_RELATIVE_RETIMING,
+    bounded_relative_retiming, minimal_relative_retiming, MovementAnalysis, RetimeError, Retiming,
+    RetimingCase, MAX_RELATIVE_RETIMING,
 };
 
 fn arb_dag() -> impl Strategy<Value = TaskGraph> {
@@ -70,7 +70,7 @@ proptest! {
             vec![Placement::Cache; g.edge_count()],
             vec![Placement::Edram; g.edge_count()],
         ] {
-            let r = analysis.retiming_for(&g, &placements);
+            let r = Retiming::from_edge_requirements(&g, &analysis.requirements_for(&placements));
             prop_assert!(r.check_legal(&g).is_ok());
         }
     }
@@ -80,8 +80,8 @@ proptest! {
         let analysis = MovementAnalysis::analyze(&g, p, &gaps, &cache, &edram).unwrap();
         let all_edram = vec![Placement::Edram; g.edge_count()];
         let all_cache = vec![Placement::Cache; g.edge_count()];
-        let r_edram = analysis.retiming_for(&g, &all_edram).max_value();
-        let r_cache = analysis.retiming_for(&g, &all_cache).max_value();
+        let r_edram = Retiming::from_edge_requirements(&g, &analysis.requirements_for(&all_edram)).max_value();
+        let r_cache = Retiming::from_edge_requirements(&g, &analysis.requirements_for(&all_cache)).max_value();
         prop_assert!(r_cache <= r_edram);
     }
 
@@ -91,11 +91,11 @@ proptest! {
         // prologue longer.
         let analysis = MovementAnalysis::analyze(&g, p, &gaps, &cache, &edram).unwrap();
         let base = vec![Placement::Edram; g.edge_count()];
-        let r_base = analysis.retiming_for(&g, &base).max_value();
+        let r_base = Retiming::from_edge_requirements(&g, &analysis.requirements_for(&base)).max_value();
         for (i, _) in g.edge_ids().enumerate().take(8) {
             let mut flipped = base.clone();
             flipped[i] = Placement::Cache;
-            let r_flipped = analysis.retiming_for(&g, &flipped).max_value();
+            let r_flipped = Retiming::from_edge_requirements(&g, &analysis.requirements_for(&flipped)).max_value();
             prop_assert!(r_flipped <= r_base);
         }
     }
@@ -127,14 +127,88 @@ proptest! {
         let r = Retiming::from_edge_requirements(&g, &reqs);
         prop_assert!(r.check_legal(&g).is_ok());
         for ipr in g.edges() {
-            let rel = r.node_value(ipr.src()).unwrap() as i64
-                - r.node_value(ipr.dst()).unwrap() as i64;
+            let rel = r.relative_value(&g, ipr.id()).unwrap();
             prop_assert!(rel >= reqs[ipr.id().index()] as i64);
         }
         // Minimality of R_max: it equals the longest requirement-weighted path,
         // so some sink-rooted path achieves it; here we just check the
         // bound R_max <= 2 * (depth - 1).
         prop_assert!(r.max_value() <= MAX_RELATIVE_RETIMING * (g.depth() as u64 - 1));
+    }
+
+    #[test]
+    fn minimal_requirement_is_monotone_in_each_argument(
+        transfer in 0u64..40, gap in -20i64..20, period in 1u64..15
+    ) {
+        let k = minimal_relative_retiming(transfer, gap, period);
+        // A slower transfer needs at least as much slack; a wider gap
+        // or a longer period needs at most as much.
+        prop_assert!(minimal_relative_retiming(transfer + 1, gap, period) >= k);
+        prop_assert!(minimal_relative_retiming(transfer, gap + 1, period) <= k);
+        prop_assert!(minimal_relative_retiming(transfer, gap, period + 1) <= k);
+        prop_assert_eq!(bounded_relative_retiming(transfer, gap, period), k.min(MAX_RELATIVE_RETIMING));
+    }
+
+    #[test]
+    fn requirement_retiming_is_the_least_legal_one(g in arb_dag(), seed in 0u64..1000) {
+        let reqs: Vec<u64> = g.edge_ids()
+            .map(|e| (seed.wrapping_mul(17).wrapping_add(e.index() as u64 * 5)) % 3)
+            .collect();
+        let r = Retiming::from_edge_requirements(&g, &reqs);
+        let values: Vec<u64> = r.node_values().map(|(_, v)| v).collect();
+        for id in g.node_ids() {
+            // Each node sits exactly as far ahead as its most demanding
+            // consumer edge asks, and sinks sit at zero: lowering any
+            // value would break a requirement.
+            let needed = g.out_edges(id).unwrap()
+                .iter()
+                .map(|&e| values[g.edge(e).unwrap().dst().index()] + reqs[e.index()])
+                .max()
+                .unwrap_or(0);
+            prop_assert_eq!(values[id.index()], needed);
+        }
+        for ipr in g.edges() {
+            prop_assert_eq!(
+                r.edge_values_raw()[ipr.id().index()],
+                values[ipr.dst().index()] + reqs[ipr.id().index()]
+            );
+        }
+        prop_assert_eq!(r.prologue_time(3), 3 * r.max_value());
+    }
+
+    #[test]
+    fn raw_values_round_trip_and_tampering_is_caught(g in arb_dag(), seed in 0u64..1000) {
+        let reqs: Vec<u64> = g.edge_ids().map(|e| (seed + e.index() as u64) % 3).collect();
+        let r = Retiming::from_edge_requirements(&g, &reqs);
+        let nodes: Vec<u64> = r.node_values().map(|(_, v)| v).collect();
+        let edges = r.edge_values_raw().to_vec();
+        prop_assert_eq!(&Retiming::from_values(nodes.clone(), edges.clone()), &r);
+
+        let Some(ipr) = g.edges().next() else {
+            return Ok(());
+        };
+        let e = ipr.id().index();
+        let mut above = edges.clone();
+        above[e] = nodes[ipr.src().index()] + 1;
+        prop_assert_eq!(
+            Retiming::from_values(nodes.clone(), above).check_legal(&g),
+            Err(RetimeError::ProducerBelowEdge(ipr.id()))
+        );
+        // Lifting a consumer above an edge into it only ever breaks the
+        // consumer side: producers may sit arbitrarily far ahead.
+        let mut raised = nodes.clone();
+        raised[ipr.dst().index()] = edges[e] + 1;
+        let tampered = Retiming::from_values(raised, edges.clone()).check_legal(&g);
+        prop_assert!(
+            matches!(tampered, Err(RetimeError::EdgeBelowConsumer(_))),
+            "{:?}", tampered
+        );
+
+        let short = Retiming::from_values(nodes, edges[1..].to_vec());
+        prop_assert_eq!(
+            short.check_legal(&g),
+            Err(RetimeError::ShapeMismatch { nodes: g.node_count(), edges: g.edge_count() - 1 })
+        );
     }
 }
 

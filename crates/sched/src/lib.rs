@@ -44,12 +44,10 @@ mod emit;
 mod error;
 mod kernel;
 mod paraconv;
-mod rotation;
 mod sparta;
 
 pub use emit::emit;
 pub use error::SchedError;
 pub use kernel::KernelSchedule;
 pub use paraconv::{AllocationPolicy, ParaConvOutcome, ParaConvScheduler};
-pub use rotation::{rotation_schedule, rotation_schedule_on, RotationResult};
 pub use sparta::{BaselineCachePolicy, SpartaOutcome, SpartaScheduler};

@@ -3,9 +3,10 @@
 
 use proptest::prelude::*;
 
+use paraconv_alloc::IncrementalDp;
 use paraconv_graph::{NodeId, OpKind, TaskGraph, TaskGraphBuilder};
-use paraconv_pim::{simulate, PimConfig};
-use paraconv_sched::{rotation_schedule, KernelSchedule, ParaConvScheduler, SpartaScheduler};
+use paraconv_pim::{simulate, PeId, PimConfig};
+use paraconv_sched::{KernelSchedule, ParaConvScheduler, SpartaScheduler};
 
 fn arb_dag() -> impl Strategy<Value = TaskGraph> {
     (2usize..18).prop_flat_map(|n| {
@@ -114,19 +115,69 @@ proptest! {
     }
 
     #[test]
-    fn rotation_compacts_monotonically(g in arb_dag(), pes in 1usize..8, rounds in 0usize..20) {
-        let result = rotation_schedule(&g, pes, rounds);
-        // Kernel length never increases round over round.
-        for w in result.lengths.windows(2) {
-            prop_assert!(w[1] <= w[0]);
+    fn kernel_slots_are_conflict_free_and_fit_the_period(
+        g in arb_dag(), pes in 1usize..12, copies in 1u64..4
+    ) {
+        let k = KernelSchedule::compact_copies(&g, pes, copies);
+        prop_assert_eq!(k.copies(), copies);
+        let mut by_pe: Vec<Vec<(u64, u64)>> = vec![Vec::new(); pes];
+        for copy in 0..copies {
+            for n in g.nodes() {
+                let (start, finish) = (k.start_at(n.id(), copy), k.finish_at(n.id(), copy));
+                prop_assert_eq!(finish - start, n.exec_time());
+                prop_assert!(finish <= k.period());
+                by_pe[k.pe_at(n.id(), copy).index()].push((start, finish));
+            }
         }
-        // The accumulated retiming is always legal.
-        prop_assert!(result.retiming.check_legal(&g).is_ok());
-        // The kernel can never beat the resource bound.
-        let bound = g.total_exec_time().div_ceil(pes as u64).max(
-            g.nodes().map(|n| n.exec_time()).max().unwrap()
+        for mut slots in by_pe {
+            slots.sort_unstable();
+            for w in slots.windows(2) {
+                prop_assert!(w[0].1 <= w[1].0, "overlap {:?} / {:?}", w[0], w[1]);
+            }
+        }
+    }
+
+    #[test]
+    fn degraded_kernels_use_only_the_surviving_pes(
+        g in arb_dag(), pes in 2u32..12, dead_seed in 0u32..1000, copies in 1u64..3
+    ) {
+        let dead = dead_seed % pes;
+        let survivors: Vec<PeId> = (0..pes).filter(|&p| p != dead).map(PeId::new).collect();
+        let k = KernelSchedule::compact_copies_on(&g, &survivors, copies);
+        prop_assert!(k.pe_slots().iter().all(|pe| survivors.contains(pe)));
+        // The identity list is the plain compaction, slot for slot.
+        let all: Vec<PeId> = (0..pes).map(PeId::new).collect();
+        prop_assert_eq!(
+            KernelSchedule::compact_copies_on(&g, &all, copies),
+            KernelSchedule::compact_copies(&g, pes as usize, copies)
         );
-        prop_assert!(result.final_length() >= bound);
+    }
+
+    #[test]
+    fn degraded_plans_avoid_the_failed_pe_and_validate(
+        g in arb_dag(), dead in 0u32..8, iters in 1u64..5
+    ) {
+        let cfg = PimConfig::neurocube(8).unwrap().degrade(&[dead]).unwrap();
+        let outcome = ParaConvScheduler::new(cfg.clone()).schedule(&g, iters).unwrap();
+        prop_assert!(outcome.plan.tasks().iter().all(|t| t.pe != PeId::new(dead)));
+        let report = simulate(&g, &outcome.plan, &cfg).unwrap();
+        prop_assert!(report.peak_cache_occupancy <= cfg.total_cache_units());
+    }
+
+    #[test]
+    fn rescheduling_through_a_session_matches_cold_schedules(
+        g in arb_dag(), dead in 0u32..8, iters in 1u64..4
+    ) {
+        let healthy = PimConfig::neurocube(8).unwrap();
+        let degraded = healthy.degrade(&[dead]).unwrap();
+        let mut session = IncrementalDp::new();
+        for cfg in [healthy, degraded] {
+            let scheduler = ParaConvScheduler::new(cfg);
+            let warm = scheduler.reschedule(&g, iters, &mut session).unwrap();
+            let cold = scheduler.schedule(&g, iters).unwrap();
+            prop_assert_eq!(warm.plan, cold.plan);
+            prop_assert_eq!(warm.allocation, cold.allocation);
+        }
     }
 
     #[test]
@@ -136,9 +187,7 @@ proptest! {
         prop_assert!(outcome.retiming.check_legal(&g).is_ok());
         // Producers always retimed at least as much as consumers.
         for ipr in g.edges() {
-            let rs = outcome.retiming.node_value(ipr.src()).unwrap();
-            let rd = outcome.retiming.node_value(ipr.dst()).unwrap();
-            prop_assert!(rs >= rd);
+            prop_assert!(outcome.retiming.relative_value(&g, ipr.id()).unwrap() >= 0);
         }
     }
 }

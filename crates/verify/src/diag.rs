@@ -181,6 +181,19 @@ pub enum VerifyError {
     /// all, so there is nothing the outcome's plan could be checked
     /// against.
     Unemittable(SchedError),
+    /// The allocation claims a larger cache than the architecture
+    /// has. Rejected before the DP re-solve, whose table is sized by
+    /// the claimed capacity.
+    CapacityAboveCache {
+        /// The allocation's capacity.
+        capacity: u64,
+        /// The architecture's aggregate cache.
+        cache: u64,
+    },
+    /// The ambient cancel token fired while the verifier ran: the DP
+    /// re-solve or the re-emission stopped early, so the plan was
+    /// neither proved nor refuted.
+    Cancelled,
 }
 
 impl fmt::Display for VerifyError {
@@ -280,6 +293,11 @@ impl fmt::Display for VerifyError {
                 "plan is not the one its kernel, retiming and allocation emit: {section}[{index}] differs"
             ),
             VerifyError::Unemittable(e) => write!(f, "outcome emits no plan: {e}"),
+            VerifyError::CapacityAboveCache { capacity, cache } => write!(
+                f,
+                "allocation capacity {capacity} exceeds the architecture's {cache} cache units"
+            ),
+            VerifyError::Cancelled => f.write_str("verification cancelled before it completed"),
         }
     }
 }

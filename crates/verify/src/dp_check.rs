@@ -48,21 +48,38 @@ pub struct DpCheck {
 ///
 /// # Errors
 ///
-/// Returns the specific violated invariant as a [`VerifyError`];
-/// never panics, even on zero-capacity or empty instances.
+/// Returns the specific violated invariant as a [`VerifyError`]:
+/// [`VerifyError::CapacityAboveCache`] before any DP runs,
+/// [`VerifyError::Cancelled`] when the ambient cancel token cuts a
+/// re-solve short. Never panics, even on zero-capacity or empty
+/// instances.
 pub fn check_dp_invariants(
     graph: &TaskGraph,
     outcome: &ParaConvOutcome,
     config: &PimConfig,
 ) -> Result<DpCheck, VerifyError> {
     crate::guard_shape(graph, outcome)?;
-    let items = derive_items(graph, outcome, config);
+    // The DP table holds `capacity + 1` words per item: size it only
+    // from a capacity the architecture actually has.
     let capacity = outcome.allocation.capacity();
+    if capacity > config.total_cache_units() {
+        return Err(VerifyError::CapacityAboveCache {
+            capacity,
+            cache: config.total_cache_units(),
+        });
+    }
+    let items = derive_items(graph, outcome, config);
 
     let competing: Vec<AllocItem> =
         sort_by_deadline(items.iter().copied().filter(|i| i.delta_r() > 0).collect());
     let mut table = IncrementalDp::new();
     table.resolve(&competing, capacity);
+    // A resolve cut short by the ambient cancel token forgets its
+    // items and reads back as an empty solve: report the cancellation
+    // rather than judge the invariants on it.
+    if table.items().len() != competing.len() {
+        return Err(VerifyError::Cancelled);
+    }
     let dp_max = table.max_profit();
 
     // Monotonicity in the cache size: the filled table answers every
@@ -111,6 +128,9 @@ pub fn check_dp_invariants(
     let mut session = IncrementalDp::new();
     session.resolve(&competing, capacity.saturating_add(1));
     session.resolve(&competing, capacity);
+    if session.items().len() != competing.len() {
+        return Err(VerifyError::Cancelled);
+    }
     if session.max_profit() != dp_max || session.reconstruct() != chosen {
         return Err(VerifyError::IncrementalDpDivergence {
             incremental: session.max_profit(),
@@ -301,5 +321,34 @@ mod tests {
         let check = check_dp_invariants(&g, &outcome, &cfg).expect("no items, no violations");
         assert_eq!(check.dp_max_profit, 0);
         assert_eq!(check.allocation_profit, 0);
+    }
+
+    #[test]
+    fn an_allocation_wider_than_the_cache_is_refused_before_the_dp() {
+        use paraconv_alloc::CacheAllocation;
+        let (g, mut outcome, cfg) = scheduled(AllocationPolicy::DynamicProgram);
+        let a = &outcome.allocation;
+        let forge = |capacity| {
+            CacheAllocation::from_parts(
+                a.placements().collect(),
+                a.cached().to_vec(),
+                a.total_profit(),
+                a.used_capacity(),
+                capacity,
+            )
+        };
+        let cache = cfg.total_cache_units();
+        // Exactly the aggregate cache is a real capacity; one unit more
+        // (or a table-sized lie) is refused without sizing a DP table.
+        let (at, above, huge) = (forge(cache), forge(cache + 1), forge(1 << 40));
+        outcome.allocation = at;
+        assert!(check_dp_invariants(&g, &outcome, &cfg).is_ok());
+        for (forged, capacity) in [(above, cache + 1), (huge, 1 << 40)] {
+            outcome.allocation = forged;
+            assert_eq!(
+                check_dp_invariants(&g, &outcome, &cfg).unwrap_err(),
+                VerifyError::CapacityAboveCache { capacity, cache }
+            );
+        }
     }
 }

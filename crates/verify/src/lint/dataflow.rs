@@ -86,6 +86,7 @@ pub struct AtomicSite {
 /// stripped), for dataflow analysis and for ordering-pin regression
 /// tests over the real workspace sources.
 #[must_use]
+// lint: allow(unused-pub) — the ordering-pin tests read the real sources through it
 pub fn atomic_sites(source: &str) -> Vec<AtomicSite> {
     let lexed = super::lexer::lex(source);
     let stripped = super::strip_test_items(&lexed.tokens);

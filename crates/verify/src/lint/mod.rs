@@ -12,13 +12,16 @@
 //! | `atomic-ordering` | `Relaxed` load of a `Release`-published atomic (and the converse) | cross-file, by receiver name |
 //! | `lock-order` | two mutexes acquired in opposite orders | cross-file, per function |
 //! | `nondet-iteration` | `HashMap`/`HashSet` iteration without a sort or order-insensitive sink | per file |
+//! | `unused-pub` | a bare `pub` item no other non-test code names | workspace-wide, callers included |
 //! | `stale-allow` | an `allow(...)` whose rule no longer fires there | per file, after all other rules |
 //!
 //! The first four are token rules over one file at a time. The
-//! dataflow rules (see [`dataflow`]) collect per-file facts in a first
-//! pass and analyze them workspace-wide in a second — which is why the
-//! walker feeds every file to one [`lint_workspace`] call instead of
-//! linting file by file.
+//! dataflow rules (see [`dataflow`]) and `unused-pub` collect per-file
+//! facts in a first pass and analyze them workspace-wide in a second —
+//! which is why the walker feeds every file to one [`lint_workspace`]
+//! call instead of linting file by file. `unused-pub` also reads
+//! caller-only files (examples, benches, the benchmark harness): their
+//! mentions keep an item alive, but they are never linted.
 //!
 //! `#[cfg(test)]` modules, `#[test]` functions, comments (including
 //! doc-comment examples) and string literals are never scanned.
@@ -44,6 +47,7 @@
 pub mod dataflow;
 mod lexer;
 pub mod rules;
+mod unused_pub;
 
 use std::collections::BTreeSet;
 
@@ -71,10 +75,12 @@ impl core::fmt::Display for Finding {
 /// file content. Returns the findings that survive
 /// `// lint: allow(...)` annotations, sorted by line. Dataflow rules
 /// see only this one file — cross-file pairings need
-/// [`lint_workspace`].
+/// [`lint_workspace`] — and `unused-pub` does not run: one file has
+/// no callers.
 #[must_use]
+// lint: allow(unused-pub) — the single-file entry point of the rule fixtures
 pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
-    lint_workspace(&[(path.to_string(), source.to_string())])
+    lint_files(&[(path.to_string(), source.to_string())], None)
         .into_iter()
         .map(|(_, f)| f)
         .collect()
@@ -92,20 +98,37 @@ struct FileCtx {
 }
 
 /// Lints a whole workspace in two passes: per-file token rules and
-/// dataflow fact collection first, then the cross-file dataflow rules
-/// and the `stale-allow` audit over the combined result. Returns
-/// `(path, finding)` pairs that survive suppression, sorted by path
-/// then line.
+/// fact collection first, then the cross-file dataflow rules,
+/// `unused-pub` and the `stale-allow` audit over the combined result.
+/// `files` are linted; `callers` (examples, benches, the benchmark
+/// harness) are only read as users of the linted files' `pub` items.
+/// Returns `(path, finding)` pairs that survive suppression, sorted
+/// by path then line.
 #[must_use]
-pub fn lint_workspace(files: &[(String, String)]) -> Vec<(String, Finding)> {
+pub fn lint_workspace(
+    files: &[(String, String)],
+    callers: &[(String, String)],
+) -> Vec<(String, Finding)> {
+    lint_files(files, Some(callers))
+}
+
+/// [`lint_workspace`], with `unused-pub` only when `callers` is given.
+fn lint_files(
+    files: &[(String, String)],
+    callers: Option<&[(String, String)]>,
+) -> Vec<(String, Finding)> {
     // Pass 1: lex, strip tests, run token rules, collect facts.
     let mut ctxs: Vec<FileCtx> = Vec::with_capacity(files.len());
     let mut facts: Vec<(String, dataflow::FileDataflow)> = Vec::with_capacity(files.len());
+    let mut names: Vec<unused_pub::FileNames> = Vec::new();
     for (path, source) in files {
         let lexed = lex(source);
         let stripped = strip_test_items(&lexed.tokens);
         let findings = rules::scan(path, &stripped);
         facts.push((path.clone(), dataflow::collect_file(&stripped)));
+        if callers.is_some() {
+            names.push(unused_pub::collect_file(&stripped, true));
+        }
         ctxs.push(FileCtx {
             live_lines: stripped.iter().map(|t| t.line).collect(),
             raw_lines: lexed.tokens.iter().map(|t| t.line).collect(),
@@ -114,8 +137,19 @@ pub fn lint_workspace(files: &[(String, String)]) -> Vec<(String, Finding)> {
         });
     }
 
-    // Pass 2: cross-file dataflow rules.
+    // Pass 2: cross-file dataflow rules, then unused-pub with the
+    // caller-only files appended after the linted ones.
     for (fi, finding) in dataflow::cross_file(&facts) {
+        ctxs[fi].findings.push(finding);
+    }
+    for (_, source) in callers.unwrap_or_default() {
+        let lexed = lex(source);
+        names.push(unused_pub::collect_file(
+            &strip_test_items(&lexed.tokens),
+            false,
+        ));
+    }
+    for (fi, finding) in unused_pub::cross_file(&names) {
         ctxs[fi].findings.push(finding);
     }
 
@@ -123,7 +157,7 @@ pub fn lint_workspace(files: &[(String, String)]) -> Vec<(String, Finding)> {
     // finding set, so an allow is stale exactly when removing it would
     // change nothing.
     for ctx in &mut ctxs {
-        let stale = stale_allow_findings(ctx);
+        let stale = stale_allow_findings(ctx, callers.is_some());
         ctx.findings.extend(stale);
     }
 
@@ -152,8 +186,9 @@ pub fn lint_workspace(files: &[(String, String)]) -> Vec<(String, Finding)> {
 /// rule (or, for `all`, any rule) does not fire on the annotated line
 /// or the line below — the two lines the annotation would suppress.
 /// Annotations attached to stripped test code are skipped, as are
-/// `allow(stale-allow)` markers (the meta escape hatch).
-fn stale_allow_findings(ctx: &FileCtx) -> Vec<Finding> {
+/// `allow(stale-allow)` markers (the meta escape hatch) and, when
+/// `unused-pub` did not run, its allows.
+fn stale_allow_findings(ctx: &FileCtx, unused_pub_ran: bool) -> Vec<Finding> {
     let mut stale = Vec::new();
     let mut lines: Vec<&u32> = ctx.lexed.allows.keys().collect();
     lines.sort_unstable();
@@ -166,7 +201,7 @@ fn stale_allow_findings(ctx: &FileCtx) -> Vec<Finding> {
             continue;
         }
         for rule in &ctx.lexed.allows[&line] {
-            if rule == rules::STALE_ALLOW {
+            if rule == rules::STALE_ALLOW || (rule == rules::UNUSED_PUB && !unused_pub_ran) {
                 continue;
             }
             let known = rule == "all" || rules::ALL_RULES.contains(&rule.as_str());

@@ -25,13 +25,17 @@ pub const LOCK_ORDER: &str = "lock-order";
 /// without sorting or an order-insensitive sink; iteration order is
 /// nondeterministic across runs.
 pub const NONDET_ITERATION: &str = "nondet-iteration";
+/// Workspace rule: a bare `pub` item whose name no other non-test
+/// code in the workspace (examples, benches and the benchmark harness
+/// included) mentions — dead surface that only its own tests reach.
+pub const UNUSED_PUB: &str = "unused-pub";
 /// Meta rule: a `// lint: allow(...)` annotation naming a rule that no
 /// longer fires on the annotated line — the escape hatch outlived the
 /// finding and should be removed.
 pub const STALE_ALLOW: &str = "stale-allow";
 
 /// Every rule the engine knows, for `allow(...)` validation and docs.
-pub const ALL_RULES: [&str; 8] = [
+pub const ALL_RULES: [&str; 9] = [
     NO_UNWRAP,
     UNCHECKED_INDEX,
     WALLCLOCK_RNG,
@@ -39,6 +43,7 @@ pub const ALL_RULES: [&str; 8] = [
     ATOMIC_ORDERING,
     LOCK_ORDER,
     NONDET_ITERATION,
+    UNUSED_PUB,
     STALE_ALLOW,
 ];
 

@@ -12,7 +12,7 @@
 
 use paraconv_graph::TaskGraph;
 use paraconv_pim::PimConfig;
-use paraconv_sched::ParaConvOutcome;
+use paraconv_sched::{ParaConvOutcome, SchedError};
 
 use crate::diag::VerifyError;
 
@@ -21,7 +21,9 @@ use crate::diag::VerifyError;
 ///
 /// # Errors
 ///
-/// Returns [`VerifyError::Unemittable`] when the core emits no plan and
+/// Returns [`VerifyError::Cancelled`] when the ambient cancel token
+/// stops the re-emission, [`VerifyError::Unemittable`] when the core
+/// emits no plan and
 /// [`VerifyError::PlanMismatch`] locating the first differing task or
 /// transfer otherwise.
 pub fn check_plan(
@@ -37,7 +39,10 @@ pub fn check_plan(
         &outcome.allocation,
         outcome.plan.iterations(),
     )
-    .map_err(VerifyError::Unemittable)?;
+    .map_err(|e| match e {
+        SchedError::Cancelled => VerifyError::Cancelled,
+        other => VerifyError::Unemittable(other),
+    })?;
     let plan = &outcome.plan;
     let mismatch = first_difference(emitted.tasks(), plan.tasks())
         .map(|index| ("tasks", index))
@@ -65,7 +70,7 @@ mod tests {
     use super::*;
     use paraconv_graph::examples;
     use paraconv_pim::ExecutionPlan;
-    use paraconv_sched::{ParaConvScheduler, SchedError};
+    use paraconv_sched::ParaConvScheduler;
 
     fn scheduled() -> (TaskGraph, ParaConvOutcome, PimConfig) {
         let g = examples::fork_join(9);

@@ -209,7 +209,7 @@ fn workspace(files: &[(&str, &str)]) -> Vec<(String, &'static str, u32)> {
         .iter()
         .map(|(p, s)| (p.to_string(), s.to_string()))
         .collect();
-    lint_workspace(&owned)
+    lint_workspace(&owned, &[])
         .into_iter()
         .map(|(p, f)| (p, f.rule, f.line))
         .collect()
@@ -371,6 +371,129 @@ fn nondet_iteration_allow_annotation_silences() {
         }
     ";
     assert!(lint_source(LIB, src).is_empty());
+}
+
+// ---- unused-pub ----
+
+/// Lints `files` against `callers` and returns `(path, rule, line)`.
+fn with_callers(
+    files: &[(&str, &str)],
+    callers: &[(&str, &str)],
+) -> Vec<(String, &'static str, u32)> {
+    let own = |set: &[(&str, &str)]| -> Vec<(String, String)> {
+        set.iter()
+            .map(|(p, s)| (p.to_string(), s.to_string()))
+            .collect()
+    };
+    lint_workspace(&own(files), &own(callers))
+        .into_iter()
+        .map(|(p, f)| (p, f.rule, f.line))
+        .collect()
+}
+
+#[test]
+fn unused_pub_fires_on_a_pub_fn_nothing_calls() {
+    let found = with_callers(&[(LIB, "pub fn dead() -> u64 { 1 }")], &[]);
+    assert_eq!(found, [(LIB.to_string(), rules::UNUSED_PUB, 1)]);
+}
+
+#[test]
+fn unused_pub_fires_on_a_struct_named_only_in_its_own_impls() {
+    let src = "
+        pub struct Lone(u64);
+        impl Lone {
+            fn make() -> Lone { Lone(1) }
+        }
+        impl<'a> core::fmt::Display for Lone {
+            fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result { Ok(()) }
+        }
+    ";
+    assert_eq!(
+        with_callers(&[(LIB, src)], &[]),
+        [(LIB.to_string(), rules::UNUSED_PUB, 2)]
+    );
+}
+
+#[test]
+fn unused_pub_ignores_re_exports_and_test_code() {
+    // Neither a `pub use` nor a test names the item for real.
+    let item = "pub fn only_tested() {}";
+    let lib = "
+        pub use crate::item::only_tested;
+        #[cfg(test)]
+        mod tests {
+            #[test]
+            fn t() { super::only_tested(); }
+        }
+    ";
+    let found = with_callers(&[("crates/x/src/item.rs", item), (LIB, lib)], &[]);
+    assert_eq!(
+        found,
+        [("crates/x/src/item.rs".to_string(), rules::UNUSED_PUB, 1)]
+    );
+}
+
+#[test]
+fn unused_pub_is_silent_on_an_item_used_from_another_file() {
+    let files = [
+        ("crates/x/src/a.rs", "pub fn helper() -> u64 { 1 }"),
+        ("crates/y/src/b.rs", "fn user() -> u64 { helper() }"),
+    ];
+    assert!(with_callers(&files, &[]).is_empty());
+}
+
+#[test]
+fn unused_pub_is_silent_on_an_item_in_a_used_fns_signature() {
+    let lib = "
+        pub struct Config { pub pes: usize }
+        pub fn run(config: &Config) -> usize { config.pes }
+    ";
+    let user = "fn main() { let _ = run; }";
+    assert!(with_callers(&[(LIB, lib), ("crates/x/src/bin/tool.rs", user)], &[]).is_empty());
+}
+
+#[test]
+fn unused_pub_counts_examples_and_the_benchmark_harness_as_callers() {
+    let lib = "pub fn harness_only() {}";
+    for caller in ["perfbench/src/main.rs", "examples/demo.rs"] {
+        let found = with_callers(&[(LIB, lib)], &[(caller, "fn main() { harness_only(); }")]);
+        assert!(found.is_empty(), "{caller}: {found:?}");
+    }
+}
+
+#[test]
+fn unused_pub_never_lints_caller_files() {
+    let caller = "pub fn demo_helper() { Some(1).unwrap(); }";
+    assert!(with_callers(&[], &[("examples/demo.rs", caller)]).is_empty());
+}
+
+#[test]
+fn unused_pub_allow_annotation_silences() {
+    let src = "
+        // lint: allow(unused-pub) — fixture API kept on purpose
+        pub fn kept() {}
+    ";
+    assert!(with_callers(&[(LIB, src)], &[]).is_empty());
+    // Once something calls the item, the allow is stale.
+    let used = "
+        // lint: allow(unused-pub) — no longer needed
+        pub fn used() {}
+        fn caller() { used(); }
+    ";
+    assert_eq!(
+        with_callers(&[(LIB, used)], &[]),
+        [(LIB.to_string(), rules::STALE_ALLOW, 2)]
+    );
+}
+
+#[test]
+fn unused_pub_only_runs_workspace_wide() {
+    // One file has no callers, so the single-file entry point skips
+    // the rule, and restricted visibility is the compiler's business.
+    assert!(lint_source(LIB, "pub fn lonely() {}").is_empty());
+    let allowed = "// lint: allow(unused-pub) — kept\npub fn kept() {}";
+    assert!(lint_source(LIB, allowed).is_empty(), "not audited as stale");
+    assert!(with_callers(&[(LIB, "pub(crate) fn inner() {}")], &[]).is_empty());
 }
 
 // ---- stale-allow ----

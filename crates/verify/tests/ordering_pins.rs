@@ -6,9 +6,8 @@
 //! `paraconv-analyze` model harnesses (`flight-ring`,
 //! `publish-acquire`): the flag itself publishes nothing — it is
 //! stored and loaded `Relaxed`, and the data behind it is ordered by
-//! a mutex. Strengthening one side without the other (the asymmetry
-//! this PR removed from `fault::hook`) re-introduces the
-//! `atomic-ordering` lint finding and fails this pin.
+//! a mutex. Strengthening one side without the other re-introduces
+//! the `atomic-ordering` lint finding and fails this pin.
 
 use std::path::Path;
 
@@ -85,18 +84,6 @@ fn flight_recorder_gate_is_symmetric_relaxed() {
 }
 
 #[test]
-fn fault_hook_gate_is_symmetric_relaxed() {
-    // This is the site the dataflow linter flagged (SeqCst store vs
-    // Relaxed load) and this PR normalized; the pin keeps it fixed.
-    pin(
-        "fault/src/hook.rs",
-        "ACTIVE",
-        AtomicOrd::Relaxed,
-        &[AtomicOp::Load, AtomicOp::Store],
-    );
-}
-
-#[test]
 fn sweep_work_cursor_is_relaxed_rmw() {
     pin(
         "core/src/sweep.rs",
@@ -114,7 +101,6 @@ fn no_lone_acquire_or_release_sites_anywhere_audited() {
     for rel in [
         "obs/src/recorder.rs",
         "obs/src/flight.rs",
-        "fault/src/hook.rs",
         "core/src/sweep.rs",
     ] {
         for s in sites_of(rel) {

@@ -3,8 +3,8 @@
 //!
 //! Properties asserted here (the tentpole's acceptance criteria):
 //!
-//! * **identity** — a quiet campaign, and a cleared global hook, leave
-//!   every report byte-identical to the fault-free build;
+//! * **identity** — a quiet campaign leaves every report
+//!   byte-identical to the fault-free build;
 //! * **determinism** — the same seed produces the same report at any
 //!   sweep worker count (faults are sampled in counter mode, never
 //!   from shared state);
@@ -18,8 +18,8 @@
 //!   `planned + injected_delay`, so a campaign can delay a replay but
 //!   never hang it.
 //!
-//! The fault hook and the obs recorder are process-global, so every
-//! test serializes on one lock.
+//! The obs recorder and the flight recorder are process-global, so
+//! every test serializes on one lock.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -29,10 +29,10 @@ use paraconv::fault::FaultSpec;
 use paraconv::graph::TaskGraph;
 use paraconv::pim::{simulate_with_faults, PimConfig, SimError};
 use paraconv::sched::AllocationPolicy;
-use paraconv::sweep::run_all_with;
+use paraconv::sweep::parallel_map;
 use paraconv::synth::{benchmarks, SynthError, SyntheticSpec};
 use paraconv::verify::verify_outcome;
-use paraconv::{CoreError, ParaConv, SweepPoint};
+use paraconv::{CoreError, ParaConv};
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -58,29 +58,6 @@ fn quiet_campaigns_are_the_identity_on_the_suite() {
 }
 
 #[test]
-fn global_hook_perturbs_and_clearing_restores_the_identity() {
-    let _guard = lock();
-    let graph = benchmarks::all()[0].graph().expect("benchmark generates");
-    let cfg = PimConfig::neurocube(8).expect("valid config");
-    let runner = ParaConv::new(cfg);
-    let clean = runner.run(&graph, 10).expect("schedulable");
-
-    // Full-rate congestion through the zero-cost-when-disabled hook.
-    let spec = FaultSpec::builder(5)
-        .congestion_bp(10_000)
-        .congestion_jitter(4)
-        .build()
-        .expect("valid spec");
-    paraconv::fault::install(spec);
-    let hooked = runner.run(&graph, 10).expect("still schedulable");
-    paraconv::fault::clear();
-
-    assert!(hooked.report.total_time > clean.report.total_time);
-    let after = runner.run(&graph, 10).expect("schedulable");
-    assert_eq!(after.report, clean.report, "clear() restores the identity");
-}
-
-#[test]
 fn same_seed_is_byte_identical_at_any_worker_count() {
     let _guard = lock();
     let spec = FaultSpec::builder(42)
@@ -88,19 +65,24 @@ fn same_seed_is_byte_identical_at_any_worker_count() {
         .kill_pe(1, 60)
         .build()
         .expect("valid spec");
-    let points: Vec<SweepPoint> = benchmarks::all()[..4]
-        .iter()
-        .map(|&b| {
-            SweepPoint::new(b, PimConfig::neurocube(8).expect("valid config"), 8)
-                .with_faults(spec.clone())
+    let runner = ParaConv::new(PimConfig::neurocube(8).expect("valid config"));
+    let campaign = |jobs: usize| {
+        parallel_map(&benchmarks::all()[..4], jobs, |bench| {
+            let graph = bench.graph().expect("benchmark generates");
+            runner
+                .run_chaos(&graph, 8, &spec)
+                .expect("campaign completes")
         })
-        .collect();
-    let sequential = run_all_with(&points, 1).expect("campaign completes");
+    };
+    let sequential = campaign(1);
+    assert!(sequential.iter().any(|c| c.faults.injected > 0));
     for jobs in [2, 8] {
-        let parallel = run_all_with(&points, jobs).expect("campaign completes");
+        let parallel = campaign(jobs);
         assert_eq!(sequential.len(), parallel.len());
         for (s, p) in sequential.iter().zip(&parallel) {
             assert_eq!(s.report, p.report, "jobs={jobs} diverged");
+            assert_eq!(s.faults, p.faults, "jobs={jobs} diverged");
+            assert_eq!(s.failed_pes, p.failed_pes, "jobs={jobs} diverged");
         }
     }
 }

@@ -780,6 +780,38 @@ fn subcommands_refuse_flags_and_arguments_they_do_not_read() {
 }
 
 #[test]
+fn pe_counts_above_the_supported_array_are_usage_errors() {
+    let dir = plan_tmp("pe-bound");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let above = (paraconv::pim::MAX_PES + 1).to_string();
+    for args in [
+        &["run", "cat", "--pes", above.as_str(), "--iters", "1"][..],
+        &["chaos", "cat", "--pes", "100000", "--iters", "1"][..],
+        &[
+            "plan",
+            "export",
+            "cat",
+            "--pes",
+            above.as_str(),
+            "--iters",
+            "1",
+        ][..],
+    ] {
+        let (code, stderr) = paraconv_bounded(args, &dir);
+        assert_eq!(code, Some(2), "{args:?} should exit 2, stderr: {stderr}");
+        assert!(
+            stderr.contains("--pes must be at most"),
+            "{args:?}: {stderr}"
+        );
+    }
+    let at_bound = paraconv::pim::MAX_PES.to_string();
+    let (code, stderr) =
+        paraconv_bounded(&["run", "cat", "--pes", &at_bound, "--iters", "1"], &dir);
+    assert_eq!(code, Some(0), "the bound itself is accepted: {stderr}");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
 fn zero_counts_are_usage_errors_before_any_work() {
     let dir = plan_tmp("zero-counts");
     std::fs::create_dir_all(&dir).expect("mkdir");

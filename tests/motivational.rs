@@ -95,13 +95,14 @@ fn steady_state_is_periodic_after_prologue() {
     // Instances of the same operation in consecutive iteration groups
     // are exactly one period apart.
     let probe = g.node_ids().next().expect("graph is non-empty");
-    let a = outcome
-        .plan
-        .find_task(probe, 1)
-        .expect("iteration 1 planned");
-    let b = outcome
-        .plan
-        .find_task(probe, 1 + u)
-        .expect("next group planned");
+    let find = |iteration: u64| {
+        outcome
+            .plan
+            .tasks()
+            .iter()
+            .find(|t| t.node == probe && t.iteration == iteration)
+            .expect("iteration planned")
+    };
+    let (a, b) = (find(1), find(1 + u));
     assert_eq!(b.start - a.start, p);
 }

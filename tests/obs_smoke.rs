@@ -292,36 +292,3 @@ fn prometheus_exposition_of_a_real_run_passes_the_checker() {
         "histograms surface their p99"
     );
 }
-
-#[test]
-fn windowed_metrics_track_a_real_latency_histogram() {
-    let _guard = lock();
-    obs::reset();
-    obs::enable();
-    let runner = ParaConv::new(PimConfig::neurocube(8).unwrap());
-    let graph = benchmarks::all()[0].graph().unwrap();
-    runner.compare(&graph, 10).unwrap();
-    obs::disable();
-    let snapshot = obs::snapshot();
-    obs::reset();
-
-    let mut windows = obs::WindowedMetrics::new(100, 8);
-    windows.merge_snapshot(50, &snapshot);
-    let merged = windows.aggregate_histogram("sim.transfer.latency");
-    assert!(
-        merged.count() > 0,
-        "the simulator records transfer latencies"
-    );
-    let slo = obs::Slo {
-        p99_cycles: merged.max(),
-        min_throughput: 0,
-    };
-    let status = windows.slo_status("sim.transfer.latency", "sim.events", &slo);
-    assert!(status.ok(), "a permissive SLO passes: {status}");
-    let strict = obs::Slo {
-        p99_cycles: 0,
-        min_throughput: u64::MAX,
-    };
-    let status = windows.slo_status("sim.transfer.latency", "sim.events", &strict);
-    assert!(!status.ok(), "an impossible SLO is flagged: {status}");
-}

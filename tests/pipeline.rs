@@ -125,9 +125,14 @@ fn gantt_and_trace_render_from_facade() {
         .expect("pipeline completes");
     let chart = paraconv::pim::gantt(&graph, &result.outcome.plan, &config, 0, 40);
     assert_eq!(chart.lines().count(), 5); // header + 4 PEs
-    let trace = paraconv::pim::trace(&graph, &result.outcome.plan, 0, 10);
-    assert!(trace.contains("exec"));
-    assert!(trace.contains("xfer"));
+                                          // Every task and transfer lands in the Chrome timeline.
+    let plan = &result.outcome.plan;
+    let trace = paraconv::pim::plan_chrome_trace(&graph, plan, &config);
+    assert_eq!(trace.len(), plan.tasks().len() + plan.transfers().len());
+    let json = trace.to_json();
+    paraconv::obs::check_trace(&json).expect("a well-formed Chrome trace");
+    assert!(json.contains("\"cat\":\"task\""));
+    assert!(json.contains("\"placement\":"));
 }
 
 #[test]

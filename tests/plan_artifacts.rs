@@ -282,6 +282,37 @@ fn number(v: u64) -> Value {
 }
 
 #[test]
+fn a_forged_allocation_capacity_is_refused_before_the_dp() {
+    // The sample is `cat` on 16 PEs: 64 cache units. A hash-honest
+    // artifact claiming more must fail the import's verifier gate
+    // with a typed error before the DP table is sized from the claim
+    // (10^12 units used to abort the process on that reservation).
+    let dir = std::env::temp_dir().join(format!("paraconv-forged-capacity-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for capacity in [100_000u64, 1_000_000_000_000] {
+        let forged = forge(|body| {
+            member(body, &["outcome", "allocation"]).insert("capacity".into(), number(capacity));
+        });
+        let path = dir.join(format!("cat-{capacity}.plan"));
+        std::fs::write(&path, forged).expect("write forged artifact");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_paraconv"))
+            .args(["plan", "import"])
+            .arg(&path)
+            .output()
+            .expect("binary spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "capacity {capacity}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "allocation capacity {capacity} exceeds the architecture's 64 cache units"
+            )),
+            "capacity {capacity}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
 fn forging_needs_only_honest_hashes() {
     // The forger itself is sound: with no edit it reproduces the
     // canonical artifact byte for byte.

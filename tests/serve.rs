@@ -232,3 +232,46 @@ fn an_oversized_request_is_answered_and_serving_continues() {
         "conservation"
     );
 }
+
+#[test]
+fn a_pe_count_above_the_bound_is_invalid_before_admission() {
+    let core = ServeCore::new(storm_config(1)).expect("serve core");
+    core.start();
+    let above = paraconv::pim::MAX_PES + 1;
+    let response = core
+        .submit(request("wide", "tenant-a", "cat", above, 1))
+        .wait();
+    assert_eq!(response.status, ServeStatus::Invalid, "{response:?}");
+    let stats = core.drain();
+    assert_eq!((stats.invalid, stats.accepted), (1, 0));
+}
+
+/// A deadline that fires between scheduling and verification stops
+/// the verifier's DP re-solve. The verifier must say so with its
+/// typed cancellation, which the serve worker answers as `deadline`,
+/// not judge the interrupted solve (`DpBelowGreedy` with a DP optimum
+/// of 0) and poison the tenant.
+#[test]
+fn a_deadline_during_verification_is_a_typed_cancellation() {
+    use paraconv::obs::{CancelScope, CancelToken};
+    use paraconv::verify::{verify_outcome, VerifyError};
+
+    for name in ["cat", "protein"] {
+        let graph = paraconv::synth::benchmarks::by_name(name)
+            .expect("suite benchmark")
+            .graph()
+            .expect("benchmark generates");
+        let config = paraconv::pim::PimConfig::neurocube(16).expect("valid config");
+        let outcome = paraconv::sched::ParaConvScheduler::new(config.clone())
+            .schedule(&graph, 50)
+            .expect("schedulable");
+        let token = CancelToken::new();
+        token.cancel();
+        let _scope = CancelScope::enter(token);
+        assert_eq!(
+            verify_outcome(&graph, &outcome, &config),
+            Err(VerifyError::Cancelled),
+            "{name}"
+        );
+    }
+}
