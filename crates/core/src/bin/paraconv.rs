@@ -46,12 +46,12 @@ use std::process::ExitCode;
 
 use paraconv::fault::FaultSpec;
 use paraconv::graph::TaskGraph;
-use paraconv::pim::{PimConfig, MAX_PES};
+use paraconv::pim::{ExecutionPlan, PimConfig, MAX_PES};
 use paraconv::registry::{self as plan_registry, PlanBundle, PlanPolicy, Registry};
-use paraconv::sched::{AllocationPolicy, ParaConvScheduler};
+use paraconv::sched::{AllocationPolicy, ParaConvOutcome, ParaConvScheduler};
 use paraconv::serve::ServeConfig;
 use paraconv::synth::benchmarks;
-use paraconv::{experiments, obs, ParaConv};
+use paraconv::{experiments, obs, ParaConv, RunResult};
 
 /// A CLI failure, split by exit code: usage errors (exit 2) echo the
 /// usage text, runtime errors (exit 1) do not.
@@ -440,28 +440,29 @@ fn run(words: &[String]) -> Result<(), CliError> {
             let result = runner
                 .run(&graph, args.iters())
                 .map_err(|e| e.to_string())?;
+            // Built before the report is printed, so a plan too large to
+            // unroll fails the run without a partial output.
+            let plan_trace = if args.on("--trace") {
+                let plan = unrolled(&graph, &cfg, &result)?;
+                Some(paraconv::pim::plan_chrome_trace(&graph, &plan, &cfg))
+            } else {
+                None
+            };
             println!(
                 "kernel p = {} ({} iters/kernel), R_max = {}, prologue = {}",
-                result.outcome.period(),
-                result.outcome.unroll(),
-                result.outcome.rmax(),
-                result.outcome.prologue_time()
+                result.core.period(),
+                result.core.unroll(),
+                result.core.rmax(),
+                result.core.prologue_time()
             );
             println!(
                 "{} of {} IPRs cached; case histogram (1..6): {:?}",
-                result.outcome.cached_iprs(),
+                result.core.cached_iprs(),
                 graph.edge_count(),
-                result.outcome.analysis.case_histogram()
+                result.core.analysis.case_histogram()
             );
             println!("{}", result.report);
-            export(
-                &args,
-                Some(paraconv::pim::plan_chrome_trace(
-                    &graph,
-                    &result.outcome.plan,
-                    &cfg,
-                )),
-            )
+            export(&args, plan_trace)
         }
         "compare" => {
             let graph = load(args.name())?;
@@ -487,18 +488,12 @@ fn run(words: &[String]) -> Result<(), CliError> {
                 .run(&graph, args.iters())
                 .map_err(|e| e.to_string())?;
             let window = args.num("--window").unwrap_or(60);
-            print!(
-                "{}",
-                paraconv::pim::gantt(&graph, &result.outcome.plan, &cfg, 0, window)
-            );
-            export(
-                &args,
-                Some(paraconv::pim::plan_chrome_trace(
-                    &graph,
-                    &result.outcome.plan,
-                    &cfg,
-                )),
-            )
+            let plan = unrolled(&graph, &cfg, &result)?;
+            print!("{}", paraconv::pim::gantt(&graph, &plan, &cfg, 0, window));
+            let plan_trace = args
+                .on("--trace")
+                .then(|| paraconv::pim::plan_chrome_trace(&graph, &plan, &cfg));
+            export(&args, plan_trace)
         }
         "audit" => {
             let graph = load(args.name())?;
@@ -508,16 +503,21 @@ fn run(words: &[String]) -> Result<(), CliError> {
             let result = runner
                 .run(&graph, args.iters())
                 .map_err(|e| e.to_string())?;
-            let para = paraconv::pim::audit(&graph, &result.outcome.plan, &cfg, &result.report)
+            let plan = unrolled(&graph, &cfg, &result)?;
+            let para = paraconv::pim::audit(&graph, &plan, &cfg, &result.report)
                 .map_err(|e| format!("Para-CONV plan failed audit: {e}"))?;
             println!("Para-CONV plan: PASS");
             println!("{para}");
             let baseline = runner
                 .run_baseline(&graph, args.iters())
                 .map_err(|e| e.to_string())?;
-            let sparta =
-                paraconv::pim::audit(&graph, &baseline.outcome.plan, &cfg, &baseline.report)
-                    .map_err(|e| format!("SPARTA plan failed audit: {e}"))?;
+            let plan = baseline
+                .core
+                .periodic()
+                .materialize()
+                .map_err(|e| e.to_string())?;
+            let sparta = paraconv::pim::audit(&graph, &plan, &cfg, &baseline.report)
+                .map_err(|e| format!("SPARTA plan failed audit: {e}"))?;
             println!();
             println!("SPARTA plan: PASS");
             println!("{sparta}");
@@ -537,9 +537,12 @@ fn run(words: &[String]) -> Result<(), CliError> {
                 let result = runner
                     .run(graph, args.iters())
                     .map_err(|e| format!("{name}: {e}"))?;
-                let report =
-                    paraconv::verify::verify_run(graph, &result.outcome, &cfg, &result.report)
-                        .map_err(|e| format!("{name}: verification FAILED: {e}"))?;
+                let outcome = ParaConvOutcome {
+                    plan: unrolled(graph, &cfg, &result)?,
+                    core: result.core,
+                };
+                let report = paraconv::verify::verify_run(graph, &outcome, &cfg, &result.report)
+                    .map_err(|e| format!("{name}: verification FAILED: {e}"))?;
                 println!("{name}: PROVED");
                 println!("{report}");
             }
@@ -1226,6 +1229,19 @@ fn export(args: &Args, plan_trace: Option<obs::ChromeTrace>) -> Result<(), CliEr
             .map_err(|e| format!("cannot write trace to `{path}`: {e}"))?;
     }
     Ok(())
+}
+
+/// The concrete plan of a run, for the subcommands that walk its tasks.
+fn unrolled(
+    graph: &TaskGraph,
+    cfg: &PimConfig,
+    result: &RunResult,
+) -> Result<ExecutionPlan, CliError> {
+    let periodic = result
+        .core
+        .periodic(graph, cfg, result.report.iterations)
+        .map_err(|e| e.to_string())?;
+    Ok(periodic.materialize().map_err(|e| e.to_string())?)
 }
 
 fn load(name: &str) -> Result<TaskGraph, CliError> {

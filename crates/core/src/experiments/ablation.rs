@@ -9,8 +9,11 @@
 //! * the **cache capacity** — per-PE cache units drive how many IPRs
 //!   escape eDRAM and how short the prologue gets.
 
-use paraconv_pim::{audit, audit_plan, simulate};
-use paraconv_sched::{AllocationPolicy, BaselineCachePolicy, ParaConvScheduler, SpartaScheduler};
+use paraconv_pim::audit_plan;
+use paraconv_sched::{
+    AllocationPolicy, BaselineCachePolicy, ParaConvCore, ParaConvOutcome, ParaConvScheduler,
+    SpartaScheduler,
+};
 use paraconv_synth::Benchmark;
 
 use crate::sweep;
@@ -63,7 +66,7 @@ pub fn policies(
         .map(|(point, result)| PolicyRow {
             name: point.benchmark.name().to_owned(),
             policy: point.policy,
-            rmax: result.outcome.rmax(),
+            rmax: result.core.rmax(),
             total_time: result.report.total_time,
             offchip_fetches: result.report.offchip_fetches,
         })
@@ -156,8 +159,8 @@ pub fn cache_sweep(
         .zip(&results)
         .map(|(&units, result)| CacheRow {
             per_pe_units: units,
-            rmax: result.outcome.rmax(),
-            cached: result.outcome.cached_iprs(),
+            rmax: result.core.rmax(),
+            cached: result.core.cached_iprs(),
             offchip_fetches: result.report.offchip_fetches,
         })
         .collect())
@@ -201,24 +204,15 @@ pub fn contributions(
     // `SweepPoint`, so each benchmark is one irregular job.
     let jobs = sweep::parallel_map(suite, config.effective_jobs(), |bench| {
         let graph = bench.graph()?;
-        let baseline = {
-            let outcome = SpartaScheduler::new(pim.clone()).schedule(&graph, config.iterations)?;
-            let report = simulate(&graph, &outcome.plan, &pim)?;
-            if config.audit {
-                audit(&graph, &outcome.plan, &pim, &report)?;
-            }
-            report.total_time
+        let sparta = |policy| -> Result<u64, CoreError> {
+            let scheduler = SpartaScheduler::new(pim.clone()).with_cache_policy(policy);
+            let result = ParaConv::new(pim.clone())
+                .with_audit(config.audit)
+                .run_baseline_with(&scheduler, &graph, config.iterations)?;
+            Ok(result.report.total_time)
         };
-        let baseline_dp = {
-            let outcome = SpartaScheduler::new(pim.clone())
-                .with_cache_policy(BaselineCachePolicy::OptimalDp)
-                .schedule(&graph, config.iterations)?;
-            let report = simulate(&graph, &outcome.plan, &pim)?;
-            if config.audit {
-                audit(&graph, &outcome.plan, &pim, &report)?;
-            }
-            report.total_time
-        };
+        let baseline = sparta(BaselineCachePolicy::Greedy)?;
+        let baseline_dp = sparta(BaselineCachePolicy::OptimalDp)?;
         let retiming_only = ParaConv::new(pim.clone())
             .with_policy(AllocationPolicy::AllEdram)
             .with_audit(config.audit)
@@ -272,23 +266,28 @@ pub fn unrolling(
     let pes = *config.pe_counts.last().expect("non-empty sweep");
     let pim = config.pim_config(pes)?;
     // Schedule-only jobs (no simulation), still one irregular job per
-    // benchmark.
+    // benchmark. Only the audit and verify opt-ins unroll the plans.
     let jobs = sweep::parallel_map(suite, config.effective_jobs(), |bench| {
         let graph = bench.graph()?;
-        let capped = ParaConvScheduler::new(pim.clone())
-            .with_max_unroll(1)
-            .schedule(&graph, config.iterations)?;
-        let free = ParaConvScheduler::new(pim.clone()).schedule(&graph, config.iterations)?;
-        if config.audit {
-            // No simulation here, so only the plan-level invariants.
-            audit_plan(&graph, &capped.plan, &pim)?;
-            audit_plan(&graph, &free.plan, &pim)?;
-        }
-        if config.verify {
-            // Likewise: static verification only, no dominance check.
-            paraconv_verify::verify_outcome(&graph, &capped, &pim)?;
-            paraconv_verify::verify_outcome(&graph, &free, &pim)?;
-        }
+        let schedule = |scheduler: ParaConvScheduler| -> Result<ParaConvCore, CoreError> {
+            let (core, periodic) = scheduler.schedule_periodic(&graph, config.iterations)?;
+            if !(config.audit || config.verify) {
+                return Ok(core);
+            }
+            let plan = periodic.materialize()?;
+            if config.audit {
+                // No simulation here, so only the plan-level invariants.
+                audit_plan(&graph, &plan, &pim)?;
+            }
+            let outcome = ParaConvOutcome { core, plan };
+            if config.verify {
+                // Likewise: static verification only, no dominance check.
+                paraconv_verify::verify_outcome(&graph, &outcome, &pim)?;
+            }
+            Ok(outcome.core)
+        };
+        let capped = schedule(ParaConvScheduler::new(pim.clone()).with_max_unroll(1))?;
+        let free = schedule(ParaConvScheduler::new(pim.clone()))?;
         Ok(UnrollRow {
             name: bench.name().to_owned(),
             capped_interval: capped.time_per_iteration(),

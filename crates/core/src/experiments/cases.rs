@@ -69,7 +69,7 @@ pub fn run(config: &ExperimentConfig, suite: &[Benchmark]) -> Result<Vec<CaseRow
         .map(|((name, pes), result)| CaseRow {
             name,
             pes,
-            histogram: result.outcome.analysis.case_histogram(),
+            histogram: result.core.analysis.case_histogram(),
         })
         .collect())
 }

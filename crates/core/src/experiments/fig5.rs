@@ -52,11 +52,8 @@ pub fn run(config: &ExperimentConfig, suite: &[Benchmark]) -> Result<Vec<Fig5Row
         .zip(&references)
         .zip(results.chunks(config.pe_counts.len().max(1)))
         .map(|((bench, reference), chunk)| {
-            let reference = reference.outcome.time_per_iteration();
-            let period: Vec<f64> = chunk
-                .iter()
-                .map(|r| r.outcome.time_per_iteration())
-                .collect();
+            let reference = reference.core.time_per_iteration();
+            let period: Vec<f64> = chunk.iter().map(|r| r.core.time_per_iteration()).collect();
             let normalized = period.iter().map(|p| p / reference).collect();
             Fig5Row {
                 name: bench.name().to_owned(),

@@ -40,11 +40,11 @@ pub fn run(config: &ExperimentConfig, suite: &[Benchmark]) -> Result<Vec<Fig6Row
         .map(|(bench, chunk)| Fig6Row {
             name: bench.name().to_owned(),
             total_iprs: bench.edges(),
-            cached: chunk.iter().map(|r| r.outcome.cached_iprs()).collect(),
+            cached: chunk.iter().map(|r| r.core.cached_iprs()).collect(),
             competing: chunk
                 .iter()
                 .map(|r| {
-                    r.outcome
+                    r.core
                         .analysis
                         .cases()
                         .filter(|(_, case)| case.competes_for_cache())

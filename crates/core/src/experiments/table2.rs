@@ -36,7 +36,7 @@ pub fn run(config: &ExperimentConfig, suite: &[Benchmark]) -> Result<Vec<Table2R
         .iter()
         .zip(results.chunks(config.pe_counts.len().max(1)))
         .map(|(bench, chunk)| {
-            let rmax: Vec<u64> = chunk.iter().map(|r| r.outcome.rmax()).collect();
+            let rmax: Vec<u64> = chunk.iter().map(|r| r.core.rmax()).collect();
             let average = rmax.iter().sum::<u64>() as f64 / rmax.len().max(1) as f64;
             Table2Row {
                 name: bench.name().to_owned(),

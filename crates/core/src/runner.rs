@@ -1,13 +1,19 @@
 //! High-level entry points: schedule, simulate and compare in one call.
+//!
+//! A run schedules the periodic core and replays it with
+//! [`simulate_periodic`], so it costs the core and a few kernel groups
+//! whatever the iteration count. Only the audit and verify opt-ins,
+//! which walk every task, unroll the plan.
 
 use paraconv_alloc::IncrementalDp;
 use paraconv_fault::FaultSpec;
 use paraconv_graph::TaskGraph;
 use paraconv_pim::{
-    audit, simulate, simulate_with_faults, FaultOutcome, PimConfig, SimError, SimReport,
+    audit, simulate, simulate_periodic, simulate_with_faults, FaultOutcome, PimConfig, SimError,
+    SimReport,
 };
 use paraconv_sched::{
-    AllocationPolicy, ParaConvOutcome, ParaConvScheduler, SpartaOutcome, SpartaScheduler,
+    AllocationPolicy, ParaConvCore, ParaConvOutcome, ParaConvScheduler, SpartaCore, SpartaScheduler,
 };
 
 use crate::CoreError;
@@ -15,10 +21,10 @@ use crate::CoreError;
 /// A Para-CONV schedule together with its validated simulation report.
 #[derive(Debug, Clone)]
 pub struct RunResult {
-    /// The scheduler's full output (plan, kernel, retiming,
-    /// allocation, analysis).
-    pub outcome: ParaConvOutcome,
-    /// The simulator's report for the emitted plan.
+    /// The scheduler's periodic core (kernel, retiming, allocation,
+    /// analysis); [`ParaConvCore::periodic`] rebuilds the plan.
+    pub core: ParaConvCore,
+    /// The simulator's report for the planned run.
     pub report: SimReport,
 }
 
@@ -45,9 +51,10 @@ pub struct ChaosResult {
 /// A SPARTA-baseline schedule together with its simulation report.
 #[derive(Debug, Clone)]
 pub struct BaselineResult {
-    /// The baseline scheduler's output.
-    pub outcome: SpartaOutcome,
-    /// The simulator's report for the emitted plan.
+    /// The baseline scheduler's periodic core, whose
+    /// [`SpartaCore::periodic`] plan was replayed.
+    pub core: SpartaCore,
+    /// The simulator's report for the planned run.
     pub report: SimReport,
 }
 
@@ -163,19 +170,27 @@ impl ParaConv {
     /// fails validation (a bug, surfaced rather than hidden).
     pub fn run(&self, graph: &TaskGraph, iterations: u64) -> Result<RunResult, CoreError> {
         let _span = paraconv_obs::span("run.paraconv", "run");
-        let outcome = ParaConvScheduler::new(self.config.clone())
-            .with_policy(self.policy)
-            .schedule(graph, iterations)?;
-        let report = simulate(graph, &outcome.plan, &self.config)?;
+        let scheduler = ParaConvScheduler::new(self.config.clone()).with_policy(self.policy);
+        let (core, periodic) = scheduler.schedule_periodic(graph, iterations)?;
+        let report = simulate_periodic(graph, &periodic, &self.config)?;
+        if !(self.audit || self.verify) {
+            return Ok(RunResult { core, report });
+        }
+        // The opt-ins walk every task of the plan the report replayed.
+        let plan = periodic.materialize()?;
         if self.audit {
             let _audit_span = paraconv_obs::span("run.audit", "run");
-            audit(graph, &outcome.plan, &self.config, &report)?;
+            audit(graph, &plan, &self.config, &report)?;
         }
+        let outcome = ParaConvOutcome { core, plan };
         if self.verify {
             let _verify_span = paraconv_obs::span("run.verify", "run");
             paraconv_verify::verify_run(graph, &outcome, &self.config, &report)?;
         }
-        Ok(RunResult { outcome, report })
+        Ok(RunResult {
+            core: outcome.core,
+            report,
+        })
     }
 
     /// Runs a deterministic fault campaign: schedule, replay under
@@ -256,7 +271,8 @@ impl ParaConv {
     }
 
     /// Schedules `iterations` iterations with the SPARTA baseline and
-    /// replays the plan on the simulator.
+    /// replays the plan on the simulator. The baseline is never
+    /// statically verified, so only the audit opt-in unrolls its plan.
     ///
     /// # Errors
     ///
@@ -266,14 +282,30 @@ impl ParaConv {
         graph: &TaskGraph,
         iterations: u64,
     ) -> Result<BaselineResult, CoreError> {
+        self.run_baseline_with(
+            &SpartaScheduler::new(self.config.clone()),
+            graph,
+            iterations,
+        )
+    }
+
+    /// [`run_baseline`](Self::run_baseline) with a given baseline
+    /// scheduler for this runner's architecture (an ablation variant).
+    pub(crate) fn run_baseline_with(
+        &self,
+        scheduler: &SpartaScheduler,
+        graph: &TaskGraph,
+        iterations: u64,
+    ) -> Result<BaselineResult, CoreError> {
         let _span = paraconv_obs::span("run.sparta", "run");
-        let outcome = SpartaScheduler::new(self.config.clone()).schedule(graph, iterations)?;
-        let report = simulate(graph, &outcome.plan, &self.config)?;
+        let core = scheduler.schedule_core(graph, iterations)?;
+        let report = simulate_periodic(graph, core.periodic(), &self.config)?;
         if self.audit {
+            let plan = core.periodic().materialize()?;
             let _audit_span = paraconv_obs::span("run.audit", "run");
-            audit(graph, &outcome.plan, &self.config, &report)?;
+            audit(graph, &plan, &self.config, &report)?;
         }
-        Ok(BaselineResult { outcome, report })
+        Ok(BaselineResult { core, report })
     }
 
     /// Runs both schedulers on identical inputs.
@@ -307,12 +339,21 @@ mod tests {
 
     #[test]
     fn run_results_expose_reports() {
-        let runner = ParaConv::new(PimConfig::neurocube(4).unwrap());
-        let r = runner.run(&examples::motivational(), 10).unwrap();
+        let cfg = PimConfig::neurocube(4).unwrap();
+        let g = examples::motivational();
+        let runner = ParaConv::new(cfg.clone());
+        let r = runner.run(&g, 10).unwrap();
         assert_eq!(r.report.iterations, 10);
-        assert_eq!(r.outcome.plan.iterations(), 10);
-        let b = runner.run_baseline(&examples::motivational(), 10).unwrap();
+        let plan = r
+            .core
+            .periodic(&g, &cfg, 10)
+            .unwrap()
+            .materialize()
+            .unwrap();
+        assert_eq!(plan.iterations(), 10);
+        let b = runner.run_baseline(&g, 10).unwrap();
         assert_eq!(b.report.iterations, 10);
+        assert_eq!(b.core.periodic().iterations(), Some(10));
     }
 
     #[test]
@@ -378,10 +419,99 @@ mod tests {
 
     #[test]
     fn zero_iterations_surface_as_core_error() {
-        let runner = ParaConv::new(PimConfig::neurocube(4).unwrap());
+        // Refused before anything is scheduled, with or without opt-ins.
+        let g = examples::motivational();
+        let plain = ParaConv::new(PimConfig::neurocube(4).unwrap());
+        for runner in [
+            plain.clone(),
+            plain.clone().with_audit(true),
+            plain.clone().with_verify(true),
+        ] {
+            assert!(matches!(runner.run(&g, 0), Err(CoreError::Sched(_))));
+            assert!(matches!(
+                runner.run_baseline(&g, 0),
+                Err(CoreError::Sched(_))
+            ));
+            assert!(matches!(runner.compare(&g, 0), Err(CoreError::Sched(_))));
+        }
+    }
+
+    #[test]
+    fn verified_runs_match_unverified_runs() {
+        let plain = ParaConv::new(PimConfig::neurocube(8).unwrap());
+        let verified = plain.clone().with_verify(true);
+        let g = examples::fork_join(12);
+        for n in [1, 10, 97] {
+            let a = verified.run(&g, n).unwrap();
+            let b = plain.run(&g, n).unwrap();
+            assert_eq!(a.report, b.report, "N={n}");
+            assert_eq!(a.core.kernel, b.core.kernel, "N={n}");
+            assert_eq!(a.core.allocation, b.core.allocation, "N={n}");
+        }
+    }
+
+    #[test]
+    fn a_results_core_rebuilds_the_plan_its_report_replayed() {
+        let cfg = PimConfig::neurocube(16).unwrap();
+        let g = examples::motivational();
+        let runner = ParaConv::new(cfg.clone());
+        for n in [3, 40, 500] {
+            let r = runner.run(&g, n).unwrap();
+            let plan = r.core.periodic(&g, &cfg, n).unwrap().materialize().unwrap();
+            assert_eq!(simulate(&g, &plan, &cfg).unwrap(), r.report, "N={n}");
+            let b = runner.run_baseline(&g, n).unwrap();
+            let plan = b.core.periodic().materialize().unwrap();
+            assert_eq!(simulate(&g, &plan, &cfg).unwrap(), b.report, "N={n}");
+        }
+    }
+
+    #[test]
+    fn an_audited_baseline_variant_matches_its_periodic_replay() {
+        // The audit opt-in checks the replay an ablation variant reports.
+        let cfg = PimConfig::neurocube(8).unwrap();
+        let g = examples::fork_join(12);
+        let variant = SpartaScheduler::new(cfg.clone())
+            .with_cache_policy(paraconv_sched::BaselineCachePolicy::OptimalDp);
+        let plain = ParaConv::new(cfg);
+        let audited = plain.clone().with_audit(true);
+        let a = audited.run_baseline_with(&variant, &g, 30).unwrap();
+        let b = plain.run_baseline_with(&variant, &g, 30).unwrap();
+        assert_eq!(a.report, b.report);
+        assert_eq!(a.core.periodic(), b.core.periodic());
+    }
+
+    #[test]
+    fn a_comparison_too_long_to_unroll_completes() {
+        // 10^11 iterations: neither plan could be held in memory.
+        let n = 100_000_000_000;
+        let runner = ParaConv::new(PimConfig::neurocube(8).unwrap());
+        let cmp = runner.compare(&examples::fork_join(12), n).unwrap();
+        assert_eq!(cmp.paraconv.report.iterations, n);
+        assert_eq!(cmp.sparta.report.iterations, n);
+        assert!(cmp.speedup().is_finite() && cmp.speedup() > 0.0);
+        assert_eq!(
+            cmp.sparta.core.periodic().groups(),
+            n / cmp.sparta.core.copies_per_batch()
+        );
+    }
+
+    #[test]
+    fn the_opt_ins_refuse_a_run_too_long_to_unroll() {
+        // The periodic replay succeeds; only the plan the checks walk
+        // cannot be built.
+        let n = 100_000_000_000;
+        let g = examples::fork_join(12);
+        let plain = ParaConv::new(PimConfig::neurocube(8).unwrap());
+        for runner in [plain.clone().with_audit(true), plain.with_verify(true)] {
+            assert!(matches!(
+                runner.run(&g, n),
+                Err(CoreError::Sim(SimError::PlanTooLarge))
+            ));
+        }
+        let audited = ParaConv::new(PimConfig::neurocube(8).unwrap()).with_audit(true);
         assert!(matches!(
-            runner.run(&examples::motivational(), 0).unwrap_err(),
-            CoreError::Sched(_)
+            audited.run_baseline(&g, n),
+            Err(CoreError::Sim(SimError::PlanTooLarge))
         ));
     }
 }

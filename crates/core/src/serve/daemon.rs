@@ -1,6 +1,9 @@
 //! The TCP front end for [`ServeCore`](super::ServeCore): one
 //! listener, one thread per connection, one JSON object per line in
-//! each direction.
+//! each direction. Every accepted stream sets `TCP_NODELAY`, so a
+//! response leaves as soon as it is written instead of waiting on
+//! Nagle's algorithm, and no request line is read past
+//! [`MAX_LINE_BYTES`].
 //!
 //! The daemon owns nothing the engine does not already guarantee — it
 //! only translates lines into [`submit`](super::ServeCore::submit)
@@ -9,7 +12,7 @@
 //! (every accepted request is still answered), and joins every
 //! connection thread before returning the final counters.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -19,6 +22,11 @@ use super::{
     Submission,
 };
 use paraconv_registry::ArtifactError;
+
+/// The longest request line the daemon reads, newline excluded. Legal
+/// lines are a few hundred bytes; a longer one is answered `invalid`
+/// and skipped through its newline without being held in memory.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// A running daemon: the bound address plus the handles needed to
 /// drain it.
@@ -127,16 +135,30 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Drives one client connection line-by-line until EOF, a write
-/// failure, or a `drain` op.
+/// Drives one client connection line-by-line until EOF, a read error
+/// (non-UTF-8 included), a write failure, or a `drain` op.
 fn serve_connection(core: &ServeCore, stream: TcpStream, stopping: &AtomicBool) {
+    // Best effort: without it the connection still works, only slower.
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let mut writer = std::io::BufWriter::new(write_half);
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        let line = match read_line(&mut reader, &mut buf) {
+            Ok(Some(Line::Text(line))) => line,
+            Ok(Some(Line::TooLong)) => {
+                let detail = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                let response = ServeResponse::with_detail("", ServeStatus::Invalid, detail);
+                if write_line(&mut writer, &response).is_err() {
+                    break;
+                }
+                continue;
+            }
+            Ok(None) | Err(_) => break,
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -158,6 +180,42 @@ fn serve_connection(core: &ServeCore, stream: TcpStream, stopping: &AtomicBool) 
             break;
         }
     }
+}
+
+/// One read from a connection.
+enum Line {
+    /// A line without its `\n` or `\r\n`.
+    Text(String),
+    /// A line longer than [`MAX_LINE_BYTES`], already skipped.
+    TooLong,
+}
+
+/// Reads the next line into `buf`, as [`BufRead::lines`] would, but
+/// never buffers more of it than [`MAX_LINE_BYTES`] and a `\r\n`.
+/// `None` at end of stream; an error for a failed read or a line that
+/// is not UTF-8.
+fn read_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<Option<Line>> {
+    buf.clear();
+    let limit = MAX_LINE_BYTES as u64 + 2;
+    if reader.by_ref().take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    let ended = buf.last() == Some(&b'\n');
+    if ended {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    }
+    if buf.len() > MAX_LINE_BYTES {
+        if !ended {
+            reader.skip_until(b'\n')?;
+        }
+        return Ok(Some(Line::TooLong));
+    }
+    let text = std::str::from_utf8(buf)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    Ok(Some(Line::Text(text.to_owned())))
 }
 
 /// Turns one request line into one response; the bool asks the caller
@@ -191,4 +249,63 @@ fn write_line(
     writer.write_all(response.to_json().as_bytes())?;
     writer.write_all(b"\n")?;
     writer.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_streams_set_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        let probe = server.try_clone().expect("clone");
+        assert!(!probe.nodelay().expect("read option"), "off by default");
+        drop(client);
+        let core = ServeCore::new(ServeConfig::default()).expect("serve core");
+        serve_connection(&core, server, &AtomicBool::new(false));
+        assert!(probe.nodelay().expect("read option"));
+    }
+
+    #[test]
+    fn a_line_past_the_limit_is_skipped_whole() {
+        let fits = "x".repeat(MAX_LINE_BYTES);
+        // The last line runs past the limit into the end of the stream.
+        let input = format!("{fits}\r\n{fits}y\n{fits}\ry and more\nping\n{fits}{fits}");
+        let mut reader = BufReader::new(input.as_bytes());
+        let mut buf = Vec::new();
+        let mut next = || read_line(&mut reader, &mut buf).expect("reads");
+        assert!(matches!(next(), Some(Line::Text(line)) if line == fits));
+        assert!(matches!(next(), Some(Line::TooLong)));
+        assert!(matches!(next(), Some(Line::TooLong)));
+        assert!(matches!(next(), Some(Line::Text(line)) if line == "ping"));
+        assert!(matches!(next(), Some(Line::TooLong)));
+        assert!(next().is_none());
+    }
+
+    #[test]
+    fn blank_and_crlf_lines_read_as_text() {
+        let mut reader = BufReader::new(&b"\n\r\nping\r\npong"[..]);
+        let mut buf = Vec::new();
+        let mut next = || match read_line(&mut reader, &mut buf).expect("reads") {
+            Some(Line::Text(line)) => Some(line),
+            Some(Line::TooLong) => panic!("no line here is long"),
+            None => None,
+        };
+        assert_eq!(next().as_deref(), Some(""));
+        assert_eq!(next().as_deref(), Some(""));
+        assert_eq!(next().as_deref(), Some("ping"));
+        assert_eq!(next().as_deref(), Some("pong"));
+        assert_eq!(next(), None);
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_a_read_error() {
+        let mut reader = BufReader::new(&b"\xff\xfe\n"[..]);
+        let err = read_line(&mut reader, &mut Vec::new())
+            .err()
+            .expect("not UTF-8");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
 }

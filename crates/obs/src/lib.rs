@@ -77,5 +77,6 @@ pub use metrics::{
 };
 pub use recorder::{
     counter_add, current_tid, disable, enable, enabled, flush_thread, gauge_max, logical_time,
-    now_us, observe, reset, set_enabled, snapshot, span, take_spans, SpanEvent, SpanGuard,
+    now_us, observe, observe_n, reset, set_enabled, snapshot, span, take_spans, SpanEvent,
+    SpanGuard,
 };

@@ -81,11 +81,21 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` samples of the same value: the histogram `n` calls
+    /// to [`record`](Self::record) would leave, in O(1).
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.count = self.count.saturating_add(n);
+        self.sum = self.sum.saturating_add(value.saturating_mul(n));
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-        self.buckets[Self::bucket_of(value)] += 1;
+        let bucket = &mut self.buckets[Self::bucket_of(value)];
+        *bucket = bucket.saturating_add(n);
     }
 
     /// Merges another histogram into this one (bucket-wise sums).
@@ -624,6 +634,31 @@ mod tests {
         }
         left.merge(&right);
         assert_eq!(left, whole);
+    }
+
+    #[test]
+    fn record_n_matches_repeated_recording() {
+        for (value, n) in [(7u64, 5u64), (0, 3), (u64::MAX / 2, 3), (9, 0)] {
+            let mut repeated = Histogram::new();
+            repeated.record(1);
+            for _ in 0..n {
+                repeated.record(value);
+            }
+            let mut batched = Histogram::new();
+            batched.record(1);
+            batched.record_n(value, n);
+            assert_eq!(batched, repeated, "value {value} n {n}");
+        }
+    }
+
+    #[test]
+    fn record_n_saturates_instead_of_wrapping() {
+        let mut h = Histogram::new();
+        h.record_n(u64::MAX / 2, 3);
+        assert_eq!((h.count(), h.sum(), h.max()), (3, u64::MAX, u64::MAX / 2));
+        h.record_n(1, u64::MAX);
+        assert_eq!((h.count(), h.min()), (u64::MAX, 1));
+        assert_eq!(h.bucket_count(Histogram::bucket_of(1)), u64::MAX);
     }
 
     #[test]

@@ -213,6 +213,15 @@ pub fn observe(name: &'static str, value: u64) {
     }
 }
 
+/// Records `n` samples of `value` for `name` at once, as `n` calls to
+/// [`observe`] would (no-op while disabled).
+#[inline]
+pub fn observe_n(name: &'static str, value: u64, n: u64) {
+    if n > 0 && enabled() {
+        with_local(|b| b.histograms.entry(name).or_default().record_n(value, n));
+    }
+}
+
 /// An RAII phase marker: created by [`span`], records a [`SpanEvent`]
 /// covering its lifetime when dropped. Inactive (and free) while
 /// recording is disabled.
@@ -468,5 +477,40 @@ mod tests {
         assert_eq!(spans[0].name, "t.inner");
         assert!(spans[0].ts_us >= spans[1].ts_us);
         reset();
+    }
+
+    #[test]
+    fn observe_n_matches_repeated_observe() {
+        let _l = test_lock();
+        reset();
+        enable();
+        for _ in 0..3 {
+            observe("t.n", 5);
+        }
+        observe("t.n", 9);
+        disable();
+        let repeated = snapshot();
+        reset();
+
+        enable();
+        observe_n("t.n", 5, 3);
+        observe("t.n", 9);
+        // Zero samples leave no trace, not even an empty histogram.
+        observe_n("t.n.none", 5, 0);
+        disable();
+        let batched = snapshot();
+        reset();
+
+        assert_eq!(batched, repeated);
+        assert_eq!(batched.histogram("t.n").unwrap().count(), 4);
+    }
+
+    #[test]
+    fn observe_n_is_dropped_while_disabled() {
+        let _l = test_lock();
+        reset();
+        disable();
+        observe_n("t.n.disabled", 5, 3);
+        assert!(snapshot().histogram("t.n.disabled").is_none());
     }
 }

@@ -158,6 +158,10 @@ pub enum SimError {
         /// The bound it must stay under.
         bound: u64,
     },
+    /// A periodic plan had to be unrolled but no concrete plan can hold
+    /// it: its iteration count or a shifted start exceeds `u64`, or its
+    /// entries cannot be allocated.
+    PlanTooLarge,
 }
 
 impl fmt::Display for SimError {
@@ -272,6 +276,9 @@ impl fmt::Display for SimError {
                 f,
                 "fault replay makespan {achieved} exceeds the watchdog bound {bound}"
             ),
+            SimError::PlanTooLarge => {
+                f.write_str("the periodic plan is too large to unroll into a concrete plan")
+            }
         }
     }
 }
@@ -366,6 +373,7 @@ mod tests {
                 achieved: 100,
                 bound: 90,
             },
+            SimError::PlanTooLarge,
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

@@ -20,6 +20,9 @@
 //!   exclusivity, dependency coverage, cache capacity and FIFO depth,
 //!   and reports throughput, data movement and energy in a
 //!   [`SimReport`];
+//! * [`PeriodicPlan`] / [`simulate_periodic`] — a plan given as one
+//!   repeated group plus a tail, and its exact replay from a few groups
+//!   without unrolling it;
 //! * [`audit_plan`] / [`audit`] — an independent second opinion that
 //!   re-derives the paper's architectural invariants from scratch and
 //!   cross-checks the simulator's own report;
@@ -64,8 +67,8 @@ pub use cost::CostModel;
 pub use error::SimError;
 pub use faulty::{simulate_with_faults, FaultOutcome};
 pub use pe::{Pe, RecordError};
-pub use plan::{ExecutionPlan, PeId, PlannedTask, PlannedTransfer};
+pub use plan::{ExecutionPlan, PeId, PeriodicPlan, PlannedTask, PlannedTransfer};
 pub use report::SimReport;
-pub use sim::{simulate, simulate_reference, simulate_streaming};
+pub use sim::{simulate, simulate_periodic, simulate_reference, simulate_streaming};
 pub use trace::{gantt, plan_chrome_trace};
 pub use vault::{Vault, VaultArray};

@@ -12,6 +12,8 @@ use std::collections::TryReserveError;
 
 use paraconv_graph::{EdgeId, NodeId, Placement};
 
+use crate::SimError;
+
 /// Identifier of a processing engine in the PE array.
 ///
 /// # Examples
@@ -201,6 +203,203 @@ impl ExecutionPlan {
             .unwrap_or(0);
         t.max(x)
     }
+
+    /// True when the plan holds no task and no transfer.
+    fn is_empty(&self) -> bool {
+        self.tasks.is_empty() && self.transfers.is_empty()
+    }
+
+    /// The latest finish over all entries, `None` if one ends past
+    /// `u64` (0 for an empty plan).
+    pub(crate) fn checked_makespan(&self) -> Option<u64> {
+        let tasks = self.tasks.iter().map(|t| t.start.checked_add(t.duration));
+        let transfers = self
+            .transfers
+            .iter()
+            .map(|x| x.start.checked_add(x.duration));
+        tasks
+            .chain(transfers)
+            .try_fold(0, |latest: u64, end| end.map(|end| latest.max(end)))
+    }
+
+    /// True when every entry's iteration lies in `1..=iterations`.
+    pub(crate) fn numbered_within(&self, iterations: u64) -> bool {
+        let tasks = self.tasks.iter().map(|t| t.iteration);
+        let transfers = self.transfers.iter().map(|x| x.iteration);
+        tasks
+            .chain(transfers)
+            .all(|iteration| (1..=iterations).contains(&iteration))
+    }
+}
+
+/// A plan given by its period: one group of iterations that repeats
+/// every `period` time units, `groups` times, then a tail.
+///
+/// Group `g` (from 0) is `group` with every start shifted by
+/// `g · period` and every iteration by `g · group.iterations()`; the
+/// tail is `tail` shifted by `groups · period` and
+/// `groups · group.iterations()`. Both schedulers emit plans of this
+/// shape: Para-CONV's kernel copies repeat every period `p` (§3) and
+/// SPARTA repeats one batch template. [`materialize`](Self::materialize)
+/// unrolls the description into its [`ExecutionPlan`];
+/// [`crate::simulate_periodic`] replays it without unrolling.
+///
+/// # Examples
+///
+/// ```
+/// use paraconv_graph::examples;
+/// use paraconv_pim::{ExecutionPlan, PeId, PeriodicPlan, PlannedTask};
+///
+/// let g = examples::chain(1);
+/// let mut group = ExecutionPlan::new(1);
+/// group.push_task(PlannedTask {
+///     node: g.node_ids().next().unwrap(),
+///     iteration: 1,
+///     pe: PeId::new(0),
+///     start: 0,
+///     duration: 1,
+/// });
+/// let periodic = PeriodicPlan::new(group, 2, 3, ExecutionPlan::default());
+/// let plan = periodic.materialize()?;
+/// assert_eq!(plan.iterations(), 3);
+/// assert_eq!(plan.tasks()[2].start, 4);
+/// assert_eq!(periodic.makespan(), Some(plan.makespan()));
+/// # Ok::<(), paraconv_pim::SimError>(())
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PeriodicPlan {
+    group: ExecutionPlan,
+    period: u64,
+    groups: u64,
+    tail: ExecutionPlan,
+}
+
+impl PeriodicPlan {
+    /// Describes `groups` copies of `group`, one every `period` time
+    /// units, followed by `tail`. Each part numbers its own iterations
+    /// from 1 and starts its clock at 0.
+    #[must_use]
+    pub const fn new(group: ExecutionPlan, period: u64, groups: u64, tail: ExecutionPlan) -> Self {
+        PeriodicPlan {
+            group,
+            period,
+            groups,
+            tail,
+        }
+    }
+
+    /// The repeated group, at base 0.
+    #[must_use]
+    pub const fn group(&self) -> &ExecutionPlan {
+        &self.group
+    }
+
+    /// Time between the starts of consecutive groups.
+    #[must_use]
+    pub const fn period(&self) -> u64 {
+        self.period
+    }
+
+    /// Number of full groups.
+    #[must_use]
+    pub const fn groups(&self) -> u64 {
+        self.groups
+    }
+
+    /// The tail after the last full group, at base 0.
+    #[must_use]
+    pub const fn tail(&self) -> &ExecutionPlan {
+        &self.tail
+    }
+
+    /// Iterations of the unrolled plan, `None` past `u64`.
+    #[must_use]
+    pub fn iterations(&self) -> Option<u64> {
+        self.groups
+            .checked_mul(self.group.iterations())?
+            .checked_add(self.tail.iterations())
+    }
+
+    /// The unrolled plan's makespan in closed form, `None` past `u64`.
+    #[must_use]
+    pub fn makespan(&self) -> Option<u64> {
+        let mut latest = 0;
+        if self.groups > 0 && !self.group.is_empty() {
+            latest = (self.groups - 1)
+                .checked_mul(self.period)?
+                .checked_add(self.group.checked_makespan()?)?;
+        }
+        if !self.tail.is_empty() {
+            let tail = self
+                .groups
+                .checked_mul(self.period)?
+                .checked_add(self.tail.checked_makespan()?)?;
+            latest = latest.max(tail);
+        }
+        Some(latest)
+    }
+
+    /// The concrete plan this description stands for.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::PlanTooLarge`] when no [`ExecutionPlan`] can hold
+    /// it: the iteration count or a shifted start or iteration exceeds
+    /// `u64`, or the entries cannot be allocated.
+    pub fn materialize(&self) -> Result<ExecutionPlan, SimError> {
+        self.unrolled(self.groups)
+    }
+
+    /// The plan of this description with `groups` full groups in place
+    /// of [`groups`](Self::groups), the tail after them.
+    pub(crate) fn unrolled(&self, groups: u64) -> Result<ExecutionPlan, SimError> {
+        let per_group = self.group.iterations();
+        let iterations = groups
+            .checked_mul(per_group)
+            .and_then(|n| n.checked_add(self.tail.iterations()))
+            .ok_or(SimError::PlanTooLarge)?;
+        let count = |group: usize, tail: usize| {
+            usize::try_from(groups)
+                .ok()
+                .and_then(|g| g.checked_mul(group))
+                .and_then(|n| n.checked_add(tail))
+                .ok_or(SimError::PlanTooLarge)
+        };
+        let tasks = count(self.group.tasks.len(), self.tail.tasks.len())?;
+        let transfers = count(self.group.transfers.len(), self.tail.transfers.len())?;
+        let mut plan = ExecutionPlan::with_capacity(iterations, tasks, transfers)
+            .map_err(|_| SimError::PlanTooLarge)?;
+        let parts = (0..groups)
+            .map(|g| (&self.group, g))
+            .chain(std::iter::once((&self.tail, groups)));
+        for (part, g) in parts {
+            let shift = g.checked_mul(self.period).ok_or(SimError::PlanTooLarge)?;
+            let renumber = g.checked_mul(per_group).ok_or(SimError::PlanTooLarge)?;
+            let moved = |start: u64, iteration: u64| {
+                start
+                    .checked_add(shift)
+                    .zip(iteration.checked_add(renumber))
+                    .ok_or(SimError::PlanTooLarge)
+            };
+            for t in &part.tasks {
+                let (start, iteration) = moved(t.start, t.iteration)?;
+                plan.push_task(PlannedTask {
+                    start,
+                    iteration,
+                    ..*t
+                });
+            }
+            for x in &part.transfers {
+                let (start, iteration) = moved(x.start, x.iteration)?;
+                plan.push_transfer(PlannedTransfer {
+                    start,
+                    iteration,
+                    ..*x
+                });
+            }
+        }
+        Ok(plan)
+    }
 }
 
 #[cfg(test)]
@@ -243,5 +442,137 @@ mod tests {
             duration: 2,
         };
         assert_eq!(t.finish(), 9);
+    }
+
+    /// One iteration of a two-node block: a task on PE 0 over
+    /// `[start, start + 2)`, its transfer, and the consumer on PE 1.
+    fn block(iterations: u64, start: u64) -> ExecutionPlan {
+        let mut plan = ExecutionPlan::new(iterations);
+        plan.push_task(PlannedTask {
+            node: NodeId::new(0),
+            iteration: iterations,
+            pe: PeId::new(0),
+            start,
+            duration: 2,
+        });
+        plan.push_transfer(PlannedTransfer {
+            edge: EdgeId::new(0),
+            iteration: iterations,
+            placement: Placement::Cache,
+            start: start + 2,
+            duration: 1,
+            dst_pe: PeId::new(1),
+        });
+        plan.push_task(PlannedTask {
+            node: NodeId::new(1),
+            iteration: iterations,
+            pe: PeId::new(1),
+            start: start + 3,
+            duration: 1,
+        });
+        plan
+    }
+
+    #[test]
+    fn periodic_iterations_count_the_groups_then_the_tail() {
+        let periodic = PeriodicPlan::new(block(1, 0), 4, 5, block(1, 1));
+        assert_eq!(periodic.iterations(), Some(6));
+        let no_tail = PeriodicPlan::new(block(1, 0), 4, 5, ExecutionPlan::default());
+        assert_eq!(no_tail.iterations(), Some(5));
+        assert_eq!(
+            PeriodicPlan::new(block(1, 0), 4, u64::MAX, block(1, 0)).iterations(),
+            None
+        );
+    }
+
+    #[test]
+    fn periodic_makespan_is_the_unrolled_plans() {
+        for (groups, tail) in [(3, block(1, 0)), (3, block(1, 5)), (0, block(1, 1))] {
+            let periodic = PeriodicPlan::new(block(1, 0), 4, groups, tail);
+            let plan = periodic.materialize().unwrap();
+            assert_eq!(periodic.makespan(), Some(plan.makespan()), "{groups}");
+        }
+        let empty = PeriodicPlan::new(ExecutionPlan::new(1), 4, 7, ExecutionPlan::default());
+        assert_eq!(empty.makespan(), Some(0));
+    }
+
+    #[test]
+    fn periodic_makespan_past_u64_is_none() {
+        let periodic = PeriodicPlan::new(block(1, 0), u64::MAX, 3, ExecutionPlan::default());
+        assert_eq!(periodic.makespan(), None);
+        let late_tail = PeriodicPlan::new(block(1, 0), u64::MAX / 2, 2, block(1, 0));
+        assert_eq!(late_tail.makespan(), None);
+        let mut endless = ExecutionPlan::new(1);
+        endless.push_task(PlannedTask {
+            start: u64::MAX,
+            ..block(1, 0).tasks()[0]
+        });
+        assert_eq!(endless.checked_makespan(), None);
+        let periodic = PeriodicPlan::new(endless, 4, 1, ExecutionPlan::default());
+        assert_eq!(periodic.makespan(), None);
+    }
+
+    #[test]
+    fn materialize_shifts_each_group_by_the_period_and_renumbers_it() {
+        let periodic = PeriodicPlan::new(block(1, 0), 4, 3, block(1, 1));
+        let plan = periodic.materialize().unwrap();
+        assert_eq!(plan.iterations(), 4);
+        let starts: Vec<(u64, u64)> = plan
+            .tasks()
+            .iter()
+            .map(|t| (t.iteration, t.start))
+            .collect();
+        assert_eq!(
+            starts,
+            [
+                (1, 0),
+                (1, 3),
+                (2, 4),
+                (2, 7),
+                (3, 8),
+                (3, 11),
+                (4, 13),
+                (4, 16)
+            ]
+        );
+        let transfers: Vec<(u64, u64)> = plan
+            .transfers()
+            .iter()
+            .map(|x| (x.iteration, x.start))
+            .collect();
+        assert_eq!(transfers, [(1, 2), (2, 6), (3, 10), (4, 15)]);
+    }
+
+    #[test]
+    fn materialize_of_no_groups_is_the_tail_alone() {
+        let periodic = PeriodicPlan::new(block(1, 0), 4, 0, block(1, 2));
+        assert_eq!(periodic.materialize().unwrap(), block(1, 2));
+        let nothing = PeriodicPlan::new(block(1, 0), 4, 0, ExecutionPlan::default());
+        assert_eq!(nothing.materialize().unwrap(), ExecutionPlan::default());
+    }
+
+    #[test]
+    fn materialize_past_u64_is_plan_too_large() {
+        let periodic = PeriodicPlan::new(block(1, 0), u64::MAX / 2, 3, ExecutionPlan::default());
+        assert_eq!(periodic.materialize(), Err(SimError::PlanTooLarge));
+        let renumbered = PeriodicPlan::new(block(1, 0), 1, u64::MAX, block(1, 0));
+        assert_eq!(renumbered.materialize(), Err(SimError::PlanTooLarge));
+    }
+
+    #[test]
+    fn materialize_past_the_address_space_is_plan_too_large() {
+        // 2^60 groups of two tasks each fit the clock, but not the
+        // address space: refused before anything is filled.
+        let periodic = PeriodicPlan::new(block(1, 0), 4, 1 << 60, ExecutionPlan::default());
+        assert_eq!(periodic.makespan(), Some(1 << 62));
+        assert_eq!(periodic.materialize(), Err(SimError::PlanTooLarge));
+    }
+
+    #[test]
+    fn numbered_within_checks_every_entry() {
+        assert!(block(1, 0).numbered_within(1));
+        assert!(!block(2, 0).numbered_within(1));
+        assert!(!block(1, 0).numbered_within(0));
+        assert!(ExecutionPlan::new(0).numbered_within(0));
     }
 }

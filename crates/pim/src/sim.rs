@@ -35,6 +35,18 @@
 //! [`simulate_reference`] runs it on its own, so tests can hold the two
 //! passes to identical results.
 //!
+//! [`simulate_periodic`] replays a [`PeriodicPlan`] without unrolling
+//! it. A group's entries all lie within `span` of its base, so at most
+//! `⌈span/p⌉` groups are ever active at once, and every instant of the
+//! unrolled plan looks, on every lane, exactly like an instant of the
+//! window of `K = ⌈span/p⌉ + 1` groups plus the tail. The streaming pass
+//! validates that window and the one a group longer; their difference
+//! is one group's counts, which grow linearly to the full run, while
+//! the peaks are the window's. Whenever the windows would cover the whole
+//! run, or either is declined, the description is unrolled and
+//! [`simulate`]d, so every report and every [`SimError`] is the one
+//! [`simulate`] gives for [`PeriodicPlan::materialize`].
+//!
 //! The simulator is the ground truth for the evaluation: both SPARTA
 //! and Para-CONV plans are replayed here, so reported improvements are
 //! measured under identical architectural rules.
@@ -44,7 +56,10 @@ use std::collections::HashMap;
 use paraconv_graph::{Placement, TaskGraph, TaskNode};
 
 use crate::pe::RecordError;
-use crate::{CostModel, ExecutionPlan, Pe, PeId, PimConfig, SimError, SimReport, VaultArray};
+use crate::{
+    CostModel, ExecutionPlan, Pe, PeId, PeriodicPlan, PimConfig, SimError, SimReport, Vault,
+    VaultArray,
+};
 
 /// Cap on the dense instance-index footprint. Real plans are far
 /// below this (the largest benchmark is ~546 nodes × 51 iteration
@@ -210,13 +225,126 @@ pub fn simulate(
     config: &PimConfig,
 ) -> Result<SimReport, SimError> {
     let _span = paraconv_obs::span("pim.simulate", "pim");
+    replay(graph, plan, config)
+}
+
+/// The streaming pass, or the reference pass where it declines.
+fn replay(
+    graph: &TaskGraph,
+    plan: &ExecutionPlan,
+    config: &PimConfig,
+) -> Result<SimReport, SimError> {
     simulate_streaming(graph, plan, config)
         .map_or_else(|| simulate_reference(graph, plan, config), Ok)
 }
 
+/// Replays the plan `periodic` describes without unrolling it: the
+/// report, the error and the obs records are those of [`simulate`] on
+/// [`PeriodicPlan::materialize`]. See the module docs for why the
+/// windows it validates stand for the whole run.
+///
+/// # Errors
+///
+/// The [`SimError`] [`simulate`] names for the unrolled plan, or
+/// [`SimError::PlanTooLarge`] when a description the windows cannot
+/// settle has no concrete plan to fall back to.
+///
+/// # Examples
+///
+/// ```
+/// use paraconv_graph::examples;
+/// use paraconv_pim::{
+///     simulate, simulate_periodic, ExecutionPlan, PeId, PeriodicPlan, PimConfig, PlannedTask,
+/// };
+///
+/// let g = examples::chain(1);
+/// let cfg = PimConfig::neurocube(4)?;
+/// let mut group = ExecutionPlan::new(1);
+/// group.push_task(PlannedTask {
+///     node: g.node_ids().next().unwrap(),
+///     iteration: 1,
+///     pe: PeId::new(0),
+///     start: 0,
+///     duration: 1,
+/// });
+/// // A million iterations, one per time unit, replayed from two windows.
+/// let periodic = PeriodicPlan::new(group, 1, 1_000_000, ExecutionPlan::default());
+/// let report = simulate_periodic(&g, &periodic, &cfg)?;
+/// assert_eq!(report.total_time, 1_000_000);
+/// assert_eq!(report, simulate(&g, &periodic.materialize()?, &cfg)?);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn simulate_periodic(
+    graph: &TaskGraph,
+    periodic: &PeriodicPlan,
+    config: &PimConfig,
+) -> Result<SimReport, SimError> {
+    let _span = paraconv_obs::span("pim.simulate", "pim");
+    let Some((iterations, tally)) = extrapolate(graph, periodic, config) else {
+        return replay(graph, &periodic.materialize()?, config);
+    };
+    if paraconv_obs::enabled() {
+        for x in periodic.group().transfers() {
+            paraconv_obs::observe_n(TRANSFER_LATENCY, x.duration, periodic.groups());
+        }
+        for x in periodic.tail().transfers() {
+            paraconv_obs::observe(TRANSFER_LATENCY, x.duration);
+        }
+    }
+    Ok(accept(iterations, config, tally))
+}
+
+/// The tally of the plan `periodic` describes, from the streaming pass
+/// over the windows of `K` and `K + 1` groups, each followed by the
+/// tail, with the iteration count. `None` when the windows would cover
+/// the whole run, when either is declined, when the parts number
+/// iterations outside their own range (relabelled copies could then
+/// collide), or when a total overflows.
+fn extrapolate(
+    graph: &TaskGraph,
+    periodic: &PeriodicPlan,
+    config: &PimConfig,
+) -> Option<(u64, Tally)> {
+    let (group, tail) = (periodic.group(), periodic.tail());
+    let (period, groups) = (periodic.period(), periodic.groups());
+    if period == 0
+        || !group.numbered_within(group.iterations())
+        || !tail.numbered_within(tail.iterations())
+    {
+        return None;
+    }
+    // At most ⌈span/p⌉ groups are active at any instant.
+    let window = group.checked_makespan()?.div_ceil(period).checked_add(1)?;
+    let extra = groups.checked_sub(window)?;
+    if extra < 2 {
+        return None;
+    }
+    let steady = stream(graph, &periodic.unrolled(window).ok()?, config)?;
+    let longer = stream(graph, &periodic.unrolled(window + 1).ok()?, config)?;
+    let mut tally = steady.grown(&longer, extra)?;
+    tally.makespan = periodic.makespan()?;
+    // The report sums the busy times, `SimReport::total_energy` adds the
+    // transfer energy to them, and the lane events double the counts.
+    tally
+        .busy
+        .iter()
+        .try_fold(tally.transfer_energy, |sum, &busy| sum.checked_add(busy))?;
+    tally
+        .transfers
+        .checked_add(tally.onchip_hits)?
+        .checked_add(tally.offchip_fetches)?
+        .checked_mul(2)?;
+    Some((periodic.iterations()?, tally))
+}
+
+/// The histogram every replayed transfer's duration goes to.
+const TRANSFER_LATENCY: &str = "sim.transfer.latency";
+
 /// What a replay pass measured: everything [`report`] needs besides
-/// the plan and the configuration.
+/// the iteration count and the configuration.
 struct Tally {
+    tasks: u64,
+    transfers: u64,
     /// Per-PE busy time.
     busy: Vec<u64>,
     makespan: u64,
@@ -228,7 +356,38 @@ struct Tally {
     peak_cache: u64,
     peak_fifo: usize,
     peak_vault_concurrency: usize,
-    peak_vault_fetches: u64,
+    /// Per-vault eDRAM fetch counts.
+    vault_fetches: Vec<u64>,
+}
+
+impl Tally {
+    /// The tally `times` groups past `self`, where `next` is the tally
+    /// one group past it: every count and per-PE or per-vault total
+    /// grows by `times` copies of `next − self`. The peaks stay
+    /// `self`'s and the makespan is left for the caller. `None` on
+    /// overflow.
+    fn grown(self, next: &Tally, times: u64) -> Option<Tally> {
+        let grow =
+            |now: u64, then: u64| then.checked_sub(now)?.checked_mul(times)?.checked_add(now);
+        let grow_all = |now: Vec<u64>, then: &[u64]| {
+            now.into_iter()
+                .zip(then)
+                .map(|(now, &then)| grow(now, then))
+                .collect::<Option<Vec<u64>>>()
+        };
+        Some(Tally {
+            tasks: grow(self.tasks, next.tasks)?,
+            transfers: grow(self.transfers, next.transfers)?,
+            busy: grow_all(self.busy, &next.busy)?,
+            transfer_energy: grow(self.transfer_energy, next.transfer_energy)?,
+            offchip_fetches: grow(self.offchip_fetches, next.offchip_fetches)?,
+            onchip_hits: grow(self.onchip_hits, next.onchip_hits)?,
+            offchip_units: grow(self.offchip_units, next.offchip_units)?,
+            onchip_units: grow(self.onchip_units, next.onchip_units)?,
+            vault_fetches: grow_all(self.vault_fetches, &next.vault_fetches)?,
+            ..self
+        })
+    }
 }
 
 // ---- streaming pass ------------------------------------------------------
@@ -354,6 +513,17 @@ pub fn simulate_streaming(
     plan: &ExecutionPlan,
     config: &PimConfig,
 ) -> Option<SimReport> {
+    let tally = stream(graph, plan, config)?;
+    if paraconv_obs::enabled() {
+        for x in plan.transfers() {
+            paraconv_obs::observe(TRANSFER_LATENCY, x.duration);
+        }
+    }
+    Some(accept(plan.iterations(), config, tally))
+}
+
+/// The streaming pass's checks and tally, recording nothing.
+fn stream(graph: &TaskGraph, plan: &ExecutionPlan, config: &PimConfig) -> Option<Tally> {
     let cost = CostModel::new(config, graph.edge_count());
     let tasks = plan.tasks();
     let transfers = plan.transfers();
@@ -501,29 +671,9 @@ pub fn simulate_streaming(
     let peak_cache = buckets.cache_peak(i64::try_from(config.total_cache_units()).ok()?)?;
     let lane_peak = |lanes: &[i32]| lanes.iter().copied().max().unwrap_or(0) as usize;
 
-    // Accepted: the obs totals the reference pass would have emitted
-    // event by event.
-    if !tasks.is_empty() {
-        paraconv_obs::counter_add("pe.tasks_recorded", tasks.len() as u64);
-    }
-    let peak_vault_fetches = vault_fetches.iter().copied().max().unwrap_or(0);
-    if offchip_fetches > 0 {
-        paraconv_obs::counter_add("vault.fetches", offchip_fetches);
-        paraconv_obs::counter_add("vault.units_moved", offchip_units);
-        paraconv_obs::gauge_max("vault.peak_fetches", peak_vault_fetches);
-    }
-    if paraconv_obs::enabled() {
-        for x in transfers {
-            paraconv_obs::observe("sim.transfer.latency", x.duration);
-        }
-    }
-    record_lane_events(
-        2 * onchip_hits as usize,
-        2 * transfers.len(),
-        2 * offchip_fetches as usize,
-    );
-
-    let tally = Tally {
+    Some(Tally {
+        tasks: tasks.len() as u64,
+        transfers: transfers.len() as u64,
         busy,
         makespan,
         transfer_energy,
@@ -534,9 +684,29 @@ pub fn simulate_streaming(
         peak_cache: peak_cache as u64,
         peak_fifo: lane_peak(peaks.get(num_pes..2 * num_pes)?),
         peak_vault_concurrency: lane_peak(peaks.get(2 * num_pes..)?),
-        peak_vault_fetches,
-    };
-    Some(report(plan, config, tally))
+        vault_fetches,
+    })
+}
+
+/// The report of a plan the streaming pass accepted, with the obs
+/// totals the reference pass would have emitted event by event (the
+/// transfer-latency histogram aside, which the caller fills).
+fn accept(iterations: u64, config: &PimConfig, tally: Tally) -> SimReport {
+    if tally.tasks > 0 {
+        paraconv_obs::counter_add("pe.tasks_recorded", tally.tasks);
+    }
+    if tally.offchip_fetches > 0 {
+        paraconv_obs::counter_add("vault.fetches", tally.offchip_fetches);
+        paraconv_obs::counter_add("vault.units_moved", tally.offchip_units);
+        let peak = tally.vault_fetches.iter().copied().max().unwrap_or(0);
+        paraconv_obs::gauge_max("vault.peak_fetches", peak);
+    }
+    record_lane_events(
+        2 * tally.onchip_hits,
+        2 * tally.transfers,
+        2 * tally.offchip_fetches,
+    );
+    report(iterations, config, tally)
 }
 
 // ---- reference pass ------------------------------------------------------
@@ -594,7 +764,7 @@ pub fn simulate_reference(
     let mut state = ReplayState::new(config);
     replay_exact(graph, plan, config, &cost, &mut state)?;
     let tally = sweep(plan, config, state)?;
-    Ok(report(plan, config, tally))
+    Ok(report(plan.iterations(), config, tally))
 }
 
 /// The exact per-event pass: every task and transfer walks the full
@@ -704,7 +874,7 @@ fn replay_exact(
         }
 
         state.transfer_energy += cost.transfer_energy(ipr.size(), x.placement);
-        paraconv_obs::observe("sim.transfer.latency", x.duration);
+        paraconv_obs::observe(TRANSFER_LATENCY, x.duration);
         match x.placement {
             Placement::Cache => {
                 state.onchip_hits += 1;
@@ -790,10 +960,11 @@ fn sweep(plan: &ExecutionPlan, config: &PimConfig, state: ReplayState) -> Result
         vault_lanes,
     } = state;
 
+    let lane_events = |lanes: &[EventLane]| lanes.iter().map(|lane| lane.len() as u64).sum();
     record_lane_events(
-        cache_lane.len(),
-        fifo_lanes.iter().map(EventLane::len).sum(),
-        vault_lanes.iter().map(EventLane::len).sum(),
+        cache_lane.len() as u64,
+        lane_events(&fifo_lanes),
+        lane_events(&vault_lanes),
     );
 
     // ---- cache capacity sweep --------------------------------------------
@@ -859,6 +1030,8 @@ fn sweep(plan: &ExecutionPlan, config: &PimConfig, state: ReplayState) -> Result
     }
 
     Ok(Tally {
+        tasks: plan.tasks().len() as u64,
+        transfers: plan.transfers().len() as u64,
         busy,
         makespan: plan.makespan(),
         transfer_energy,
@@ -869,7 +1042,7 @@ fn sweep(plan: &ExecutionPlan, config: &PimConfig, state: ReplayState) -> Result
         peak_cache: peak_cache.max(0) as u64,
         peak_fifo,
         peak_vault_concurrency,
-        peak_vault_fetches: vaults.peak_fetches(),
+        vault_fetches: vaults.iter().map(Vault::fetches).collect(),
     })
 }
 
@@ -878,18 +1051,21 @@ fn sweep(plan: &ExecutionPlan, config: &PimConfig, state: ReplayState) -> Result
 /// Event-lane depths: how much sweep state the plan generates (the
 /// reference pass's lane lengths; the streaming pass's counts of the
 /// same events).
-fn record_lane_events(cache: usize, fifo: usize, vault: usize) {
+fn record_lane_events(cache: u64, fifo: u64, vault: u64) {
     if paraconv_obs::enabled() {
-        paraconv_obs::gauge_max("sim.lane.cache_events", cache as u64);
-        paraconv_obs::gauge_max("sim.lane.fifo_events", fifo as u64);
-        paraconv_obs::gauge_max("sim.lane.vault_events", vault as u64);
-        paraconv_obs::counter_add("sim.events", (cache + fifo + vault) as u64);
+        paraconv_obs::gauge_max("sim.lane.cache_events", cache);
+        paraconv_obs::gauge_max("sim.lane.fifo_events", fifo);
+        paraconv_obs::gauge_max("sim.lane.vault_events", vault);
+        paraconv_obs::counter_add("sim.events", cache + fifo + vault);
     }
 }
 
-/// Statistics, obs totals and the report of an accepted plan.
-fn report(plan: &ExecutionPlan, config: &PimConfig, tally: Tally) -> SimReport {
+/// Statistics, obs totals and the report of an accepted plan of
+/// `iterations` iterations.
+fn report(iterations: u64, config: &PimConfig, tally: Tally) -> SimReport {
     let Tally {
+        tasks,
+        transfers,
         busy,
         makespan: total_time,
         transfer_energy,
@@ -900,8 +1076,9 @@ fn report(plan: &ExecutionPlan, config: &PimConfig, tally: Tally) -> SimReport {
         peak_cache,
         peak_fifo,
         peak_vault_concurrency,
-        peak_vault_fetches,
+        vault_fetches,
     } = tally;
+    let peak_vault_fetches = vault_fetches.iter().copied().max().unwrap_or(0);
     let compute_energy: u64 = busy.iter().sum();
     let avg_pe_utilization = if config.num_pes() == 0 {
         0.0
@@ -917,25 +1094,25 @@ fn report(plan: &ExecutionPlan, config: &PimConfig, tally: Tally) -> SimReport {
             .sum::<f64>()
             / config.num_pes() as f64
     };
-    let time_per_iteration = if plan.iterations() == 0 {
+    let time_per_iteration = if iterations == 0 {
         0.0
     } else {
-        total_time as f64 / plan.iterations() as f64
+        total_time as f64 / iterations as f64
     };
 
     paraconv_obs::counter_add("sim.runs", 1);
-    paraconv_obs::counter_add("sim.tasks", plan.tasks().len() as u64);
-    paraconv_obs::counter_add("sim.transfers", plan.transfers().len() as u64);
+    paraconv_obs::counter_add("sim.tasks", tasks);
+    paraconv_obs::counter_add("sim.transfers", transfers);
     paraconv_obs::counter_add("sim.onchip_hits", onchip_hits);
     paraconv_obs::counter_add("sim.offchip_fetches", offchip_fetches);
     paraconv_obs::gauge_max("sim.cache.peak_occupancy", peak_cache);
     paraconv_obs::gauge_max("sim.fifo.peak_occupancy", peak_fifo as u64);
     paraconv_obs::gauge_max("sim.vault.peak_concurrency", peak_vault_concurrency as u64);
-    paraconv_obs::flight_record("sim", "replay.done", total_time, plan.tasks().len() as u64);
+    paraconv_obs::flight_record("sim", "replay.done", total_time, tasks);
 
     SimReport {
         total_time,
-        iterations: plan.iterations(),
+        iterations,
         time_per_iteration,
         offchip_fetches,
         onchip_hits,
@@ -1414,5 +1591,168 @@ mod tests {
             simulate(&g, &plan, &cfg).unwrap_err(),
             SimError::CacheOverflow { .. }
         ));
+    }
+
+    /// `valid_plan`'s block every `period`, `groups` times, then `tail`.
+    fn described(period: u64, groups: u64, tail: ExecutionPlan) -> PeriodicPlan {
+        PeriodicPlan::new(valid_plan(), period, groups, tail)
+    }
+
+    /// The periodic replay of `periodic`, asserted equal to the replay
+    /// of the plan it unrolls to, floats by bits.
+    fn replayed(periodic: &PeriodicPlan, cfg: &PimConfig) -> Result<SimReport, SimError> {
+        let g = two_node_graph();
+        let got = simulate_periodic(&g, periodic, cfg);
+        let want = simulate(&g, &periodic.materialize().unwrap(), cfg);
+        assert_eq!(got, want, "{periodic:?}");
+        if let (Ok(got), Ok(want)) = (&got, &want) {
+            let bits = |r: &SimReport| {
+                (
+                    r.time_per_iteration.to_bits(),
+                    r.avg_pe_utilization.to_bits(),
+                )
+            };
+            assert_eq!(bits(got), bits(want), "{periodic:?}");
+        }
+        got
+    }
+
+    #[test]
+    fn periodic_replay_matches_the_unrolled_replay_at_every_length() {
+        // Up to two groups of overlap, and runs on both sides of the
+        // point where the windows stop covering the whole run.
+        for period in [2, 3, 4, 7] {
+            for groups in 0..=14 {
+                for tail in [
+                    ExecutionPlan::default(),
+                    valid_plan(),
+                    periodic_plan(2, period),
+                ] {
+                    let periodic = described(period, groups, tail);
+                    assert!(replayed(&periodic, &config()).is_ok(), "{periodic:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn periodic_counts_grow_by_one_group_per_period() {
+        let one = simulate(&two_node_graph(), &valid_plan(), &config()).unwrap();
+        let report = replayed(&described(4, 1000, ExecutionPlan::default()), &config()).unwrap();
+        assert_eq!(report.iterations, 1000);
+        assert_eq!(report.total_time, 999 * 4 + one.total_time);
+        assert_eq!(report.onchip_hits, 1000 * one.onchip_hits);
+        assert_eq!(report.onchip_units_moved, 1000 * one.onchip_units_moved);
+        assert_eq!(report.compute_energy, 1000 * one.compute_energy);
+        assert_eq!(report.transfer_energy, 1000 * one.transfer_energy);
+        assert_eq!(report.peak_cache_occupancy, one.peak_cache_occupancy);
+        assert_eq!(report.peak_fifo_occupancy, one.peak_fifo_occupancy);
+    }
+
+    /// The two-node block with its IPR fetched from eDRAM over eight
+    /// units, every `period`: at period 3, three fetches to PE 1 from
+    /// the same vault are in flight at once.
+    fn edram_every(period: u64, groups: u64) -> PeriodicPlan {
+        let mut group = ExecutionPlan::new(1);
+        group.push_task(task(0, 1, 0, 0, 2));
+        group.push_transfer(xfer(0, 1, Placement::Edram, 2, 8, 1));
+        group.push_task(task(1, 1, 1, 10, 1));
+        PeriodicPlan::new(group, period, groups, ExecutionPlan::default())
+    }
+
+    #[test]
+    fn periodic_offchip_fetches_scale_per_vault() {
+        // Every copy's IPR comes from the same vault, so the hottest
+        // vault's count is the run's, not one window's.
+        let report = replayed(&edram_every(3, 200), &config()).unwrap();
+        assert_eq!(report.offchip_fetches, 200);
+        assert_eq!(report.peak_vault_fetches, 200);
+        assert_eq!(report.peak_fifo_occupancy, 3);
+        assert_eq!(report.peak_vault_concurrency, 3);
+    }
+
+    #[test]
+    fn a_window_over_the_fifo_depth_is_the_unrolled_plans_overflow() {
+        let shallow = PimConfig::builder(4).pfifo_depth(2).build().unwrap();
+        for groups in [3, 60] {
+            let err = replayed(&edram_every(3, groups), &shallow);
+            assert!(matches!(err, Err(SimError::FifoOverflow { .. })), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn a_window_over_the_vault_port_limit_is_the_unrolled_plans_overload() {
+        let narrow = PimConfig::builder(4)
+            .max_vault_concurrency(2)
+            .build()
+            .unwrap();
+        for groups in [3, 60] {
+            let err = replayed(&edram_every(3, groups), &narrow);
+            assert!(
+                matches!(err, Err(SimError::VaultOverload { .. })),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn overlapping_groups_are_the_unrolled_plans_conflict() {
+        // Each copy's first task runs two units on PE 0, one unit apart.
+        for groups in [2, 6, 40] {
+            let err = replayed(&described(1, groups, ExecutionPlan::default()), &config());
+            assert!(matches!(err, Err(SimError::PeConflict { .. })), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn a_zero_period_is_the_unrolled_plans_conflict() {
+        let err = replayed(&described(0, 30, valid_plan()), &config());
+        assert!(matches!(err, Err(SimError::PeConflict { .. })), "{err:?}");
+    }
+
+    #[test]
+    fn a_part_numbered_past_its_iterations_is_replayed_unrolled() {
+        // The group says one iteration but numbers its entries 2, so
+        // its shifted copies would be renumbered into each other's
+        // iterations: the description is unrolled and replayed whole.
+        let mut group = ExecutionPlan::new(1);
+        group.push_task(task(0, 2, 0, 0, 2));
+        group.push_transfer(xfer(0, 2, Placement::Cache, 2, 1, 1));
+        group.push_task(task(1, 2, 1, 3, 1));
+        for groups in [1, 20] {
+            let periodic = PeriodicPlan::new(group.clone(), 4, groups, ExecutionPlan::default());
+            let _ = replayed(&periodic, &config());
+        }
+    }
+
+    #[test]
+    fn a_window_over_capacity_is_the_unrolled_plans_overflow() {
+        let cramped = PimConfig::builder(4).per_pe_cache_units(0).build().unwrap();
+        for groups in [3, 50] {
+            let err = replayed(&described(4, groups, valid_plan()), &cramped);
+            assert!(
+                matches!(err, Err(SimError::CacheOverflow { .. })),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_window_on_a_failed_pe_is_the_unrolled_plans_error() {
+        let degraded = config().degrade(&[1]).unwrap();
+        let err = replayed(&described(4, 50, ExecutionPlan::default()), &degraded);
+        assert!(
+            matches!(err, Err(SimError::TaskOnFailedPe { .. })),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn an_empty_group_is_the_unrolled_plans_missing_task() {
+        // Thirty iterations and not one task: the closed form must not
+        // make a report of nothing.
+        let empty = PeriodicPlan::new(ExecutionPlan::new(1), 4, 30, ExecutionPlan::default());
+        let err = replayed(&empty, &config());
+        assert!(matches!(err, Err(SimError::MissingTask(..))), "{err:?}");
     }
 }

@@ -94,12 +94,6 @@ impl VaultArray {
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &Vault> + '_ {
         self.vaults.iter()
     }
-
-    /// The highest per-vault fetch count — a hot-spotting indicator.
-    #[must_use]
-    pub fn peak_fetches(&self) -> u64 {
-        self.vaults.iter().map(Vault::fetches).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +114,8 @@ mod tests {
         va.record_fetch(EdgeId::new(0), 3, 12);
         va.record_fetch(EdgeId::new(1), 2, 8);
         va.record_fetch(EdgeId::new(2), 1, 4);
-        assert_eq!(va.peak_fetches(), 2); // vault 0 served edges 0 and 2
+        let peak = va.iter().map(Vault::fetches).max();
+        assert_eq!(peak, Some(2)); // vault 0 served edges 0 and 2
     }
 
     #[test]

@@ -352,7 +352,7 @@ mod tests {
     fn key_ignores_outcome() {
         let bundle = bundle();
         let mut other = bundle.clone();
-        other.outcome.retiming = paraconv_retime::Retiming::zero(&other.graph);
+        other.outcome.core.retiming = paraconv_retime::Retiming::zero(&other.graph);
         assert_eq!(bundle.key(), other.key());
         assert_ne!(bundle.encode(), other.encode());
     }
@@ -468,7 +468,7 @@ mod tests {
         b.policy.iterations += 1;
         assert_eq!(a.diff_sections(&b), vec!["policy"]);
         let mut c = a.clone();
-        c.outcome.retiming = paraconv_retime::Retiming::zero(&c.graph);
+        c.outcome.core.retiming = paraconv_retime::Retiming::zero(&c.graph);
         assert_eq!(a.diff_sections(&c), vec!["outcome.retiming"]);
     }
 }

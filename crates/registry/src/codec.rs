@@ -24,7 +24,7 @@ use paraconv_alloc::CacheAllocation;
 use paraconv_graph::{EdgeId, NodeId, OpKind, Placement, TaskGraph, TaskGraphBuilder};
 use paraconv_pim::{PeId, PimConfig};
 use paraconv_retime::{MovementAnalysis, Retiming, RetimingCase};
-use paraconv_sched::{AllocationPolicy, KernelSchedule, ParaConvOutcome};
+use paraconv_sched::{AllocationPolicy, KernelSchedule, ParaConvCore, ParaConvOutcome};
 use serde_json::{Map, Number, Value};
 
 use crate::artifact::PlanPolicy;
@@ -449,11 +449,11 @@ pub fn outcome_to_value(outcome: &ParaConvOutcome) -> Value {
     let mut obj = Map::new();
     obj.insert(
         "allocation".into(),
-        allocation_to_value(&outcome.allocation),
+        allocation_to_value(&outcome.core.allocation),
     );
-    obj.insert("analysis".into(), analysis_to_value(&outcome.analysis));
-    obj.insert("kernel".into(), kernel_to_value(&outcome.kernel));
-    obj.insert("retiming".into(), retiming_to_value(&outcome.retiming));
+    obj.insert("analysis".into(), analysis_to_value(&outcome.core.analysis));
+    obj.insert("kernel".into(), kernel_to_value(&outcome.core.kernel));
+    obj.insert("retiming".into(), retiming_to_value(&outcome.core.retiming));
     Value::Object(obj)
 }
 
@@ -489,11 +489,13 @@ pub fn outcome_from_value(
     let plan = paraconv_sched::emit(graph, config, &kernel, &retiming, &allocation, iterations)
         .map_err(ArtifactError::Unemittable)?;
     Ok(ParaConvOutcome {
+        core: ParaConvCore {
+            kernel,
+            retiming,
+            allocation,
+            analysis,
+        },
         plan,
-        kernel,
-        retiming,
-        allocation,
-        analysis,
     })
 }
 
@@ -725,10 +727,10 @@ mod tests {
         let back = outcome_from_value(&value, "body", &graph, &config, 6).unwrap();
         // The re-derived plan is the scheduler's, entry for entry.
         assert_eq!(back.plan, outcome.plan);
-        assert_eq!(back.kernel, outcome.kernel);
-        assert_eq!(back.retiming, outcome.retiming);
-        assert_eq!(back.allocation, outcome.allocation);
-        assert_eq!(back.analysis, outcome.analysis);
+        assert_eq!(back.core.kernel, outcome.core.kernel);
+        assert_eq!(back.core.retiming, outcome.core.retiming);
+        assert_eq!(back.core.allocation, outcome.core.allocation);
+        assert_eq!(back.core.analysis, outcome.core.analysis);
         // Canonical bytes are stable through the round trip.
         assert_eq!(
             serde_json::to_string(&outcome_to_value(&back)),

@@ -56,7 +56,7 @@ use crate::{KernelSchedule, SchedError};
 /// let g = examples::motivational();
 /// let cfg = PimConfig::neurocube(4)?;
 /// let o = ParaConvScheduler::new(cfg.clone()).schedule(&g, 6)?;
-/// let plan = emit(&g, &cfg, &o.kernel, &o.retiming, &o.allocation, 6)?;
+/// let plan = emit(&g, &cfg, &o.core.kernel, &o.core.retiming, &o.core.allocation, 6)?;
 /// assert_eq!(plan, o.plan);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -183,10 +183,7 @@ pub fn emit(
 /// computed with checked arithmetic and the reservation is exact, so an
 /// oversized request is a typed error up front instead of an allocator
 /// abort while the plan fills.
-pub(crate) fn reserve_plan(
-    graph: &TaskGraph,
-    iterations: u64,
-) -> Result<ExecutionPlan, SchedError> {
+fn reserve_plan(graph: &TaskGraph, iterations: u64) -> Result<ExecutionPlan, SchedError> {
     let too_large = || SchedError::PlanTooLarge { iterations };
     let per_iteration = |count: usize| {
         usize::try_from(iterations)
@@ -225,7 +222,7 @@ mod tests {
         retiming: &Retiming,
         iterations: u64,
     ) -> Result<ExecutionPlan, SchedError> {
-        emit(g, cfg, kernel, retiming, &o.allocation, iterations)
+        emit(g, cfg, kernel, retiming, &o.core.allocation, iterations)
     }
 
     #[test]
@@ -233,7 +230,7 @@ mod tests {
         for iterations in [1, 5, 64, 65, 130] {
             let run = scheduled(iterations);
             let o = &run.2;
-            let plan = emit_with(&run, &o.kernel, &o.retiming, iterations).unwrap();
+            let plan = emit_with(&run, &o.core.kernel, &o.core.retiming, iterations).unwrap();
             assert_eq!(plan, o.plan, "iterations={iterations}");
         }
     }
@@ -242,11 +239,11 @@ mod tests {
     fn zero_copies_is_a_typed_error() {
         let run = scheduled(4);
         let (g, _, o) = &run;
-        let period = o.kernel.period();
+        let period = o.core.kernel.period();
         let zero =
             KernelSchedule::from_parts(period, 0, g.node_count(), vec![], vec![], vec![]).unwrap();
         assert_eq!(
-            emit_with(&run, &zero, &o.retiming, 4),
+            emit_with(&run, &zero, &o.core.retiming, 4),
             Err(SchedError::DegenerateKernel { period, copies: 0 })
         );
     }
@@ -257,12 +254,12 @@ mod tests {
         let (g, _, o) = &run;
         let foreign = KernelSchedule::compact(&examples::chain(3), 8);
         assert!(matches!(
-            emit_with(&run, &foreign, &o.retiming, 4),
+            emit_with(&run, &foreign, &o.core.retiming, 4),
             Err(SchedError::ShapeMismatch { part: "kernel", .. })
         ));
         let short = Retiming::from_values(vec![0; g.node_count() - 1], vec![0; g.edge_count()]);
         assert!(matches!(
-            emit_with(&run, &o.kernel, &short, 4),
+            emit_with(&run, &o.core.kernel, &short, 4),
             Err(SchedError::ShapeMismatch {
                 part: "retiming",
                 ..
@@ -274,11 +271,11 @@ mod tests {
     fn overflowing_times_are_typed_errors() {
         let run = scheduled(4);
         let o = &run.2;
-        let mut nodes: Vec<u64> = o.retiming.node_values().map(|(_, v)| v).collect();
+        let mut nodes: Vec<u64> = o.core.retiming.node_values().map(|(_, v)| v).collect();
         nodes[0] = u64::MAX;
-        let huge = Retiming::from_values(nodes, o.retiming.edge_values_raw().to_vec());
+        let huge = Retiming::from_values(nodes, o.core.retiming.edge_values_raw().to_vec());
         assert!(matches!(
-            emit_with(&run, &o.kernel, &huge, 4),
+            emit_with(&run, &o.core.kernel, &huge, 4),
             Err(SchedError::TimeOverflow)
         ));
     }
@@ -290,16 +287,16 @@ mod tests {
         // 2^60 iterations fit the clock but not the address space.
         let iterations = 1u64 << 60;
         assert_eq!(
-            emit_with(&run, &o.kernel, &o.retiming, iterations),
+            emit_with(&run, &o.core.kernel, &o.core.retiming, iterations),
             Err(SchedError::PlanTooLarge { iterations })
         );
         // u64::MAX iterations overflow the clock before any allocation.
         assert_eq!(
-            emit_with(&run, &o.kernel, &o.retiming, u64::MAX),
+            emit_with(&run, &o.core.kernel, &o.core.retiming, u64::MAX),
             Err(SchedError::TimeOverflow)
         );
         assert_eq!(
-            emit_with(&run, &o.kernel, &o.retiming, 0),
+            emit_with(&run, &o.core.kernel, &o.core.retiming, 0),
             Err(SchedError::ZeroIterations)
         );
     }
@@ -312,9 +309,9 @@ mod tests {
         token.cancel();
         let _scope = paraconv_obs::CancelScope::enter(token);
         // Fewer than 64 iterations never reach a poll; more do.
-        assert!(emit_with(&run, &o.kernel, &o.retiming, 63).is_ok());
+        assert!(emit_with(&run, &o.core.kernel, &o.core.retiming, 63).is_ok());
         assert_eq!(
-            emit_with(&run, &o.kernel, &o.retiming, 64),
+            emit_with(&run, &o.core.kernel, &o.core.retiming, 64),
             Err(SchedError::Cancelled)
         );
     }

@@ -15,7 +15,10 @@
 //! [`KernelSchedule`] is the shared compaction step, exposed for
 //! analyses and tests; [`emit`] unrolls a Para-CONV kernel, retiming
 //! and allocation into the concrete plan, for the scheduler, the
-//! verifier and the artifact decoder alike.
+//! verifier and the artifact decoder alike. Each scheduler also gives
+//! its core ([`ParaConvCore`], [`SpartaCore`]) with the plan as a
+//! [`paraconv_pim::PeriodicPlan`], which the runner replays without
+//! unrolling.
 //!
 //! # Examples
 //!
@@ -49,5 +52,5 @@ mod sparta;
 pub use emit::emit;
 pub use error::SchedError;
 pub use kernel::KernelSchedule;
-pub use paraconv::{AllocationPolicy, ParaConvOutcome, ParaConvScheduler};
-pub use sparta::{BaselineCachePolicy, SpartaOutcome, SpartaScheduler};
+pub use paraconv::{AllocationPolicy, ParaConvCore, ParaConvOutcome, ParaConvScheduler};
+pub use sparta::{BaselineCachePolicy, SpartaCore, SpartaOutcome, SpartaScheduler};

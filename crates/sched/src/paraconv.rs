@@ -19,19 +19,25 @@
 //!    `(g + R_max − R(i))·p + offset(i)` on its kernel PE for kernel
 //!    group `g = (ℓ − 1) div u`, and every transfer departs when its
 //!    producer finishes.
+//!
+//! Steps 1–4 make the [`ParaConvCore`]. [`ParaConvScheduler::schedule`]
+//! unrolls it into the full plan; [`ParaConvScheduler::schedule_periodic`]
+//! emits only one kernel group and the leftover copies, a
+//! [`PeriodicPlan`] that [`paraconv_pim::simulate_periodic`] replays
+//! without unrolling.
 
 use paraconv_alloc::{AllocItem, CacheAllocation, CacheAllocator, IncrementalDp};
 use paraconv_graph::{Placement, TaskGraph};
-use paraconv_pim::{CostModel, ExecutionPlan, PeId, PimConfig};
+use paraconv_obs::SpanGuard;
+use paraconv_pim::{CostModel, ExecutionPlan, PeId, PeriodicPlan, PimConfig};
 use paraconv_retime::{minimal_relative_retiming, MovementAnalysis, Retiming};
 
 use crate::{emit, KernelSchedule, SchedError};
 
-/// Everything the Para-CONV scheduler produced for one run.
+/// The periodic core of a Para-CONV schedule: the kernel, retiming and
+/// placements that fix the plan of any iteration count.
 #[derive(Debug, Clone)]
-pub struct ParaConvOutcome {
-    /// The concrete plan, ready for [`paraconv_pim::simulate`].
-    pub plan: ExecutionPlan,
+pub struct ParaConvCore {
     /// The compacted steady-state kernel.
     pub kernel: KernelSchedule,
     /// The retiming induced by the chosen placements.
@@ -43,7 +49,17 @@ pub struct ParaConvOutcome {
     pub analysis: MovementAnalysis,
 }
 
-impl ParaConvOutcome {
+/// Everything the Para-CONV scheduler produced for one run: the core
+/// and the plan it unrolls to.
+#[derive(Debug, Clone)]
+pub struct ParaConvOutcome {
+    /// The periodic core.
+    pub core: ParaConvCore,
+    /// The concrete plan, ready for [`paraconv_pim::simulate`].
+    pub plan: ExecutionPlan,
+}
+
+impl ParaConvCore {
     /// The steady-state kernel period `p`.
     #[must_use]
     pub fn period(&self) -> u64 {
@@ -75,16 +91,60 @@ impl ParaConvOutcome {
         self.retiming.prologue_time(self.period())
     }
 
-    /// Total execution time of the planned run (prologue included).
-    #[must_use]
-    pub fn total_time(&self) -> u64 {
-        self.plan.makespan()
-    }
-
     /// Number of IPRs placed in the on-chip cache — Figure 6's metric.
     #[must_use]
     pub fn cached_iprs(&self) -> usize {
         self.allocation.cached_count()
+    }
+
+    /// The plan of `iterations` iterations as a [`PeriodicPlan`]: the
+    /// kernel's `u` copies emitted once at base 0 and repeated every
+    /// period `⌊iterations / u⌋` times, then the `iterations mod u`
+    /// leftover copies. Unrolled, it is exactly [`emit`]'s plan.
+    ///
+    /// # Errors
+    ///
+    /// The [`emit`] errors for the same core and iteration count,
+    /// except that no plan of `iterations` is allocated, so there is no
+    /// [`SchedError::PlanTooLarge`].
+    pub fn periodic(
+        &self,
+        graph: &TaskGraph,
+        config: &PimConfig,
+        iterations: u64,
+    ) -> Result<PeriodicPlan, SchedError> {
+        if iterations == 0 {
+            return Err(SchedError::ZeroIterations);
+        }
+        let emit_copies = |copies| {
+            emit(
+                graph,
+                config,
+                &self.kernel,
+                &self.retiming,
+                &self.allocation,
+                copies,
+            )
+        };
+        // A zero-copy kernel is `emit`'s degenerate-kernel error.
+        let copies = self.unroll().max(1);
+        let group = emit_copies(copies)?;
+        // `emit`'s bound for the whole run: the last group's base plus
+        // the latest end of any copy.
+        ((iterations - 1) / copies)
+            .checked_mul(self.period())
+            .and_then(|base| base.checked_add(group.makespan()))
+            .ok_or(SchedError::TimeOverflow)?;
+        let tail = match iterations % copies {
+            0 => ExecutionPlan::default(),
+            leftover => emit_copies(leftover)?,
+        };
+        Ok(PeriodicPlan::new(
+            group,
+            self.period(),
+            iterations / copies,
+            tail,
+        ))
     }
 }
 
@@ -188,6 +248,32 @@ impl ParaConvScheduler {
         self.schedule_impl(graph, iterations, None)
     }
 
+    /// Schedules `iterations` iterations of `graph` without unrolling
+    /// them: the core [`schedule`](Self::schedule) would unroll, and
+    /// its plan as a [`PeriodicPlan`] of one kernel group and the
+    /// leftover copies.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`schedule`](Self::schedule), through
+    /// [`ParaConvCore::periodic`] in place of [`emit`].
+    pub fn schedule_periodic(
+        &self,
+        graph: &TaskGraph,
+        iterations: u64,
+    ) -> Result<(ParaConvCore, PeriodicPlan), SchedError> {
+        let (core, phase) = self.plan_core(graph, iterations, None)?;
+        let _phase = phase.next("sched.emit");
+        let periodic = core.periodic(graph, &self.config, iterations)?;
+        paraconv_obs::flight_record(
+            "sched",
+            "schedule.done",
+            periodic.makespan().unwrap_or(u64::MAX),
+            self.config.active_pes() as u64,
+        );
+        Ok((core, periodic))
+    }
+
     /// Re-schedules `graph` after a degradation event (a PE fail-stop
     /// shrinking [`PimConfig::failed_pes`] survivors, or a capacity
     /// change), re-solving the cache allocation through a persistent
@@ -221,6 +307,34 @@ impl ParaConvScheduler {
         iterations: u64,
         session: Option<&mut IncrementalDp>,
     ) -> Result<ParaConvOutcome, SchedError> {
+        let (core, phase) = self.plan_core(graph, iterations, session)?;
+        // Step 5: unroll the periodic core into the concrete plan.
+        let _phase = phase.next("sched.emit");
+        let plan = emit(
+            graph,
+            &self.config,
+            &core.kernel,
+            &core.retiming,
+            &core.allocation,
+            iterations,
+        )?;
+        paraconv_obs::flight_record(
+            "sched",
+            "schedule.done",
+            plan.makespan(),
+            self.config.active_pes() as u64,
+        );
+        Ok(ParaConvOutcome { core, plan })
+    }
+
+    /// Steps 1–4: the core, and the open `sched.retime` span for the
+    /// caller to close into its emission phase.
+    fn plan_core(
+        &self,
+        graph: &TaskGraph,
+        iterations: u64,
+        session: Option<&mut IncrementalDp>,
+    ) -> Result<(ParaConvCore, SpanGuard), SchedError> {
         if iterations == 0 {
             return Err(SchedError::ZeroIterations);
         }
@@ -344,26 +458,13 @@ impl ParaConvScheduler {
             })
             .collect();
         let retiming = Retiming::from_edge_requirements(graph, &requirements);
-
-        // Step 5: unroll the periodic core into the concrete plan.
-        let _phase = phase.next("sched.emit");
-        let plan = emit(
-            graph,
-            &self.config,
-            &kernel,
-            &retiming,
-            &allocation,
-            iterations,
-        )?;
-
-        paraconv_obs::flight_record("sched", "schedule.done", plan.makespan(), pes.len() as u64);
-        Ok(ParaConvOutcome {
-            plan,
+        let core = ParaConvCore {
             kernel,
             retiming,
             allocation,
             analysis,
-        })
+        };
+        Ok((core, phase))
     }
 }
 
@@ -476,12 +577,14 @@ mod tests {
         let (outcome, report) = schedule_and_simulate(&g, 4, 12);
         assert_eq!(report.iterations, 12);
         // Five unit tasks on 4 PEs: at most 2 slots per iteration copy.
-        assert!(outcome.time_per_iteration() <= 2.0);
+        assert!(outcome.core.time_per_iteration() <= 2.0);
         // Steady state: one kernel per iteration group plus prologue;
         // the run ends inside the last kernel window.
-        let groups = 12u64.div_ceil(outcome.unroll());
-        assert!(outcome.total_time() <= (outcome.rmax() + groups) * outcome.period());
-        assert!(outcome.total_time() > (outcome.rmax() + groups - 1) * outcome.period());
+        let groups = 12u64.div_ceil(outcome.core.unroll());
+        assert!(outcome.plan.makespan() <= (outcome.core.rmax() + groups) * outcome.core.period());
+        assert!(
+            outcome.plan.makespan() > (outcome.core.rmax() + groups - 1) * outcome.core.period()
+        );
     }
 
     #[test]
@@ -498,14 +601,14 @@ mod tests {
         let g = examples::fork_join(30);
         let (o16, _) = schedule_and_simulate(&g, 16, 8);
         let (o64, _) = schedule_and_simulate(&g, 64, 8);
-        assert!(o64.time_per_iteration() < o16.time_per_iteration());
+        assert!(o64.core.time_per_iteration() < o16.core.time_per_iteration());
     }
 
     #[test]
     fn retiming_is_legal_and_bounded_per_edge() {
         let g = examples::chain(8);
         let (outcome, _) = schedule_and_simulate(&g, 4, 3);
-        assert!(outcome.retiming.check_legal(&g).is_ok());
+        assert!(outcome.core.retiming.check_legal(&g).is_ok());
     }
 
     #[test]
@@ -559,10 +662,12 @@ mod tests {
         let r_small = ParaConvScheduler::new(small)
             .schedule(&g, 2)
             .unwrap()
+            .core
             .rmax();
         let r_large = ParaConvScheduler::new(large)
             .schedule(&g, 2)
             .unwrap()
+            .core
             .rmax();
         assert!(r_large <= r_small);
     }
@@ -578,9 +683,9 @@ mod tests {
             .schedule(&g, 8)
             .unwrap();
         let free = ParaConvScheduler::new(cfg.clone()).schedule(&g, 8).unwrap();
-        assert_eq!(capped.unroll(), 1);
-        assert!(free.unroll() > 1);
-        assert!(free.time_per_iteration() < capped.time_per_iteration());
+        assert_eq!(capped.core.unroll(), 1);
+        assert!(free.core.unroll() > 1);
+        assert!(free.core.time_per_iteration() < capped.core.time_per_iteration());
         // Both remain valid plans.
         assert!(simulate(&g, &capped.plan, &cfg).is_ok());
         assert!(simulate(&g, &free.plan, &cfg).is_ok());
@@ -608,10 +713,10 @@ mod tests {
         let dp = run(AllocationPolicy::DynamicProgram);
         let greedy = run(AllocationPolicy::GreedyByDensity);
         let none = run(AllocationPolicy::AllEdram);
-        assert!(dp.allocation.total_profit() >= greedy.allocation.total_profit());
-        assert_eq!(none.allocation.total_profit(), 0);
-        assert!(dp.rmax() <= greedy.rmax());
-        assert!(greedy.rmax() <= none.rmax());
+        assert!(dp.core.allocation.total_profit() >= greedy.core.allocation.total_profit());
+        assert_eq!(none.core.allocation.total_profit(), 0);
+        assert!(dp.core.rmax() <= greedy.core.rmax());
+        assert!(greedy.core.rmax() <= none.core.rmax());
         // All three plans stay valid.
         for outcome in [&dp, &greedy, &none] {
             assert!(simulate(&g, &outcome.plan, &cfg).is_ok());
@@ -692,7 +797,7 @@ mod tests {
         let again = ParaConvScheduler::new(cfg.clone())
             .reschedule(&g, 4, &mut session)
             .unwrap();
-        assert_eq!(healthy.allocation, again.allocation);
+        assert_eq!(healthy.core.allocation, again.core.allocation);
         assert_eq!(healthy.plan, again.plan);
 
         // Degraded capacity: the incremental replan must reproduce the
@@ -706,7 +811,7 @@ mod tests {
         let cold = ParaConvScheduler::new(degraded_cfg.clone())
             .schedule(&g, 4)
             .unwrap();
-        assert_eq!(degraded.allocation, cold.allocation);
+        assert_eq!(degraded.core.allocation, cold.core.allocation);
         assert_eq!(degraded.plan, cold.plan);
         for t in degraded.plan.tasks() {
             assert_ne!(t.pe, PeId::new(3), "task placed on failed PE");
@@ -737,5 +842,114 @@ mod tests {
         };
         assert!(r_large.offchip_fetches <= r_small.offchip_fetches);
         assert!(r_large.onchip_hits >= r_small.onchip_hits);
+    }
+
+    /// Para-CONV's core and periodic plan for `iterations` iterations.
+    fn periodic_run(
+        graph: &TaskGraph,
+        pes: usize,
+        iterations: u64,
+    ) -> (ParaConvCore, PeriodicPlan) {
+        let cfg = PimConfig::neurocube(pes).unwrap();
+        ParaConvScheduler::new(cfg)
+            .schedule_periodic(graph, iterations)
+            .unwrap()
+    }
+
+    #[test]
+    fn periodic_unrolls_to_the_scheduled_plan() {
+        for (g, pes) in [(examples::motivational(), 16), (examples::fork_join(12), 4)] {
+            let cfg = PimConfig::neurocube(pes).unwrap();
+            let scheduler = ParaConvScheduler::new(cfg);
+            let (core, _) = periodic_run(&g, pes, 500);
+            for n in 1..=3 * core.unroll() + 2 {
+                let outcome = scheduler.schedule(&g, n).unwrap();
+                let (core, periodic) = scheduler.schedule_periodic(&g, n).unwrap();
+                assert_eq!(core.kernel, outcome.core.kernel, "N={n}");
+                assert_eq!(core.retiming, outcome.core.retiming, "N={n}");
+                assert_eq!(core.allocation, outcome.core.allocation, "N={n}");
+                assert_eq!(periodic.materialize().unwrap(), outcome.plan, "N={n}");
+                assert_eq!(periodic.makespan(), Some(outcome.plan.makespan()), "N={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn periodic_splits_a_run_into_kernel_groups_and_leftovers() {
+        let g = examples::motivational();
+        let (core, _) = periodic_run(&g, 16, 500);
+        let u = core.unroll();
+        assert!(u > 1, "the case needs leftover copies");
+        for n in [u, u + 1, 5 * u - 1, 5 * u] {
+            let (_, periodic) = periodic_run(&g, 16, n);
+            assert_eq!(periodic.period(), core.period(), "N={n}");
+            assert_eq!(periodic.group().iterations(), u, "N={n}");
+            assert_eq!(periodic.groups(), n / u, "N={n}");
+            assert_eq!(periodic.tail().iterations(), n % u, "N={n}");
+            assert_eq!(periodic.tail().tasks().is_empty(), n % u == 0, "N={n}");
+            assert_eq!(periodic.iterations(), Some(n), "N={n}");
+        }
+    }
+
+    #[test]
+    fn periodic_of_zero_iterations_is_a_typed_error() {
+        let g = examples::motivational();
+        let cfg = PimConfig::neurocube(4).unwrap();
+        let scheduler = ParaConvScheduler::new(cfg.clone());
+        assert!(matches!(
+            scheduler.schedule_periodic(&g, 0),
+            Err(SchedError::ZeroIterations)
+        ));
+        let (core, _) = periodic_run(&g, 4, 3);
+        assert_eq!(core.periodic(&g, &cfg, 0), Err(SchedError::ZeroIterations));
+    }
+
+    #[test]
+    fn periodic_past_the_clock_is_time_overflow() {
+        // As with `emit`: u64::MAX iterations end past the clock.
+        let g = examples::motivational();
+        let cfg = PimConfig::neurocube(4).unwrap();
+        let (core, _) = periodic_run(&g, 4, 3);
+        assert_eq!(
+            core.periodic(&g, &cfg, u64::MAX),
+            Err(SchedError::TimeOverflow)
+        );
+    }
+
+    #[test]
+    fn periodic_describes_a_run_too_large_to_emit() {
+        // 2^60 iterations fit the clock but not the address space: the
+        // description needs only one kernel group.
+        let g = examples::motivational();
+        let cfg = PimConfig::neurocube(4).unwrap();
+        let (core, _) = periodic_run(&g, 4, 3);
+        let iterations = 1u64 << 60;
+        let periodic = core.periodic(&g, &cfg, iterations).unwrap();
+        assert_eq!(periodic.iterations(), Some(iterations));
+        assert_eq!(
+            emit(
+                &g,
+                &cfg,
+                &core.kernel,
+                &core.retiming,
+                &core.allocation,
+                iterations
+            ),
+            Err(SchedError::PlanTooLarge { iterations })
+        );
+    }
+
+    #[test]
+    fn periodic_of_a_zero_copy_kernel_is_a_degenerate_kernel() {
+        let g = examples::motivational();
+        let cfg = PimConfig::neurocube(4).unwrap();
+        let (mut core, _) = periodic_run(&g, 4, 3);
+        let period = core.period();
+        core.kernel =
+            KernelSchedule::from_parts(period, 0, g.node_count(), vec![], vec![], vec![]).unwrap();
+        assert_eq!(
+            core.periodic(&g, &cfg, 5),
+            Err(SchedError::DegenerateKernel { period, copies: 0 })
+        );
     }
 }

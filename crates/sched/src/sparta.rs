@@ -15,11 +15,15 @@
 //!   criticality (no dynamic program).
 //!
 //! Both schedulers emit plans for the same validating simulator, so the
-//! comparison isolates the scheduling policy.
+//! comparison isolates the scheduling policy. A SPARTA plan is one
+//! batch template repeated back to back, then a tail batch, so its core
+//! is that [`PeriodicPlan`].
 
 use paraconv_alloc::{AllocItem, CacheAllocator};
 use paraconv_graph::{NodeId, Placement, TaskGraph};
-use paraconv_pim::{CostModel, ExecutionPlan, PeId, PimConfig, PlannedTask, PlannedTransfer};
+use paraconv_pim::{
+    CostModel, ExecutionPlan, PeId, PeriodicPlan, PimConfig, PlannedTask, PlannedTransfer,
+};
 
 use crate::SchedError;
 
@@ -37,31 +41,55 @@ pub enum BaselineCachePolicy {
     OptimalDp,
 }
 
-/// Result of scheduling a run with the SPARTA baseline.
+/// The periodic core of a SPARTA run: the batch template, repeated
+/// every batch makespan, then the tail batch.
 #[derive(Debug, Clone)]
-pub struct SpartaOutcome {
-    /// The concrete plan, ready for [`paraconv_pim::simulate`].
-    pub plan: ExecutionPlan,
-    /// Makespan of one full batch of co-scheduled iterations.
-    pub batch_makespan: u64,
-    /// Iterations co-scheduled per batch.
-    pub copies_per_batch: u64,
-    /// IPRs (per iteration) the greedy policy placed in cache.
-    pub cached_iprs: usize,
+pub struct SpartaCore {
+    periodic: PeriodicPlan,
+    cached_iprs: usize,
 }
 
-impl SpartaOutcome {
-    /// Total execution time of the planned run.
+impl SpartaCore {
+    /// The run's plan as one batch (iterations `1..=copies` at time 0)
+    /// repeated every batch makespan, then the tail batch.
     #[must_use]
-    pub fn total_time(&self) -> u64 {
-        self.plan.makespan()
+    pub const fn periodic(&self) -> &PeriodicPlan {
+        &self.periodic
+    }
+
+    /// Makespan of one full batch of co-scheduled iterations.
+    #[must_use]
+    pub const fn batch_makespan(&self) -> u64 {
+        self.periodic.period()
+    }
+
+    /// Iterations co-scheduled per batch.
+    #[must_use]
+    pub const fn copies_per_batch(&self) -> u64 {
+        self.periodic.group().iterations()
+    }
+
+    /// IPRs (per iteration) the cache policy placed in cache.
+    #[must_use]
+    pub const fn cached_iprs(&self) -> usize {
+        self.cached_iprs
     }
 
     /// Effective steady-state time per iteration.
     #[must_use]
     pub fn time_per_iteration(&self) -> f64 {
-        self.batch_makespan as f64 / self.copies_per_batch as f64
+        self.batch_makespan() as f64 / self.copies_per_batch() as f64
     }
+}
+
+/// Result of scheduling a run with the SPARTA baseline: the core and
+/// the plan it unrolls to.
+#[derive(Debug, Clone)]
+pub struct SpartaOutcome {
+    /// The periodic core.
+    pub core: SpartaCore,
+    /// The concrete plan, ready for [`paraconv_pim::simulate`].
+    pub plan: ExecutionPlan,
 }
 
 /// Sensor-driven task characterization: SPARTA observes each task's
@@ -140,10 +168,35 @@ impl SpartaScheduler {
         graph: &TaskGraph,
         iterations: u64,
     ) -> Result<SpartaOutcome, SchedError> {
+        let _span = paraconv_obs::span("sched.sparta", "sched");
+        let core = self.core(graph, iterations)?;
+        let plan = core
+            .periodic
+            .materialize()
+            .map_err(|_| SchedError::PlanTooLarge { iterations })?;
+        Ok(SpartaOutcome { core, plan })
+    }
+
+    /// Schedules `iterations` iterations of `graph` without unrolling
+    /// them: the core whose [`SpartaCore::periodic`] plan
+    /// [`schedule`](Self::schedule) materializes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SchedError::ZeroIterations`] for `iterations == 0`.
+    pub fn schedule_core(
+        &self,
+        graph: &TaskGraph,
+        iterations: u64,
+    ) -> Result<SpartaCore, SchedError> {
+        let _span = paraconv_obs::span("sched.sparta", "sched");
+        self.core(graph, iterations)
+    }
+
+    fn core(&self, graph: &TaskGraph, iterations: u64) -> Result<SpartaCore, SchedError> {
         if iterations == 0 {
             return Err(SchedError::ZeroIterations);
         }
-        let _span = paraconv_obs::span("sched.sparta", "sched");
         let cost = CostModel::new(&self.config, graph.edge_count());
         let n_pes = self.config.num_pes();
 
@@ -210,46 +263,20 @@ impl SpartaScheduler {
             .collect();
 
         // Schedule one template batch of `copies` independent copies
-        // with priority list scheduling, then replicate it.
-        let template = schedule_batch(graph, copies as usize, n_pes, &priority, &transfer_time);
-
-        let mut plan = crate::emit::reserve_plan(graph, iterations)?;
-        let full_batches = iterations / copies;
-        let remainder = iterations % copies;
-        let mut next_iteration = 1u64;
-        let mut clock = 0u64;
-        for _ in 0..full_batches {
-            emit_batch(
-                &mut plan,
-                graph,
-                &template,
-                copies as usize,
-                next_iteration,
-                clock,
-                &placements,
-                &transfer_time,
-            );
-            next_iteration += copies;
-            clock += template.makespan;
-        }
-        if remainder > 0 {
-            let tail = schedule_batch(graph, remainder as usize, n_pes, &priority, &transfer_time);
-            emit_batch(
-                &mut plan,
-                graph,
-                &tail,
-                remainder as usize,
-                next_iteration,
-                clock,
-                &placements,
-                &transfer_time,
-            );
-        }
-
-        Ok(SpartaOutcome {
-            plan,
-            batch_makespan: template.makespan,
-            copies_per_batch: copies,
+        // with priority list scheduling, repeated back to back; the
+        // leftover iterations get a batch of their own.
+        let batch = |copies: u64| {
+            let template = schedule_batch(graph, copies as usize, n_pes, &priority, &transfer_time);
+            let plan = emit_batch(graph, &template, copies, &placements, &transfer_time);
+            (plan, template.makespan)
+        };
+        let (group, period) = batch(copies);
+        let tail = match iterations % copies {
+            0 => ExecutionPlan::default(),
+            remainder => batch(remainder).0,
+        };
+        Ok(SpartaCore {
+            periodic: PeriodicPlan::new(group, period, iterations / copies, tail),
             cached_iprs,
         })
     }
@@ -355,29 +382,26 @@ fn schedule_batch(
     }
 }
 
-/// Emits one batch instance into the plan, shifted to `clock` and
-/// numbered from `first_iteration`.
-#[allow(clippy::too_many_arguments)]
+/// The plan of one batch: iterations `1..=copies` of the template,
+/// starting at time 0.
 fn emit_batch(
-    plan: &mut ExecutionPlan,
     graph: &TaskGraph,
     template: &BatchTemplate,
-    copies: usize,
-    first_iteration: u64,
-    clock: u64,
+    copies: u64,
     placements: &[Placement],
     transfer_time: &[u64],
-) {
+) -> ExecutionPlan {
     let n = graph.node_count();
-    for copy in 0..copies {
-        let iteration = first_iteration + copy as u64;
+    let mut plan = ExecutionPlan::new(copies);
+    for copy in 0..copies as usize {
+        let iteration = copy as u64 + 1;
         for node in graph.nodes() {
             let slot = copy * n + node.id().index();
             plan.push_task(PlannedTask {
                 node: node.id(),
                 iteration,
                 pe: template.pe[slot],
-                start: clock + template.start[slot],
+                start: template.start[slot],
                 duration: node.exec_time(),
             });
         }
@@ -389,12 +413,13 @@ fn emit_batch(
                 edge: ipr.id(),
                 iteration,
                 placement: placements[i],
-                start: clock + template.finish[src_slot],
+                start: template.finish[src_slot],
                 duration: transfer_time[i],
                 dst_pe: template.pe[dst_slot],
             });
         }
     }
+    plan
 }
 
 #[cfg(test)]
@@ -423,8 +448,8 @@ mod tests {
         let g = examples::motivational();
         let (outcome, report) = run(&g, 4, 8);
         assert_eq!(report.iterations, 8);
-        assert!(outcome.copies_per_batch >= 1);
-        assert!(outcome.total_time() > 0);
+        assert!(outcome.core.copies_per_batch() >= 1);
+        assert!(outcome.plan.makespan() > 0);
     }
 
     #[test]
@@ -434,9 +459,9 @@ mod tests {
         let cfg = PimConfig::neurocube(16).unwrap();
         let outcome = SpartaScheduler::new(cfg).schedule(&g, 16).unwrap();
         assert!(
-            outcome.copies_per_batch > 1,
+            outcome.core.copies_per_batch() > 1,
             "copies={}",
-            outcome.copies_per_batch
+            outcome.core.copies_per_batch()
         );
     }
 
@@ -444,7 +469,7 @@ mod tests {
     fn single_pe_serializes_every_iteration() {
         let g = examples::chain(3);
         let (outcome, report) = run(&g, 1, 4);
-        assert_eq!(outcome.copies_per_batch, 1);
+        assert_eq!(outcome.core.copies_per_batch(), 1);
         // On one PE the busy time is all 12 task units.
         assert!(report.total_time >= 12);
     }
@@ -462,7 +487,7 @@ mod tests {
     fn batch_makespan_at_least_critical_path() {
         let g = examples::chain(6);
         let (outcome, _) = run(&g, 8, 4);
-        assert!(outcome.batch_makespan >= g.critical_path_length());
+        assert!(outcome.core.batch_makespan() >= g.critical_path_length());
     }
 
     #[test]
@@ -508,5 +533,109 @@ mod tests {
         // Upstream of a chain has the largest bottom level.
         assert!(priority[0] > priority[1]);
         assert!(priority[1] > priority[2]);
+    }
+
+    fn scheduler(pes: usize) -> SpartaScheduler {
+        SpartaScheduler::new(PimConfig::neurocube(pes).unwrap())
+    }
+
+    #[test]
+    fn core_accessors_read_the_batch_template() {
+        let g = examples::fork_join(12);
+        let core = scheduler(16).schedule_core(&g, 40).unwrap();
+        let periodic = core.periodic();
+        assert_eq!(core.batch_makespan(), periodic.period());
+        assert_eq!(core.copies_per_batch(), periodic.group().iterations());
+        assert!(core.copies_per_batch() > 1);
+        assert_eq!(
+            core.time_per_iteration().to_bits(),
+            (core.batch_makespan() as f64 / core.copies_per_batch() as f64).to_bits()
+        );
+    }
+
+    #[test]
+    fn batches_are_disjoint_in_time() {
+        // The periodic replay validates the template and the tail each
+        // on its own: every entry of a batch ends by its makespan, and
+        // every transfer ends before its consumer starts.
+        for (g, pes) in [
+            (examples::motivational(), 4),
+            (examples::fork_join(12), 16),
+            (examples::chain(6), 8),
+        ] {
+            let core = scheduler(pes).schedule_core(&g, 23).unwrap();
+            let periodic = core.periodic();
+            assert_eq!(periodic.group().makespan(), periodic.period());
+            for batch in [periodic.group(), periodic.tail()] {
+                for x in batch.transfers() {
+                    let ipr = g.edge(x.edge).unwrap();
+                    let consumer = batch
+                        .tasks()
+                        .iter()
+                        .find(|t| t.node == ipr.dst() && t.iteration == x.iteration)
+                        .unwrap();
+                    assert!(x.finish() <= consumer.start, "{x:?} {consumer:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_tail_is_a_batch_of_the_leftover_iterations() {
+        let g = examples::fork_join(12);
+        let copies = scheduler(16)
+            .schedule_core(&g, 40)
+            .unwrap()
+            .copies_per_batch();
+        for n in [copies, copies + 1, 3 * copies - 1, 3 * copies] {
+            let core = scheduler(16).schedule_core(&g, n).unwrap();
+            let periodic = core.periodic();
+            assert_eq!(periodic.groups(), n / copies, "N={n}");
+            assert_eq!(periodic.tail().iterations(), n % copies, "N={n}");
+            assert_eq!(periodic.tail().tasks().is_empty(), n % copies == 0, "N={n}");
+            assert_eq!(periodic.iterations(), Some(n), "N={n}");
+        }
+    }
+
+    #[test]
+    fn schedule_materializes_its_core() {
+        let g = examples::fork_join(12);
+        let sched = scheduler(16);
+        for n in 1..=20 {
+            let outcome = sched.schedule(&g, n).unwrap();
+            let core = sched.schedule_core(&g, n).unwrap();
+            assert_eq!(
+                core.periodic().materialize().unwrap(),
+                outcome.plan,
+                "N={n}"
+            );
+            assert_eq!(core.periodic(), outcome.core.periodic(), "N={n}");
+            assert_eq!(core.cached_iprs(), outcome.core.cached_iprs(), "N={n}");
+        }
+    }
+
+    #[test]
+    fn schedule_core_of_zero_iterations_is_a_typed_error() {
+        let g = examples::motivational();
+        assert!(matches!(
+            scheduler(4).schedule_core(&g, 0),
+            Err(SchedError::ZeroIterations)
+        ));
+        assert!(matches!(
+            scheduler(4).schedule(&g, 0),
+            Err(SchedError::ZeroIterations)
+        ));
+    }
+
+    #[test]
+    fn a_run_too_large_to_unroll_has_a_core_but_no_plan() {
+        let g = examples::motivational();
+        let iterations = 1u64 << 60;
+        let core = scheduler(4).schedule_core(&g, iterations).unwrap();
+        assert_eq!(core.periodic().iterations(), Some(iterations));
+        assert!(matches!(
+            scheduler(4).schedule(&g, iterations),
+            Err(SchedError::PlanTooLarge { iterations: n }) if n == iterations
+        ));
     }
 }

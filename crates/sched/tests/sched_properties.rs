@@ -62,11 +62,11 @@ proptest! {
         // (R_max + G - 1)·p < total ≤ (R_max + G)·p.
         let cfg = PimConfig::neurocube(8).unwrap();
         let outcome = ParaConvScheduler::new(cfg).schedule(&g, iters).unwrap();
-        let groups = iters.div_ceil(outcome.unroll());
-        let upper = (outcome.rmax() + groups) * outcome.period();
-        let lower = (outcome.rmax() + groups - 1) * outcome.period();
-        prop_assert!(outcome.total_time() <= upper);
-        prop_assert!(outcome.total_time() > lower);
+        let groups = iters.div_ceil(outcome.core.unroll());
+        let upper = (outcome.core.rmax() + groups) * outcome.core.period();
+        let lower = (outcome.core.rmax() + groups - 1) * outcome.core.period();
+        prop_assert!(outcome.plan.makespan() <= upper);
+        prop_assert!(outcome.plan.makespan() > lower);
     }
 
     #[test]
@@ -77,7 +77,7 @@ proptest! {
         let cfg = PimConfig::neurocube(16).unwrap();
         let para = ParaConvScheduler::new(cfg.clone()).schedule(&g, 1).unwrap();
         let sparta = SpartaScheduler::new(cfg).schedule(&g, 1).unwrap();
-        prop_assert!(para.period() <= sparta.batch_makespan);
+        prop_assert!(para.core.period() <= sparta.core.batch_makespan());
     }
 
     #[test]
@@ -107,8 +107,8 @@ proptest! {
         for per_pe in [0u64, 1, 2, 4, 16, 64] {
             let cfg = PimConfig::builder(4).per_pe_cache_units(per_pe).build().unwrap();
             let outcome = ParaConvScheduler::new(cfg).schedule(&g, 1).unwrap();
-            let cached = outcome.cached_iprs();
-            prop_assert!(cached >= last || outcome.allocation.total_profit() > 0,
+            let cached = outcome.core.cached_iprs();
+            prop_assert!(cached >= last || outcome.core.allocation.total_profit() > 0,
                 "cached {cached} after {last}");
             last = cached;
         }
@@ -176,7 +176,7 @@ proptest! {
             let warm = scheduler.reschedule(&g, iters, &mut session).unwrap();
             let cold = scheduler.schedule(&g, iters).unwrap();
             prop_assert_eq!(warm.plan, cold.plan);
-            prop_assert_eq!(warm.allocation, cold.allocation);
+            prop_assert_eq!(warm.core.allocation, cold.core.allocation);
         }
     }
 
@@ -184,10 +184,10 @@ proptest! {
     fn retiming_values_cover_requirements(g in arb_dag(), pes in 1usize..16) {
         let cfg = PimConfig::neurocube(pes.max(1)).unwrap();
         let outcome = ParaConvScheduler::new(cfg).schedule(&g, 1).unwrap();
-        prop_assert!(outcome.retiming.check_legal(&g).is_ok());
+        prop_assert!(outcome.core.retiming.check_legal(&g).is_ok());
         // Producers always retimed at least as much as consumers.
         for ipr in g.edges() {
-            prop_assert!(outcome.retiming.relative_value(&g, ipr.id()).unwrap() >= 0);
+            prop_assert!(outcome.core.retiming.relative_value(&g, ipr.id()).unwrap() >= 0);
         }
     }
 }

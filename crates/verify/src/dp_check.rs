@@ -61,7 +61,7 @@ pub fn check_dp_invariants(
     crate::guard_shape(graph, outcome)?;
     // The DP table holds `capacity + 1` words per item: size it only
     // from a capacity the architecture actually has.
-    let capacity = outcome.allocation.capacity();
+    let capacity = outcome.core.allocation.capacity();
     if capacity > config.total_cache_units() {
         return Err(VerifyError::CapacityAboveCache {
             capacity,
@@ -156,6 +156,7 @@ pub fn check_dp_invariants(
     let space_of: std::collections::HashMap<_, _> =
         items.iter().map(|i| (i.edge(), i.space())).collect();
     let alloc_used: u64 = outcome
+        .core
         .allocation
         .cached()
         .iter()
@@ -167,7 +168,7 @@ pub fn check_dp_invariants(
             capacity,
         });
     }
-    let claimed = outcome.allocation.total_profit();
+    let claimed = outcome.core.allocation.total_profit();
     if claimed > dp_max {
         return Err(VerifyError::AllocationExceedsOptimal {
             profit: claimed,
@@ -190,7 +191,7 @@ pub(crate) fn derive_items(
     outcome: &ParaConvOutcome,
     config: &PimConfig,
 ) -> Vec<AllocItem> {
-    let kernel = &outcome.kernel;
+    let kernel = &outcome.core.kernel;
     let p = kernel.period().max(1);
     let unroll = kernel.copies();
     let cost = CostModel::new(config, graph.edge_count());
@@ -281,7 +282,7 @@ mod tests {
     #[test]
     fn all_edram_capacity_is_zero_without_panicking() {
         let (g, outcome, cfg) = scheduled(AllocationPolicy::AllEdram);
-        assert_eq!(outcome.allocation.capacity(), 0);
+        assert_eq!(outcome.core.allocation.capacity(), 0);
         let check = check_dp_invariants(&g, &outcome, &cfg).expect("zero capacity is fine");
         assert_eq!(check.allocation_profit, 0);
     }
@@ -290,7 +291,7 @@ mod tests {
     fn inflated_profit_claims_are_caught() {
         use paraconv_alloc::CacheAllocator;
         let (g, mut outcome, cfg) = scheduled(AllocationPolicy::DynamicProgram);
-        if outcome.allocation.total_profit() == 0 {
+        if outcome.core.allocation.total_profit() == 0 {
             // Nothing competes on this instance; the forgery below
             // would be a no-op.
             return;
@@ -298,12 +299,12 @@ mod tests {
         // Re-run the allocator on items whose profits are inflated
         // tenfold: the grafted allocation then claims more than the
         // honestly re-derived optimum can justify.
-        let capacity = outcome.allocation.capacity();
+        let capacity = outcome.core.allocation.capacity();
         let forged_items: Vec<AllocItem> = derive_items(&g, &outcome, &cfg)
             .into_iter()
             .map(|i| AllocItem::new(i.edge(), i.space(), i.delta_r() * 10, i.deadline()))
             .collect();
-        outcome.allocation = CacheAllocator::new(capacity).allocate(forged_items);
+        outcome.core.allocation = CacheAllocator::new(capacity).allocate(forged_items);
         let err = check_dp_invariants(&g, &outcome, &cfg).expect_err("forged profit");
         assert!(matches!(err, VerifyError::AllocationExceedsOptimal { .. }));
     }
@@ -327,7 +328,7 @@ mod tests {
     fn an_allocation_wider_than_the_cache_is_refused_before_the_dp() {
         use paraconv_alloc::CacheAllocation;
         let (g, mut outcome, cfg) = scheduled(AllocationPolicy::DynamicProgram);
-        let a = &outcome.allocation;
+        let a = &outcome.core.allocation;
         let forge = |capacity| {
             CacheAllocation::from_parts(
                 a.placements().collect(),
@@ -341,10 +342,10 @@ mod tests {
         // Exactly the aggregate cache is a real capacity; one unit more
         // (or a table-sized lie) is refused without sizing a DP table.
         let (at, above, huge) = (forge(cache), forge(cache + 1), forge(1 << 40));
-        outcome.allocation = at;
+        outcome.core.allocation = at;
         assert!(check_dp_invariants(&g, &outcome, &cfg).is_ok());
         for (forged, capacity) in [(above, cache + 1), (huge, 1 << 40)] {
-            outcome.allocation = forged;
+            outcome.core.allocation = forged;
             assert_eq!(
                 check_dp_invariants(&g, &outcome, &cfg).unwrap_err(),
                 VerifyError::CapacityAboveCache { capacity, cache }

@@ -70,7 +70,7 @@ use paraconv_sched::ParaConvOutcome;
 /// steady state or built for a different graph is reported as a
 /// structured diagnostic before any accessor can panic.
 pub(crate) fn guard_shape(graph: &TaskGraph, outcome: &ParaConvOutcome) -> Result<(), VerifyError> {
-    let kernel = &outcome.kernel;
+    let kernel = &outcome.core.kernel;
     if kernel.period() == 0 || kernel.copies() == 0 {
         return Err(VerifyError::DegenerateKernel {
             period: kernel.period(),
@@ -106,9 +106,9 @@ pub fn verify_outcome(
     // dead engines.
     for &pe in config.failed_pes() {
         let dead = PeId::new(pe);
-        for copy in 0..outcome.kernel.copies() {
+        for copy in 0..outcome.core.kernel.copies() {
             for node in graph.node_ids() {
-                if outcome.kernel.pe_at(node, copy) == dead {
+                if outcome.core.kernel.pe_at(node, copy) == dead {
                     return Err(VerifyError::FailedPeUsed { pe });
                 }
             }
@@ -154,8 +154,8 @@ pub fn verify_outcome(
     let (_, fifo_bound) = bounds.worst_fifo();
     let (_, vault_bound) = bounds.worst_vault();
     Ok(VerifyReport {
-        period: outcome.kernel.period(),
-        unroll: outcome.kernel.copies(),
+        period: outcome.core.kernel.period(),
+        unroll: outcome.core.kernel.copies(),
         checked_edges,
         cache_bound: bounds.cache.bound,
         cache_capacity,
@@ -264,7 +264,7 @@ mod tests {
             .with_policy(AllocationPolicy::AllEdram)
             .schedule(&g, 3)
             .expect("schedulable");
-        assert_eq!(outcome.allocation.capacity(), 0);
+        assert_eq!(outcome.core.allocation.capacity(), 0);
         let report = verify_outcome(&g, &outcome, &cfg).expect("zero capacity verifies");
         assert_eq!(report.cache_bound, 0);
     }

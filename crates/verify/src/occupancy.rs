@@ -191,12 +191,12 @@ pub fn occupancy_bounds(
     outcome: &ParaConvOutcome,
     config: &PimConfig,
 ) -> Result<OccupancyBounds, VerifyError> {
-    let kernel = &outcome.kernel;
+    let kernel = &outcome.core.kernel;
     crate::guard_shape(graph, outcome)?;
     let p = kernel.period();
     let unroll = kernel.copies();
     let cost = CostModel::new(config, graph.edge_count());
-    let placements = outcome.allocation.to_placement_vec(graph.edge_count());
+    let placements = outcome.core.allocation.to_placement_vec(graph.edge_count());
 
     let mut cache = PhaseProfile::new(p);
     let mut fifo: Vec<PhaseProfile> = (0..config.num_pes())

@@ -34,9 +34,9 @@ pub fn check_plan(
     let emitted = paraconv_sched::emit(
         graph,
         config,
-        &outcome.kernel,
-        &outcome.retiming,
-        &outcome.allocation,
+        &outcome.core.kernel,
+        &outcome.core.retiming,
+        &outcome.core.allocation,
         outcome.plan.iterations(),
     )
     .map_err(|e| match e {

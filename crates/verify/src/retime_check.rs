@@ -34,21 +34,22 @@ pub fn check_retiming(
 ) -> Result<usize, VerifyError> {
     crate::guard_shape(graph, outcome)?;
     outcome
+        .core
         .retiming
         .check_legal(graph)
         .map_err(VerifyError::IllegalRetiming)?;
 
-    let p = outcome.kernel.period();
+    let p = outcome.core.kernel.period();
     let cost = CostModel::new(config, graph.edge_count());
-    let gaps = outcome.kernel.gaps(graph);
-    let placements = outcome.allocation.to_placement_vec(graph.edge_count());
+    let gaps = outcome.core.kernel.gaps(graph);
+    let placements = outcome.core.allocation.to_placement_vec(graph.edge_count());
 
     let mut violations = Vec::new();
     for e in graph.edges() {
         let i = e.id().index();
         let transfer = cost.transfer_time(e.size(), placements[i]);
         let required = minimal_relative_retiming(transfer, gaps[i], p);
-        let actual = outcome.retiming.relative_value(graph, e.id())?;
+        let actual = outcome.core.retiming.relative_value(graph, e.id())?;
         if actual < required as i64 {
             violations.push(RetimingViolation {
                 edge: e.id(),
@@ -100,8 +101,8 @@ mod tests {
             .expect("schedulable test graph");
         // Erasing the retiming to zero keeps it structurally legal but
         // leaves every binding edge below its dependency distance.
-        assert!(outcome.rmax() > 0, "test needs a binding requirement");
-        outcome.retiming = paraconv_retime::Retiming::zero(&g);
+        assert!(outcome.core.rmax() > 0, "test needs a binding requirement");
+        outcome.core.retiming = paraconv_retime::Retiming::zero(&g);
         let err = check_retiming(&g, &outcome, &cfg).expect_err("slack erased");
         match err {
             VerifyError::RetimingInsufficient { violations } => {

@@ -29,8 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let result = ParaConv::new(config).run(&graph, iterations)?;
         sweep.push_row([
             units.to_string(),
-            result.outcome.cached_iprs().to_string(),
-            result.outcome.rmax().to_string(),
+            result.core.cached_iprs().to_string(),
+            result.core.rmax().to_string(),
             result.report.offchip_fetches.to_string(),
             result.report.total_time.to_string(),
         ]);
@@ -50,8 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .run(&graph, iterations)?;
         policies.push_row([
             format!("{policy:?}"),
-            result.outcome.allocation.total_profit().to_string(),
-            result.outcome.rmax().to_string(),
+            result.core.allocation.total_profit().to_string(),
+            result.core.rmax().to_string(),
             result.report.offchip_fetches.to_string(),
         ]);
     }

@@ -50,9 +50,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             cmp.paraconv.report.total_time,
             cmp.sparta.report.total_time,
             cmp.improvement_percent(),
-            cmp.paraconv.outcome.rmax(),
-            cmp.paraconv.outcome.time_per_iteration(),
-            cmp.sparta.outcome.time_per_iteration(),
+            cmp.paraconv.core.rmax(),
+            cmp.paraconv.core.time_per_iteration(),
+            cmp.sparta.core.time_per_iteration(),
         );
     }
     Ok(())

@@ -22,28 +22,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sparta = SpartaScheduler::new(config.clone()).schedule(&graph, 12)?;
     println!(
         "baseline: {} iterations per batch, each batch takes {} units",
-        sparta.copies_per_batch, sparta.batch_makespan
+        sparta.core.copies_per_batch(),
+        sparta.core.batch_makespan()
     );
     println!(
         "baseline effective time per iteration: {:.2} units",
-        sparta.time_per_iteration()
+        sparta.core.time_per_iteration()
     );
 
     // --- Figure 3(b): Para-CONV retimes and compacts -------------------
     let para = ParaConvScheduler::new(config.clone()).schedule(&graph, 12)?;
     println!(
         "\nPara-CONV kernel: period {} units, {} iteration(s) per kernel",
-        para.period(),
-        para.unroll()
+        para.core.period(),
+        para.core.unroll()
     );
     println!(
         "prologue: R_max = {} -> {} time units of preprocessing",
-        para.rmax(),
-        para.prologue_time()
+        para.core.rmax(),
+        para.core.prologue_time()
     );
 
     println!("\nretiming values (iterations moved into the prologue):");
-    for (node, r) in para.retiming.node_values() {
+    for (node, r) in para.core.retiming.node_values() {
         // The paper's T1..T5 are T0..T4 here (IDs are zero-based).
         println!("  R({node}) = {r}");
     }
@@ -51,17 +52,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nIPR placements (cache capacity: 4 slots):");
     for ipr in graph.edges() {
         let placement = para
+            .core
             .allocation
             .placement(ipr.id())
             .unwrap_or(Placement::Edram);
-        let case = para.analysis.case(ipr.id()).expect("edge analyzed");
+        let case = para.core.analysis.case(ipr.id()).expect("edge analyzed");
         println!("  {ipr}: {placement} ({case})");
     }
 
     println!(
         "\nsteady state: one iteration every {:.2} units vs baseline {:.2}",
-        para.time_per_iteration(),
-        sparta.time_per_iteration()
+        para.core.time_per_iteration(),
+        sparta.core.time_per_iteration()
     );
     Ok(())
 }

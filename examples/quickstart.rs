@@ -28,17 +28,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nPara-CONV:");
     println!(
         "  kernel period p = {} ({} iteration(s) per kernel)",
-        para.outcome.period(),
-        para.outcome.unroll()
+        para.core.period(),
+        para.core.unroll()
     );
     println!(
         "  R_max = {} -> prologue {} time units",
-        para.outcome.rmax(),
-        para.outcome.prologue_time()
+        para.core.rmax(),
+        para.core.prologue_time()
     );
     println!(
         "  {} of {} IPRs in on-chip cache",
-        para.outcome.cached_iprs(),
+        para.core.cached_iprs(),
         graph.edge_count()
     );
     println!("  total time  = {}", para.report.total_time);
@@ -50,7 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nSPARTA baseline:");
     println!(
         "  {} iteration(s) co-scheduled per batch, batch makespan {}",
-        comparison.sparta.outcome.copies_per_batch, comparison.sparta.outcome.batch_makespan
+        comparison.sparta.core.copies_per_batch(),
+        comparison.sparta.core.batch_makespan()
     );
     println!("  total time  = {}", comparison.sparta.report.total_time);
 

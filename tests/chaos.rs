@@ -118,7 +118,7 @@ fn assert_fail_stop_recovers(name: &str, graph: &TaskGraph, pes: usize, iters: u
         .schedule(graph, iters)
         .unwrap_or_else(|e| panic!("{name}: cold degraded solve failed: {e}"));
     assert_eq!(
-        cold.allocation, chaos.outcome.allocation,
+        cold.core.allocation, chaos.outcome.core.allocation,
         "{name}: incremental replan allocation diverged from a cold solve"
     );
     assert_eq!(

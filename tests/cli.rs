@@ -65,12 +65,80 @@ fn unknown_benchmark_is_a_usage_error() {
 
 #[test]
 fn an_oversized_run_is_a_runtime_error_not_an_abort() {
-    // 2^60 iterations need more than isize::MAX bytes of plan: the
-    // reservation is refused on any host and `run` exits 1.
+    // 2^60 iterations of `cat` move more IPRs than a u64 counts, and
+    // the plan cannot be unrolled to replay instead: `run` exits 1.
     let out = paraconv(&["run", "cat", "--iters", "1152921504606846976"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
     assert!(stderr.contains("too large"), "stderr: {stderr}");
+}
+
+#[test]
+fn a_run_too_long_to_unroll_succeeds_from_its_core() {
+    // 10^11 iterations: no plan of that length fits in memory, and
+    // `run` without `--trace` never builds one.
+    let out = paraconv(&["run", "cat", "--pes", "16", "--iters", "100000000000"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("iterations:        100000000000"),
+        "stdout: {stdout}"
+    );
+}
+
+#[test]
+fn a_comparison_too_long_to_unroll_succeeds_from_its_cores() {
+    // Both schedulers replay 10^11 iterations from their cores.
+    let out = paraconv(&["compare", "cat", "--pes", "16", "--iters", "100000000000"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("speedup"), "stdout: {stdout}");
+}
+
+/// Asserts `args`, which must walk every task of a run too long to
+/// unroll, exit 1 with a typed error instead of aborting, before it
+/// prints any part of a report.
+fn assert_too_long_to_unroll(args: &[&str]) {
+    let out = paraconv(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?} stderr: {stderr}");
+    assert!(stderr.contains("too large"), "{args:?} stderr: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout, "", "{args:?} printed before failing");
+}
+
+#[test]
+fn a_gantt_too_long_to_unroll_is_a_runtime_error() {
+    assert_too_long_to_unroll(&["gantt", "cat", "--pes", "16", "--iters", "100000000000"]);
+}
+
+#[test]
+fn an_audit_too_long_to_unroll_is_a_runtime_error() {
+    assert_too_long_to_unroll(&["audit", "cat", "--pes", "16", "--iters", "100000000000"]);
+}
+
+#[test]
+fn a_verify_too_long_to_unroll_is_a_runtime_error() {
+    assert_too_long_to_unroll(&["verify", "cat", "--pes", "16", "--iters", "100000000000"]);
+}
+
+#[test]
+fn a_traced_run_too_long_to_unroll_is_a_runtime_error() {
+    let trace = std::env::temp_dir().join(format!("paraconv-unroll-{}.json", std::process::id()));
+    let path = trace.to_str().expect("utf-8 temp path");
+    assert_too_long_to_unroll(&[
+        "run",
+        "cat",
+        "--pes",
+        "16",
+        "--iters",
+        "100000000000",
+        "--trace",
+        path,
+    ]);
+    assert!(!trace.exists(), "no trace of an unbuilt plan");
 }
 
 #[test]

@@ -60,7 +60,7 @@ fn schedule_audited(graph: &TaskGraph, cfg: &PimConfig, policy: AllocationPolicy
         .expect("schedules");
     let report = simulate(graph, &outcome.plan, cfg).expect("simulates");
     audit(graph, &outcome.plan, cfg, &report).expect("audits clean");
-    (outcome.rmax(), outcome.allocation.total_profit())
+    (outcome.core.rmax(), outcome.core.allocation.total_profit())
 }
 
 proptest! {
@@ -110,7 +110,7 @@ fn sweep_reports_identical_at_any_job_count() {
         assert_eq!(sequential.len(), parallel.len());
         for (s, p) in sequential.iter().zip(&parallel) {
             assert_eq!(s.report, p.report, "jobs={jobs}");
-            assert_eq!(s.outcome.rmax(), p.outcome.rmax(), "jobs={jobs}");
+            assert_eq!(s.core.rmax(), p.core.rmax(), "jobs={jobs}");
         }
     }
 }

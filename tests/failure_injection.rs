@@ -46,7 +46,7 @@ fn zero_cache_still_schedules_correctly() {
     let result = ParaConv::new(config)
         .run(&examples::fork_join(6), 4)
         .expect("runs with everything off-chip");
-    assert_eq!(result.outcome.cached_iprs(), 0);
+    assert_eq!(result.core.cached_iprs(), 0);
     assert_eq!(result.report.onchip_hits, 0);
     assert!(result.report.offchip_fetches > 0);
 }

@@ -39,13 +39,13 @@ fn paraconv_compacts_the_kernel() {
     // All five unit operations packed on four PEs: at most two slots
     // per iteration copy — strictly better than the three-level
     // dependency-bound schedule.
-    assert!(outcome.time_per_iteration() <= 2.0);
-    assert!((outcome.time_per_iteration() as f64) < 3.0);
+    assert!(outcome.core.time_per_iteration() <= 2.0);
+    assert!((outcome.core.time_per_iteration() as f64) < 3.0);
     // The prologue is bounded: a handful of retimed iterations, as in
     // the paper's "three iterations of retiming are allocated into
     // prologue".
-    assert!(outcome.rmax() >= 1);
-    assert!(outcome.rmax() <= 6, "rmax = {}", outcome.rmax());
+    assert!(outcome.core.rmax() >= 1);
+    assert!(outcome.core.rmax() <= 6, "rmax = {}", outcome.core.rmax());
 }
 
 #[test]
@@ -55,7 +55,7 @@ fn cache_slots_are_contended() {
         .schedule(&g, 10)
         .expect("motivational example schedules");
     // Six IPRs, four cache slots: not everything fits on chip.
-    assert!(outcome.cached_iprs() < g.edge_count());
+    assert!(outcome.core.cached_iprs() < g.edge_count());
     let report = simulate(&g, &outcome.plan, &config()).expect("plan is valid");
     assert!(report.offchip_fetches > 0);
     assert!(report.peak_cache_occupancy <= report.cache_capacity);
@@ -81,7 +81,7 @@ fn baseline_suffers_dependency_delay() {
         .expect("baseline schedules");
     // Intra-iteration dependencies force at least the critical path
     // (3) plus IPR transfer time into each batch.
-    assert!(sparta.batch_makespan > g.critical_path_length());
+    assert!(sparta.core.batch_makespan() > g.critical_path_length());
 }
 
 #[test]
@@ -90,8 +90,8 @@ fn steady_state_is_periodic_after_prologue() {
     let outcome = ParaConvScheduler::new(config())
         .schedule(&g, 24)
         .expect("motivational example schedules");
-    let p = outcome.period();
-    let u = outcome.unroll();
+    let p = outcome.core.period();
+    let u = outcome.core.unroll();
     // Instances of the same operation in consecutive iteration groups
     // are exactly one period apart.
     let probe = g.node_ids().next().expect("graph is non-empty");

@@ -10,7 +10,10 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use paraconv::alloc::{sort_by_deadline, AllocItem, IncrementalDp};
 use paraconv::graph::EdgeId;
 use paraconv::obs;
-use paraconv::pim::{plan_chrome_trace, simulate_reference, simulate_streaming, PimConfig};
+use paraconv::pim::{
+    plan_chrome_trace, simulate, simulate_periodic, simulate_reference, simulate_streaming,
+    PimConfig,
+};
 use paraconv::sched::{ParaConvScheduler, SpartaScheduler};
 use paraconv::sweep::{self, SweepPoint};
 use paraconv::synth::benchmarks;
@@ -134,6 +137,40 @@ fn streaming_and_reference_passes_emit_identical_metrics() {
 }
 
 #[test]
+fn periodic_and_unrolled_replays_emit_identical_metrics() {
+    // The periodic replay validates two windows without recording,
+    // then records the run's totals once: the snapshot must be the
+    // one replaying the unrolled plan leaves, histogram included.
+    let _guard = lock();
+    let graph = benchmarks::all()[1].graph().unwrap();
+    let config = PimConfig::neurocube(16).unwrap();
+    let capture = |replay: &dyn Fn() -> bool| {
+        obs::reset();
+        obs::enable();
+        assert!(replay(), "the replay accepts the plan");
+        obs::disable();
+        let snapshot = obs::snapshot();
+        obs::reset();
+        snapshot.to_jsonl()
+    };
+    for n in [10, 97, 500] {
+        let (_, para) = ParaConvScheduler::new(config.clone())
+            .schedule_periodic(&graph, n)
+            .unwrap();
+        let sparta = SpartaScheduler::new(config.clone())
+            .schedule_core(&graph, n)
+            .unwrap();
+        for periodic in [&para, sparta.periodic()] {
+            let plan = periodic.materialize().unwrap();
+            let windowed = capture(&|| simulate_periodic(&graph, periodic, &config).is_ok());
+            let unrolled = capture(&|| simulate(&graph, &plan, &config).is_ok());
+            assert!(windowed.contains("sim.transfer.latency"), "{windowed}");
+            assert_eq!(windowed, unrolled, "N={n}");
+        }
+    }
+}
+
+#[test]
 fn metrics_jsonl_parses_and_matches_schema() {
     let _guard = lock();
     obs::reset();
@@ -190,7 +227,13 @@ fn chrome_trace_parses_and_matches_schema() {
     let result = ParaConv::new(cfg.clone()).run(&graph, 10).unwrap();
     obs::disable();
 
-    let mut trace = plan_chrome_trace(&graph, &result.outcome.plan, &cfg);
+    let plan = result
+        .core
+        .periodic(&graph, &cfg, 10)
+        .unwrap()
+        .materialize()
+        .unwrap();
+    let mut trace = plan_chrome_trace(&graph, &plan, &cfg);
     trace.name_process(0, "pipeline");
     trace.push_spans(0, &obs::take_spans());
     obs::reset();
@@ -220,7 +263,7 @@ fn chrome_trace_parses_and_matches_schema() {
         }
     }
     // The plan timeline plus at least the scheduler/simulator spans.
-    assert!(complete > result.outcome.plan.tasks().len());
+    assert!(complete > plan.tasks().len());
     assert!(metadata >= 3, "process/thread name metadata present");
     // Phase spans from the instrumented pipeline made it in.
     assert!(json.contains("\"sched.kernel\""));

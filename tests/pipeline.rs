@@ -45,8 +45,8 @@ fn whole_pipeline_is_deterministic() {
         let result = runner.run(&graph, 10).expect("pipeline completes");
         (
             result.report.total_time,
-            result.outcome.rmax(),
-            result.outcome.cached_iprs(),
+            result.core.rmax(),
+            result.core.cached_iprs(),
             result.report.offchip_fetches,
         )
     };
@@ -98,7 +98,7 @@ fn simulator_totals_match_analytic_expectations() {
     let result = ParaConv::new(config)
         .run(&graph, iterations)
         .expect("pipeline completes");
-    let cached = result.outcome.cached_iprs() as u64;
+    let cached = result.core.cached_iprs() as u64;
     let uncached = graph.edge_count() as u64 - cached;
     assert_eq!(result.report.onchip_hits, cached * iterations);
     assert_eq!(result.report.offchip_fetches, uncached * iterations);
@@ -107,10 +107,10 @@ fn simulator_totals_match_analytic_expectations() {
         graph.total_exec_time() * iterations
     );
     // Total time sits inside the last kernel window.
-    let groups = iterations.div_ceil(result.outcome.unroll());
-    let p = result.outcome.period();
-    assert!(result.report.total_time <= (result.outcome.rmax() + groups) * p);
-    assert!(result.report.total_time > (result.outcome.rmax() + groups - 1) * p);
+    let groups = iterations.div_ceil(result.core.unroll());
+    let p = result.core.period();
+    assert!(result.report.total_time <= (result.core.rmax() + groups) * p);
+    assert!(result.report.total_time > (result.core.rmax() + groups - 1) * p);
 }
 
 #[test]
@@ -123,11 +123,16 @@ fn gantt_and_trace_render_from_facade() {
     let result = ParaConv::new(config.clone())
         .run(&graph, 4)
         .expect("pipeline completes");
-    let chart = paraconv::pim::gantt(&graph, &result.outcome.plan, &config, 0, 40);
+    let plan = result
+        .core
+        .periodic(&graph, &config, 4)
+        .expect("core unrolls")
+        .materialize()
+        .expect("plan fits");
+    let chart = paraconv::pim::gantt(&graph, &plan, &config, 0, 40);
     assert_eq!(chart.lines().count(), 5); // header + 4 PEs
                                           // Every task and transfer lands in the Chrome timeline.
-    let plan = &result.outcome.plan;
-    let trace = paraconv::pim::plan_chrome_trace(&graph, plan, &config);
+    let trace = paraconv::pim::plan_chrome_trace(&graph, &plan, &config);
     assert_eq!(trace.len(), plan.tasks().len() + plan.transfers().len());
     let json = trace.to_json();
     paraconv::obs::check_trace(&json).expect("a well-formed Chrome trace");

@@ -502,13 +502,14 @@ fn hash_valid_tampered_outcomes_die_at_the_verifier_gate() {
         .index();
     let mut node_values: Vec<u64> = bundle
         .outcome
+        .core
         .retiming
         .node_values()
         .map(|(_, v)| v)
         .collect();
-    let edge_values = bundle.outcome.retiming.edge_values_raw().to_vec();
+    let edge_values = bundle.outcome.core.retiming.edge_values_raw().to_vec();
     node_values[dst] = u64::MAX; // R(edge) < R(dst): structurally illegal
-    bundle.outcome.retiming = Retiming::from_values(node_values, edge_values);
+    bundle.outcome.core.retiming = Retiming::from_values(node_values, edge_values);
     let bytes = bundle.encode();
     // Rejected, never executed: re-deriving the plan from this core
     // overflows at decode, and were it to decode, the gate refuses it.

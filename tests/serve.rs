@@ -275,3 +275,76 @@ fn a_deadline_during_verification_is_a_typed_cancellation() {
         );
     }
 }
+
+#[test]
+fn an_oversize_request_line_is_invalid_and_the_connection_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+
+    use paraconv::serve::daemon::{self, MAX_LINE_BYTES};
+
+    let daemon = daemon::serve("127.0.0.1:0", storm_config(1)).expect("daemon binds");
+    let stream = std::net::TcpStream::connect(daemon.addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut answer = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("response line");
+        ServeResponse::parse(line.trim_end()).expect("a response")
+    };
+
+    let mut oversize = vec![b'x'; MAX_LINE_BYTES + 1];
+    oversize.push(b'\n');
+    writer.write_all(&oversize).expect("send");
+    let refused = answer();
+    assert_eq!(refused.status, ServeStatus::Invalid, "{refused:?}");
+    let limit = MAX_LINE_BYTES.to_string();
+    assert!(
+        refused
+            .detail
+            .as_deref()
+            .is_some_and(|d| d.contains(&limit)),
+        "{refused:?}"
+    );
+
+    writer
+        .write_all(b"{\"op\":\"ping\",\"id\":\"after\"}\n")
+        .expect("send");
+    let pong = answer();
+    assert_eq!(
+        (pong.status, pong.id.as_str()),
+        (ServeStatus::Pong, "after")
+    );
+    // Shutdown joins the connection thread, which reads until EOF.
+    drop((reader, writer));
+    daemon.shutdown();
+}
+
+#[test]
+fn a_line_that_is_not_utf8_closes_only_its_own_connection() {
+    use std::io::{BufRead, BufReader, Read, Write};
+
+    use paraconv::serve::daemon;
+
+    let daemon = daemon::serve("127.0.0.1:0", storm_config(1)).expect("daemon binds");
+    let mut garbled = std::net::TcpStream::connect(daemon.addr()).expect("connect");
+    let patience = Some(std::time::Duration::from_secs(30));
+    garbled.set_read_timeout(patience).expect("timeout");
+    garbled.write_all(b"\xff\xfe\n").expect("send");
+    // The daemon answers nothing and closes the connection.
+    let mut rest = Vec::new();
+    garbled.read_to_end(&mut rest).expect("read to EOF");
+    assert!(rest.is_empty(), "{rest:?}");
+
+    let stream = std::net::TcpStream::connect(daemon.addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    writer
+        .write_all(b"{\"op\":\"ping\",\"id\":\"next\"}\n")
+        .expect("send");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("response line");
+    let pong = ServeResponse::parse(line.trim_end()).expect("a response");
+    assert_eq!((pong.status, pong.id.as_str()), (ServeStatus::Pong, "next"));
+    drop((reader, writer, garbled));
+    daemon.shutdown();
+}

@@ -15,6 +15,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use paraconv::experiments::{ablation, cases, energy, fig5, fig6, scalability};
 use paraconv::experiments::{table1, table2, zoo, ExperimentConfig};
+use paraconv::sched::ParaConvOutcome;
 use paraconv::synth::benchmarks;
 use paraconv::verify::verify_outcome;
 use paraconv::{obs, ParaConv};
@@ -75,7 +76,16 @@ fn assert_dominates(name: &str, graph: &paraconv::graph::TaskGraph, pes: usize, 
     obs::disable();
     let snapshot = obs::snapshot();
 
-    let report = verify_outcome(graph, &result.outcome, &cfg).expect("plan proves");
+    let outcome = ParaConvOutcome {
+        plan: result
+            .core
+            .periodic(graph, &cfg, iters)
+            .expect("core unrolls")
+            .materialize()
+            .expect("plan fits"),
+        core: result.core,
+    };
+    let report = verify_outcome(graph, &outcome, &cfg).expect("plan proves");
     let observed = [
         ("sim.cache.peak_occupancy", report.cache_bound),
         ("sim.fifo.peak_occupancy", report.fifo_bound),
