@@ -661,7 +661,7 @@ impl ServeInner {
                     other => format!("scheduling failed: {other}"),
                 })?;
             crate::verify::verify_outcome(&graph, &outcome, &config).map_err(|e| match e {
-                // The verifier's DP re-solve and re-emission poll the
+                // The verifier's DP re-solve and plan walk poll the
                 // token; only their typed cancellation is a deadline.
                 VerifyError::Cancelled => CANCELLED_SENTINEL.to_owned(),
                 other => format!("refusing to serve an unprovable plan: {other}"),

@@ -88,60 +88,24 @@ const DIFF_SECTIONS: [&str; 7] = [
     "outcome.analysis",
 ];
 
-/// The canonical request sections, serialized once and shared by the
-/// registry-key preimage and the artifact body so the two can never
-/// encode the request differently.
-struct RequestJson {
-    config: String,
-    graph: String,
-    policy: String,
+/// Appends the members the registry-key preimage and the body share,
+/// `{"config":…,"graph":…`. The preimage is the canonical
+/// `{"config":…,"graph":…,"policy":…}` and the body
+/// `{"config":…,"graph":…,"outcome":…,"policy":…}` (members in
+/// alphabetical order), so both begin with these bytes.
+fn write_request_prefix(out: &mut String, graph: &TaskGraph, config: &PimConfig) {
+    out.push_str(r#"{"config":"#);
+    codec::write_config(out, config);
+    out.push_str(r#","graph":"#);
+    codec::write_graph(out, graph);
 }
 
-impl RequestJson {
-    fn new(graph: &TaskGraph, config: &PimConfig, policy: &PlanPolicy) -> Self {
-        RequestJson {
-            config: serde_json::to_string(&codec::config_to_value(config)),
-            graph: serde_json::to_string(&codec::graph_to_value(graph)),
-            policy: serde_json::to_string(&codec::policy_to_value(policy)),
-        }
-    }
-
-    /// SHA-256 of the canonical `{"config":…,"graph":…,"policy":…}`
-    /// object (members in alphabetical order, as a `Map` serializes),
-    /// hashed piece by piece without assembling the preimage.
-    fn key(&self) -> String {
-        let mut hasher = Sha256::new();
-        for piece in [
-            r#"{"config":"#,
-            &self.config,
-            r#","graph":"#,
-            &self.graph,
-            r#","policy":"#,
-            &self.policy,
-            "}",
-        ] {
-            hasher.update(piece.as_bytes());
-        }
-        hash::hex(hasher.finalize())
-    }
-
-    /// The body line: the request sections with the encoded outcome in
-    /// its alphabetical slot.
-    fn body(&self, outcome: &ParaConvOutcome) -> String {
-        let outcome = serde_json::to_string(&codec::outcome_to_value(outcome));
-        [
-            r#"{"config":"#,
-            &self.config,
-            r#","graph":"#,
-            &self.graph,
-            r#","outcome":"#,
-            &outcome,
-            r#","policy":"#,
-            &self.policy,
-            "}",
-        ]
-        .concat()
-    }
+/// Appends `,"policy":…}`, the member both the preimage and the body
+/// close with.
+fn write_policy_member(out: &mut String, policy: &PlanPolicy) {
+    out.push_str(r#","policy":"#);
+    codec::write_policy(out, policy);
+    out.push('}');
 }
 
 /// The registry key of a plan request: SHA-256 of the canonical
@@ -150,7 +114,10 @@ impl RequestJson {
 /// first and skip the scheduler on a hit.
 #[must_use]
 pub fn request_key(graph: &TaskGraph, config: &PimConfig, policy: &PlanPolicy) -> String {
-    RequestJson::new(graph, config, policy).key()
+    let mut preimage = String::new();
+    write_request_prefix(&mut preimage, graph, config);
+    write_policy_member(&mut preimage, policy);
+    hash::sha256_hex(preimage.as_bytes())
 }
 
 impl PlanBundle {
@@ -164,14 +131,38 @@ impl PlanBundle {
 
     /// Encodes the bundle as a complete artifact: header line + body
     /// line, each `\n`-terminated. Byte-deterministic: the same bundle
-    /// always encodes to the same bytes. The request is serialized
-    /// once, for both the body and the key.
+    /// always encodes to the same bytes. The request is written once,
+    /// into the body, and the prefix the key preimage shares with the
+    /// body is hashed once: the key and the content hash each finish
+    /// from a copy of that hasher.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let request = RequestJson::new(&self.graph, &self.config, &self.policy);
+        let mut body = String::new();
+        write_request_prefix(&mut body, &self.graph, &self.config);
+        let prefix_len = body.len();
+        let mut prefix = Sha256::new();
+        prefix.update(body.as_bytes());
+
+        let mut policy = String::new();
+        write_policy_member(&mut policy, &self.policy);
+        let mut key = prefix.clone();
+        key.update(policy.as_bytes());
+
+        body.push_str(r#","outcome":"#);
+        codec::write_outcome(&mut body, &self.outcome);
+        body.push_str(&policy);
+        let mut content = prefix;
+        content.update(&body.as_bytes()[prefix_len..]);
+
         let mut header = Map::new();
-        header.insert("key".into(), Value::String(request.key()));
-        frame::encode(MAGIC, FORMAT_VERSION, header, &request.body(&self.outcome))
+        header.insert("key".into(), Value::String(hash::hex(key.finalize())));
+        frame::encode(
+            MAGIC,
+            FORMAT_VERSION,
+            header,
+            &body,
+            hash::hex(content.finalize()),
+        )
     }
 
     /// Names the sections in which `self` and `other` differ (empty
@@ -180,22 +171,17 @@ impl PlanBundle {
     /// components.
     #[must_use]
     pub fn diff_sections(&self, other: &PlanBundle) -> Vec<&'static str> {
+        use codec::json;
         let sections = |bundle: &PlanBundle| -> [String; 7] {
-            let outcome = codec::outcome_to_value(&bundle.outcome);
-            let component = |key: &str| -> String {
-                match outcome.as_object().and_then(|obj| obj.get(key)) {
-                    Some(section) => serde_json::to_string(section),
-                    None => String::new(),
-                }
-            };
+            let core = &bundle.outcome.core;
             [
-                serde_json::to_string(&codec::graph_to_value(&bundle.graph)),
-                serde_json::to_string(&codec::config_to_value(&bundle.config)),
-                serde_json::to_string(&codec::policy_to_value(&bundle.policy)),
-                component("kernel"),
-                component("retiming"),
-                component("allocation"),
-                component("analysis"),
+                json(|out| codec::write_graph(out, &bundle.graph)),
+                json(|out| codec::write_config(out, &bundle.config)),
+                json(|out| codec::write_policy(out, &bundle.policy)),
+                json(|out| codec::write_kernel(out, &core.kernel)),
+                json(|out| codec::write_retiming(out, &core.retiming)),
+                json(|out| codec::write_allocation(out, &core.allocation)),
+                json(|out| codec::write_analysis(out, &core.analysis)),
             ]
         };
         let a = sections(self);

@@ -13,12 +13,17 @@ use crate::hash::sha256_hex;
 
 /// Frames `body_line` under `header` (the caller's own members) plus
 /// the shared `content_hash`, `format`, `magic` and `producer` members.
+/// `content_hash` is the SHA-256 hex of `body_line`, which the caller
+/// computes (a plan artifact shares that pass with its registry key).
 /// Byte-deterministic: header members serialize alphabetically.
-pub(crate) fn encode(magic: &str, version: u64, mut header: Map, body_line: &str) -> Vec<u8> {
-    header.insert(
-        "content_hash".into(),
-        Value::String(sha256_hex(body_line.as_bytes())),
-    );
+pub(crate) fn encode(
+    magic: &str,
+    version: u64,
+    mut header: Map,
+    body_line: &str,
+    content_hash: String,
+) -> Vec<u8> {
+    header.insert("content_hash".into(), Value::String(content_hash));
     header.insert("format".into(), Value::Number(Number::from_u64(version)));
     header.insert("magic".into(), Value::String(magic.to_owned()));
     header.insert("producer".into(), Value::String(PRODUCER.to_owned()));
@@ -152,7 +157,13 @@ mod tests {
     fn framed(body_line: &str) -> Vec<u8> {
         let mut header = Map::new();
         header.insert("kind".into(), Value::String("unit".into()));
-        encode(MAGIC, 3, header, body_line)
+        encode(
+            MAGIC,
+            3,
+            header,
+            body_line,
+            sha256_hex(body_line.as_bytes()),
+        )
     }
 
     fn decode_err(bytes: &[u8]) -> ArtifactError {
@@ -244,7 +255,7 @@ mod tests {
 
     #[test]
     fn a_foreign_magic_is_rejected_before_the_version() {
-        let bytes = encode("someone-else", 99, Map::new(), "{}");
+        let bytes = encode("someone-else", 99, Map::new(), "{}", sha256_hex(b"{}"));
         match decode_err(&bytes) {
             ArtifactError::SchemaMismatch { path, detail } => {
                 assert_eq!(path, "header.magic");
@@ -256,7 +267,7 @@ mod tests {
 
     #[test]
     fn another_format_version_is_a_version_skew() {
-        let bytes = encode(MAGIC, 2, Map::new(), "{}");
+        let bytes = encode(MAGIC, 2, Map::new(), "{}", sha256_hex(b"{}"));
         assert!(matches!(
             decode_err(&bytes),
             ArtifactError::VersionSkew {

@@ -13,10 +13,13 @@
 //!   registry `key`. The unrolled plan is not stored: [`decode`]
 //!   re-derives it through [`paraconv_sched::emit`], so artifacts are
 //!   O(V + E) bytes at any iteration count.
-//! * **Canonical bytes** — all JSON objects are `BTreeMap`s, so keys
-//!   serialize alphabetically and the same bundle always encodes to
-//!   the same bytes. Content hashes are therefore stable across
-//!   processes, platforms, and `PARACONV_JOBS` widths.
+//! * **Canonical bytes** — one writer appends each section straight to
+//!   a string, object members in alphabetical order, so the same
+//!   bundle always encodes to the same bytes. Content hashes are
+//!   therefore stable across processes, platforms, and
+//!   `PARACONV_JOBS` widths. The key preimage and the body share their
+//!   `config` and `graph` prefix, which [`PlanBundle::encode`] writes
+//!   and hashes once for both digests.
 //! * **Registry** — a git-style sharded object store addressed by
 //!   `sha256(graph, config, policy)` with atomic write-then-rename
 //!   puts, so a plan request made twice is solved once.
@@ -24,8 +27,9 @@
 //! Imports are untrusted by design: [`decode`] maps every malformed
 //! input to a typed [`ArtifactError`] (never a panic), and the CLI
 //! runs `paraconv-verify` over every imported plan before anything is
-//! simulated. The verifier re-emits the core and requires the plan to
-//! match, so what it proves is what executes.
+//! simulated. The verifier walks the core's emission entry by entry
+//! against the plan and requires them to match, so what it proves is
+//! what executes.
 //!
 //! The same idiom carries the **postmortem artifact**
 //! ([`PostmortemBundle`]/[`decode_postmortem`]): when a campaign dies,
@@ -48,10 +52,7 @@ pub use artifact::{
     decode, request_key, verify_artifact_bytes, ArtifactHeader, PlanArtifact, PlanBundle,
     PlanPolicy, FORMAT_VERSION, MAGIC, PRODUCER,
 };
-pub use codec::{
-    config_from_value, config_to_value, graph_from_value, graph_to_value, outcome_from_value,
-    outcome_to_value, policy_from_value, policy_to_value,
-};
+pub use codec::{config_from_value, graph_from_value, outcome_from_value, policy_from_value};
 pub use error::ArtifactError;
 pub use hash::{sha256_hex, Sha256};
 pub use postmortem::{

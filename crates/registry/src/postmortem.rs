@@ -26,6 +26,7 @@ use serde_json::{Map, Number, Value};
 use crate::codec::{array_field, as_obj, as_str, as_u64, field, str_field, u64_field, Path};
 use crate::error::ArtifactError;
 use crate::frame;
+use crate::hash::sha256_hex;
 
 /// Magic string identifying a Para-CONV postmortem artifact.
 pub const POSTMORTEM_MAGIC: &str = "paraconv-postmortem";
@@ -189,11 +190,14 @@ impl PostmortemBundle {
     pub fn encode(&self) -> Vec<u8> {
         let mut header = Map::new();
         header.insert("reason".into(), Value::String(self.reason.clone()));
+        let body = serde_json::to_string(&self.body_value());
+        let content_hash = sha256_hex(body.as_bytes());
         frame::encode(
             POSTMORTEM_MAGIC,
             POSTMORTEM_FORMAT_VERSION,
             header,
-            &serde_json::to_string(&self.body_value()),
+            &body,
+            content_hash,
         )
     }
 }

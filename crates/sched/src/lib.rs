@@ -14,11 +14,12 @@
 //!
 //! [`KernelSchedule`] is the shared compaction step, exposed for
 //! analyses and tests; [`emit`] unrolls a Para-CONV kernel, retiming
-//! and allocation into the concrete plan, for the scheduler, the
-//! verifier and the artifact decoder alike. Each scheduler also gives
-//! its core ([`ParaConvCore`], [`SpartaCore`]) with the plan as a
-//! [`paraconv_pim::PeriodicPlan`], which the runner replays without
-//! unrolling.
+//! and allocation into the concrete plan, for the scheduler and the
+//! artifact decoder, and [`first_plan_mismatch`] walks the same
+//! unrolling against an existing plan for the verifier. Each scheduler
+//! also gives its core ([`ParaConvCore`], [`SpartaCore`]) with the
+//! plan as a [`paraconv_pim::PeriodicPlan`], which the runner replays
+//! without unrolling.
 //!
 //! # Examples
 //!
@@ -49,7 +50,7 @@ mod kernel;
 mod paraconv;
 mod sparta;
 
-pub use emit::emit;
+pub use emit::{emit, first_plan_mismatch};
 pub use error::SchedError;
 pub use kernel::KernelSchedule;
 pub use paraconv::{AllocationPolicy, ParaConvCore, ParaConvOutcome, ParaConvScheduler};

@@ -191,7 +191,7 @@ pub enum VerifyError {
         cache: u64,
     },
     /// The ambient cancel token fired while the verifier ran: the DP
-    /// re-solve or the re-emission stopped early, so the plan was
+    /// re-solve or the plan walk stopped early, so the plan was
     /// neither proved nor refuted.
     Cancelled,
 }

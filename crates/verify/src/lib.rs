@@ -13,8 +13,9 @@
 //!      greedy dominance, reconstruction consistency) re-checked on an
 //!      independently derived instance;
 //!    * [`plan_check`] — the outcome's plan is exactly the one its
-//!      kernel, retiming and allocation emit, so the proof above
-//!      covers the plan that executes.
+//!      kernel, retiming and allocation emit, checked entry by entry
+//!      against the emission without building a second plan, so the
+//!      proof above covers the plan that executes.
 //!
 //!    [`verify_outcome`] runs all four; [`verify_run`] additionally
 //!    asserts the static bounds dominate a simulation report's observed

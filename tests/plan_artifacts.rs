@@ -153,6 +153,74 @@ fn the_request_key_is_pinned() {
     );
 }
 
+/// `paraconv plan export`'s file stem for a target: alphanumeric runs,
+/// lowercased, joined by single dashes.
+fn export_slug(name: &str) -> String {
+    name.split(|c: char| !c.is_ascii_alphanumeric())
+        .filter(|run| !run.is_empty())
+        .map(str::to_ascii_lowercase)
+        .collect::<Vec<_>>()
+        .join("-")
+}
+
+#[test]
+fn exported_artifacts_match_the_pinned_digests() {
+    // `plan_export.sha256` pins the SHA-256 of every artifact that
+    // `paraconv plan export --all --zoo --iters 20` writes (16 PEs, the
+    // DP policy), taken before the encoder became a direct writer. CI
+    // checks a fresh export against the same file with `sha256sum -c`;
+    // here the library encodes the same 17 bundles.
+    let pinned: Vec<(&str, &str)> = include_str!("plan_export.sha256")
+        .lines()
+        .map(|line| {
+            let (digest, path) = line.split_once("  ").expect("`<digest>  <path>` lines");
+            let stem = path
+                .strip_prefix("plans/")
+                .and_then(|file| file.strip_suffix(".plan"))
+                .expect("paths are plans/<stem>.plan");
+            (stem, digest)
+        })
+        .collect();
+    let mut targets: Vec<(String, TaskGraph)> = benchmarks::all()
+        .into_iter()
+        .map(|b| (b.name().to_owned(), b.graph().expect("benchmark builds")))
+        .collect();
+    for (class, network) in &paraconv::cnn::zoo::all().expect("zoo builds") {
+        let graph = paraconv::cnn::partition(network, paraconv::cnn::PartitionConfig::default())
+            .expect("network partitions");
+        targets.push((format!("{class}/{}", network.name()), graph));
+    }
+    assert_eq!(targets.len(), 17);
+    assert_eq!(pinned.len(), targets.len());
+    let cfg = config();
+    let policy = PlanPolicy {
+        allocation: AllocationPolicy::DynamicProgram,
+        iterations: 20,
+    };
+    for (name, graph) in targets {
+        let slug = export_slug(&name);
+        let digest = pinned
+            .iter()
+            .find(|(stem, _)| *stem == slug)
+            .unwrap_or_else(|| panic!("{name}: no pinned digest for {slug}"))
+            .1;
+        let outcome = ParaConvScheduler::new(cfg.clone())
+            .schedule(&graph, policy.iterations)
+            .expect("schedulable");
+        let bundle = PlanBundle {
+            graph,
+            config: cfg.clone(),
+            policy,
+            outcome,
+        };
+        assert_eq!(
+            sha256_hex(&bundle.encode()),
+            digest,
+            "{name}: the artifact bytes drifted from the pinned export"
+        );
+    }
+}
+
 /// Schedules `graph` and asserts that the decoded artifact re-derives
 /// exactly the scheduler's plan, which simulates identically.
 fn assert_decoded_plan_is_the_scheduled_one(name: &str, graph: TaskGraph, pes: usize, iters: u64) {
