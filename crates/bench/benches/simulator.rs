@@ -3,9 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use paraconv::ParaConv;
-use paraconv_pim::{simulate, PimConfig};
-use paraconv_sched::ParaConvScheduler;
+use paraconv::{ExperimentConfig, ParaConv};
+use paraconv_pim::{simulate, simulate_periodic, PimConfig};
+use paraconv_sched::{ParaConvScheduler, SpartaScheduler};
 use paraconv_synth::benchmarks;
 
 fn bench_simulate(c: &mut Criterion) {
@@ -21,6 +21,34 @@ fn bench_simulate(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new(name, iters), &iters, |b, _| {
             b.iter(|| simulate(&graph, &plan, &cfg).unwrap())
         });
+    }
+    group.finish();
+}
+
+fn bench_simulate_periodic(c: &mut Criterion) {
+    // The two replays of one Table 1 point: Para-CONV's description
+    // and SPARTA's core, at 500 iterations on the sweep's architecture.
+    let experiment = ExperimentConfig::default();
+    let iterations = 500;
+    let mut group = c.benchmark_group("simulate_periodic");
+    for name in ["cat", "speech-2", "protein"] {
+        let graph = benchmarks::by_name(name).unwrap().graph().unwrap();
+        for pes in [16, 64] {
+            let cfg = experiment.pim_config(pes).unwrap();
+            let (_, paraconv) = ParaConvScheduler::new(cfg.clone())
+                .schedule_periodic(&graph, iterations)
+                .unwrap();
+            let sparta = SpartaScheduler::new(cfg.clone())
+                .schedule_core(&graph, iterations)
+                .unwrap();
+            let point = format!("{name}@{pes}");
+            group.bench_function(BenchmarkId::new("paraconv", &point), |b| {
+                b.iter(|| simulate_periodic(&graph, &paraconv, &cfg).unwrap())
+            });
+            group.bench_function(BenchmarkId::new("sparta", &point), |b| {
+                b.iter(|| simulate_periodic(&graph, sparta.periodic(), &cfg).unwrap())
+            });
+        }
     }
     group.finish();
 }
@@ -62,6 +90,7 @@ fn bench_full_pipeline_throughput(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_simulate,
+    bench_simulate_periodic,
     bench_kernel_compaction,
     bench_benchmark_generation,
     bench_full_pipeline_throughput

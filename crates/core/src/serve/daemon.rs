@@ -10,12 +10,15 @@
 //! calls and tickets back into lines. A `drain` op (or
 //! [`DaemonHandle::shutdown`]) stops the listener, drains the engine
 //! (every accepted request is still answered), and joins every
-//! connection thread before returning the final counters.
+//! connection thread before returning the final counters. Threads of
+//! connections that have already closed are joined sooner, as the next
+//! connection is accepted.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
 use super::{
     parse_client_line, ClientOp, ServeConfig, ServeCore, ServeResponse, ServeStats, ServeStatus,
@@ -35,8 +38,8 @@ pub struct DaemonHandle {
     core: Arc<ServeCore>,
     addr: SocketAddr,
     stopping: Arc<AtomicBool>,
-    accept_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
-    connections: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    accept_thread: Mutex<Option<JoinHandle<()>>>,
+    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port), starts the
@@ -56,8 +59,7 @@ pub fn serve(addr: &str, config: ServeConfig) -> Result<DaemonHandle, ArtifactEr
     core.start();
 
     let stopping = Arc::new(AtomicBool::new(false));
-    let connections: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-        Arc::new(Mutex::new(Vec::new()));
+    let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
     let accept_core = Arc::clone(&core);
     let accept_stop = Arc::clone(&stopping);
@@ -70,11 +72,12 @@ pub fn serve(addr: &str, config: ServeConfig) -> Result<DaemonHandle, ArtifactEr
             let Ok(stream) = stream else { continue };
             let core = Arc::clone(&accept_core);
             let stop = Arc::clone(&accept_stop);
-            let handle = std::thread::spawn(move || {
+            let mut conns = lock(&accept_conns);
+            join_finished(&mut conns);
+            conns.push(std::thread::spawn(move || {
                 serve_connection(&core, stream, &stop);
                 paraconv_obs::flush_thread();
-            });
-            lock(&accept_conns).push(handle);
+            }));
         }
     });
 
@@ -126,6 +129,19 @@ impl DaemonHandle {
             let _ = conn.join();
         }
         stats
+    }
+}
+
+/// Joins the connection threads that have ended and keeps the live
+/// ones, so an ended thread's stack stays mapped only until the next
+/// connection arrives, not until shutdown.
+fn join_finished(conns: &mut Vec<JoinHandle<()>>) {
+    let (ended, live) = std::mem::take(conns)
+        .into_iter()
+        .partition(JoinHandle::is_finished);
+    *conns = live;
+    for conn in ended {
+        let _ = conn.join();
     }
 }
 
@@ -266,6 +282,68 @@ mod tests {
         let core = ServeCore::new(ServeConfig::default()).expect("serve core");
         serve_connection(&core, server, &AtomicBool::new(false));
         assert!(probe.nodelay().expect("read option"));
+    }
+
+    /// Polls `done` for up to ten seconds.
+    fn wait_until(done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "timed out");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    /// Sends a `ping` and reads the reply line.
+    fn ping(client: &mut BufReader<TcpStream>) -> String {
+        client
+            .get_mut()
+            .write_all(b"{\"op\":\"ping\",\"id\":\"p\"}\n")
+            .expect("send");
+        let mut reply = String::new();
+        client.read_line(&mut reply).expect("reply");
+        reply
+    }
+
+    #[test]
+    fn closed_connections_are_joined_as_the_next_one_arrives() {
+        let daemon = serve(
+            "127.0.0.1:0",
+            ServeConfig {
+                jobs: 1,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("serves");
+        let connect = || BufReader::new(TcpStream::connect(daemon.addr()).expect("connect"));
+        let connections = || lock(&daemon.connections).len();
+        for _ in 0..32 {
+            let mut client = connect();
+            assert!(ping(&mut client).contains("pong"));
+            drop(client);
+            // The accept joined the previous connection before serving
+            // this one, which has now ended too.
+            wait_until(|| {
+                let conns = lock(&daemon.connections);
+                !conns.is_empty() && conns.iter().all(JoinHandle::is_finished)
+            });
+            assert_eq!(connections(), 1);
+        }
+        let mut live = connect();
+        assert!(ping(&mut live).contains("pong"));
+        wait_until(|| connections() == 1);
+        assert!(!lock(&daemon.connections)[0].is_finished());
+
+        // Shutdown waits for the live connection, which is still served
+        // (told the daemon is draining) until it closes.
+        std::thread::scope(|scope| {
+            let stopped = scope.spawn(|| daemon.shutdown());
+            wait_until(|| daemon.stopping.load(Ordering::Acquire));
+            assert!(ping(&mut live).contains("draining"));
+            assert!(!stopped.is_finished());
+            drop(live);
+            stopped.join().expect("shuts down");
+        });
+        assert_eq!(connections(), 0);
     }
 
     #[test]

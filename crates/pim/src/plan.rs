@@ -116,7 +116,7 @@ pub struct ExecutionPlan {
 impl ExecutionPlan {
     /// Creates an empty plan covering the given number of iterations.
     #[must_use]
-    pub fn new(iterations: u64) -> Self {
+    pub const fn new(iterations: u64) -> Self {
         ExecutionPlan {
             tasks: Vec::new(),
             transfers: Vec::new(),
@@ -220,15 +220,6 @@ impl ExecutionPlan {
         tasks
             .chain(transfers)
             .try_fold(0, |latest: u64, end| end.map(|end| latest.max(end)))
-    }
-
-    /// True when every entry's iteration lies in `1..=iterations`.
-    pub(crate) fn numbered_within(&self, iterations: u64) -> bool {
-        let tasks = self.tasks.iter().map(|t| t.iteration);
-        let transfers = self.transfers.iter().map(|x| x.iteration);
-        tasks
-            .chain(transfers)
-            .all(|iteration| (1..=iterations).contains(&iteration))
     }
 }
 
@@ -347,19 +338,9 @@ impl PeriodicPlan {
     /// it: the iteration count or a shifted start or iteration exceeds
     /// `u64`, or the entries cannot be allocated.
     pub fn materialize(&self) -> Result<ExecutionPlan, SimError> {
-        self.unrolled(self.groups)
-    }
-
-    /// The plan of this description with `groups` full groups in place
-    /// of [`groups`](Self::groups), the tail after them.
-    pub(crate) fn unrolled(&self, groups: u64) -> Result<ExecutionPlan, SimError> {
-        let per_group = self.group.iterations();
-        let iterations = groups
-            .checked_mul(per_group)
-            .and_then(|n| n.checked_add(self.tail.iterations()))
-            .ok_or(SimError::PlanTooLarge)?;
+        let iterations = self.iterations().ok_or(SimError::PlanTooLarge)?;
         let count = |group: usize, tail: usize| {
-            usize::try_from(groups)
+            usize::try_from(self.groups)
                 .ok()
                 .and_then(|g| g.checked_mul(group))
                 .and_then(|n| n.checked_add(tail))
@@ -369,12 +350,14 @@ impl PeriodicPlan {
         let transfers = count(self.group.transfers.len(), self.tail.transfers.len())?;
         let mut plan = ExecutionPlan::with_capacity(iterations, tasks, transfers)
             .map_err(|_| SimError::PlanTooLarge)?;
-        let parts = (0..groups)
+        let parts = (0..self.groups)
             .map(|g| (&self.group, g))
-            .chain(std::iter::once((&self.tail, groups)));
+            .chain(std::iter::once((&self.tail, self.groups)));
         for (part, g) in parts {
             let shift = g.checked_mul(self.period).ok_or(SimError::PlanTooLarge)?;
-            let renumber = g.checked_mul(per_group).ok_or(SimError::PlanTooLarge)?;
+            let renumber = g
+                .checked_mul(self.group.iterations)
+                .ok_or(SimError::PlanTooLarge)?;
             let moved = |start: u64, iteration: u64| {
                 start
                     .checked_add(shift)
@@ -566,13 +549,5 @@ mod tests {
         let periodic = PeriodicPlan::new(block(1, 0), 4, 1 << 60, ExecutionPlan::default());
         assert_eq!(periodic.makespan(), Some(1 << 62));
         assert_eq!(periodic.materialize(), Err(SimError::PlanTooLarge));
-    }
-
-    #[test]
-    fn numbered_within_checks_every_entry() {
-        assert!(block(1, 0).numbered_within(1));
-        assert!(!block(2, 0).numbered_within(1));
-        assert!(!block(1, 0).numbered_within(0));
-        assert!(ExecutionPlan::new(0).numbered_within(0));
     }
 }

@@ -23,29 +23,34 @@
 //! goes straight into a per-lane time bucket, and one scan over the
 //! buckets checks every lane and yields the peaks. The lanes are PE
 //! exclusivity (≤ 1), cache (≤ capacity), iFIFO (≤ depth) and vault
-//! (≤ the configured port limit, if any).
+//! (≤ the configured port limit, if any). The pass walks a plan given
+//! as parts in place: copies of a group, each shifted by its base, then
+//! a tail. A concrete plan is a walk of one part.
 //!
 //! The streaming pass only ever accepts a plan. When it finds a
 //! violation, or the plan falls outside what it covers (an instance
-//! outside `1..=iterations`, a bucket outside the `i16` range, buckets
-//! that would need more memory than the reference pass's event lanes),
-//! the plan goes to the per-event reference pass instead. That pass
-//! records every task interval on its PE, sorts `(time, delta)` event
-//! lanes, and names the canonical first [`SimError`] in plan order.
-//! [`simulate_reference`] runs it on its own, so tests can hold the two
-//! passes to identical results.
+//! outside its part's `1..=iterations`, a bucket outside the `i16`
+//! range, buckets that would need more memory than the reference pass's
+//! event lanes), the plan goes to the per-event reference pass instead.
+//! That pass records every task interval on its PE, sorts
+//! `(time, delta)` event lanes, and names the canonical first
+//! [`SimError`] in plan order. [`simulate_reference`] runs it on its
+//! own, so tests can hold the two passes to identical results.
 //!
 //! [`simulate_periodic`] replays a [`PeriodicPlan`] without unrolling
 //! it. A group's entries all lie within `span` of its base, so at most
 //! `⌈span/p⌉` groups are ever active at once, and every instant of the
 //! unrolled plan looks, on every lane, exactly like an instant of the
 //! window of `K = ⌈span/p⌉ + 1` groups plus the tail. The streaming pass
-//! validates that window and the one a group longer; their difference
-//! is one group's counts, which grow linearly to the full run, while
-//! the peaks are the window's. Whenever the windows would cover the whole
-//! run, or either is declined, the description is unrolled and
-//! [`simulate`]d, so every report and every [`SimError`] is the one
-//! [`simulate`] gives for [`PeriodicPlan::materialize`].
+//! walks that window in place, reading group `g` from the description
+//! shifted by `g · p`, and validates it. Every count is a sum over
+//! entries, so the run's counts are the window's plus one group's for
+//! each group past it, taken from the window's first group as it is
+//! walked, while the peaks are the window's. A run of at most `K`
+//! groups is walked whole the same way. Only a description the walk
+//! declines is unrolled and [`simulate`]d, so every report and every
+//! [`SimError`] is the one [`simulate`] gives for
+//! [`PeriodicPlan::materialize`].
 //!
 //! The simulator is the ground truth for the evaluation: both SPARTA
 //! and Para-CONV plans are replayed here, so reported improvements are
@@ -240,14 +245,16 @@ fn replay(
 
 /// Replays the plan `periodic` describes without unrolling it: the
 /// report, the error and the obs records are those of [`simulate`] on
-/// [`PeriodicPlan::materialize`]. See the module docs for why the
-/// windows it validates stand for the whole run.
+/// [`PeriodicPlan::materialize`]. One streaming walk reads the window
+/// of groups the module docs describe in place, and every count grows
+/// from it by one group's per group past it; a description the walk
+/// declines is unrolled so that [`simulate`] can name its error.
 ///
 /// # Errors
 ///
 /// The [`SimError`] [`simulate`] names for the unrolled plan, or
-/// [`SimError::PlanTooLarge`] when a description the windows cannot
-/// settle has no concrete plan to fall back to.
+/// [`SimError::PlanTooLarge`] when a description the walk declines has
+/// no concrete plan to fall back to.
 ///
 /// # Examples
 ///
@@ -267,7 +274,7 @@ fn replay(
 ///     start: 0,
 ///     duration: 1,
 /// });
-/// // A million iterations, one per time unit, replayed from two windows.
+/// // A million iterations, one per time unit, replayed from a window of two.
 /// let periodic = PeriodicPlan::new(group, 1, 1_000_000, ExecutionPlan::default());
 /// let report = simulate_periodic(&g, &periodic, &cfg)?;
 /// assert_eq!(report.total_time, 1_000_000);
@@ -294,34 +301,33 @@ pub fn simulate_periodic(
     Ok(accept(iterations, config, tally))
 }
 
-/// The tally of the plan `periodic` describes, from the streaming pass
-/// over the windows of `K` and `K + 1` groups, each followed by the
-/// tail, with the iteration count. `None` when the windows would cover
-/// the whole run, when either is declined, when the parts number
-/// iterations outside their own range (relabelled copies could then
-/// collide), or when a total overflows.
+/// The tally of the plan `periodic` describes, with the iteration
+/// count, from one streaming walk over its first `K` groups (all of
+/// them, if fewer) and the tail. `None` for a zero period, when the
+/// walk is declined, or when a total overflows.
 fn extrapolate(
     graph: &TaskGraph,
     periodic: &PeriodicPlan,
     config: &PimConfig,
 ) -> Option<(u64, Tally)> {
-    let (group, tail) = (periodic.group(), periodic.tail());
-    let (period, groups) = (periodic.period(), periodic.groups());
-    if period == 0
-        || !group.numbered_within(group.iterations())
-        || !tail.numbered_within(tail.iterations())
-    {
+    let (group, period) = (periodic.group(), periodic.period());
+    if period == 0 {
         return None;
     }
     // At most ⌈span/p⌉ groups are active at any instant.
-    let window = group.checked_makespan()?.div_ceil(period).checked_add(1)?;
-    let extra = groups.checked_sub(window)?;
-    if extra < 2 {
-        return None;
-    }
-    let steady = stream(graph, &periodic.unrolled(window).ok()?, config)?;
-    let longer = stream(graph, &periodic.unrolled(window + 1).ok()?, config)?;
-    let mut tally = steady.grown(&longer, extra)?;
+    let window = group
+        .checked_makespan()?
+        .div_ceil(period)
+        .checked_add(1)?
+        .min(periodic.groups());
+    let walk = Walk {
+        group,
+        period,
+        groups: window,
+        tail: periodic.tail(),
+    };
+    let (tally, first) = stream(graph, walk, config)?;
+    let mut tally = tally.grown(&first, periodic.groups() - window)?;
     tally.makespan = periodic.makespan()?;
     // The report sums the busy times, `SimReport::total_energy` adds the
     // transfer energy to them, and the lane events double the counts.
@@ -342,6 +348,7 @@ const TRANSFER_LATENCY: &str = "sim.transfer.latency";
 
 /// What a replay pass measured: everything [`report`] needs besides
 /// the iteration count and the configuration.
+#[derive(Default)]
 struct Tally {
     tasks: u64,
     transfers: u64,
@@ -361,36 +368,98 @@ struct Tally {
 }
 
 impl Tally {
-    /// The tally `times` groups past `self`, where `next` is the tally
-    /// one group past it: every count and per-PE or per-vault total
-    /// grows by `times` copies of `next − self`. The peaks stay
-    /// `self`'s and the makespan is left for the caller. `None` on
-    /// overflow.
-    fn grown(self, next: &Tally, times: u64) -> Option<Tally> {
-        let grow =
-            |now: u64, then: u64| then.checked_sub(now)?.checked_mul(times)?.checked_add(now);
-        let grow_all = |now: Vec<u64>, then: &[u64]| {
+    /// `self` with `times` more copies of the group whose counts `group`
+    /// holds: every count and per-PE or per-vault total grows by `times`
+    /// times the group's. The peaks stay `self`'s and the makespan is
+    /// left for the caller. `None` on overflow.
+    fn grown(self, group: &Tally, times: u64) -> Option<Tally> {
+        let grow = |now: u64, each: u64| each.checked_mul(times)?.checked_add(now);
+        let grow_all = |now: Vec<u64>, each: &[u64]| {
             now.into_iter()
-                .zip(then)
-                .map(|(now, &then)| grow(now, then))
+                .zip(each)
+                .map(|(now, &each)| grow(now, each))
                 .collect::<Option<Vec<u64>>>()
         };
         Some(Tally {
-            tasks: grow(self.tasks, next.tasks)?,
-            transfers: grow(self.transfers, next.transfers)?,
-            busy: grow_all(self.busy, &next.busy)?,
-            transfer_energy: grow(self.transfer_energy, next.transfer_energy)?,
-            offchip_fetches: grow(self.offchip_fetches, next.offchip_fetches)?,
-            onchip_hits: grow(self.onchip_hits, next.onchip_hits)?,
-            offchip_units: grow(self.offchip_units, next.offchip_units)?,
-            onchip_units: grow(self.onchip_units, next.onchip_units)?,
-            vault_fetches: grow_all(self.vault_fetches, &next.vault_fetches)?,
+            tasks: grow(self.tasks, group.tasks)?,
+            transfers: grow(self.transfers, group.transfers)?,
+            busy: grow_all(self.busy, &group.busy)?,
+            transfer_energy: grow(self.transfer_energy, group.transfer_energy)?,
+            offchip_fetches: grow(self.offchip_fetches, group.offchip_fetches)?,
+            onchip_hits: grow(self.onchip_hits, group.onchip_hits)?,
+            offchip_units: grow(self.offchip_units, group.offchip_units)?,
+            onchip_units: grow(self.onchip_units, group.onchip_units)?,
+            vault_fetches: grow_all(self.vault_fetches, &group.vault_fetches)?,
             ..self
         })
     }
 }
 
 // ---- streaming pass ------------------------------------------------------
+
+/// A plan as the streaming pass walks it, in place: `groups` copies of
+/// `group`, copy `g` starting `g · period` later, then `tail` starting
+/// `groups · period` later. Each part numbers its iterations from 1, as
+/// in [`PeriodicPlan`], and the pass checks every entry against its own
+/// part's range, so the renumbering never has to be applied.
+#[derive(Clone, Copy)]
+struct Walk<'a> {
+    group: &'a ExecutionPlan,
+    period: u64,
+    groups: u64,
+    tail: &'a ExecutionPlan,
+}
+
+/// The group of a walk that has none.
+static NO_GROUP: ExecutionPlan = ExecutionPlan::new(0);
+
+impl<'a> Walk<'a> {
+    /// The walk of a concrete plan: its tail alone.
+    fn whole(plan: &'a ExecutionPlan) -> Self {
+        Walk {
+            group: &NO_GROUP,
+            period: 0,
+            groups: 0,
+            tail: plan,
+        }
+    }
+
+    /// The parts in walk order, each with the shift of its starts
+    /// (`None` past `u64`).
+    fn parts(self) -> impl Iterator<Item = (&'a ExecutionPlan, Option<u64>)> {
+        let copies = (0..self.groups).map(move |g| (self.group, g));
+        copies
+            .chain(std::iter::once((self.tail, self.groups)))
+            .map(move |(part, g)| (part, g.checked_mul(self.period)))
+    }
+
+    /// The walk's entries of one kind, `count` of them in each part;
+    /// `None` past `usize`.
+    fn total(self, count: impl Fn(&ExecutionPlan) -> usize) -> Option<usize> {
+        usize::try_from(self.groups)
+            .ok()?
+            .checked_mul(count(self.group))?
+            .checked_add(count(self.tail))
+    }
+
+    /// The latest end among the last group copy's and the tail's last
+    /// task and last transfer. Plans end roughly there.
+    fn end_hint(self) -> Option<u64> {
+        let last = |part: &ExecutionPlan, copy: u64| {
+            let shift = copy.checked_mul(self.period)?;
+            let ends = [
+                part.tasks().last().map(|t| (t.start, t.duration)),
+                part.transfers().last().map(|x| (x.start, x.duration)),
+            ];
+            ends.into_iter()
+                .flatten()
+                .filter_map(|(start, duration)| start.checked_add(duration)?.checked_add(shift))
+                .max()
+        };
+        let group = self.groups.checked_sub(1).and_then(|g| last(self.group, g));
+        group.max(last(self.tail, self.groups))
+    }
+}
 
 /// Per-edge constants the streaming pass looks up for every transfer.
 struct EdgeFacts {
@@ -513,7 +582,7 @@ pub fn simulate_streaming(
     plan: &ExecutionPlan,
     config: &PimConfig,
 ) -> Option<SimReport> {
-    let tally = stream(graph, plan, config)?;
+    let (tally, _) = stream(graph, Walk::whole(plan), config)?;
     if paraconv_obs::enabled() {
         for x in plan.transfers() {
             paraconv_obs::observe(TRANSFER_LATENCY, x.duration);
@@ -522,24 +591,17 @@ pub fn simulate_streaming(
     Some(accept(plan.iterations(), config, tally))
 }
 
-/// The streaming pass's checks and tally, recording nothing.
-fn stream(graph: &TaskGraph, plan: &ExecutionPlan, config: &PimConfig) -> Option<Tally> {
+/// The streaming pass's checks and tally over `walk`, recording
+/// nothing: the walk's tally and the counts of its first part alone.
+fn stream(graph: &TaskGraph, walk: Walk<'_>, config: &PimConfig) -> Option<(Tally, Tally)> {
     let cost = CostModel::new(config, graph.edge_count());
-    let tasks = plan.tasks();
-    let transfers = plan.transfers();
     let nodes = graph.node_count();
     let edges = graph.edge_count();
     let num_pes = config.num_pes();
     let vaults = config.vaults();
-
-    // One entry per instance of `1..=iterations`: with every entry
-    // unique and in range, coverage of tasks and of every consumer's
-    // inputs follows from the counts alone.
-    let iterations = usize::try_from(plan.iterations()).ok()?;
-    if nodes.checked_mul(iterations)? != tasks.len()
-        || edges.checked_mul(iterations)? != transfers.len()
-        || i32::try_from(tasks.len().max(transfers.len())).is_err()
-    {
+    let tasks = walk.total(|part| part.tasks().len())?;
+    let transfers = walk.total(|part| part.transfers().len())?;
+    if i32::try_from(tasks.max(transfers)).is_err() {
         return None;
     }
 
@@ -562,101 +624,132 @@ fn stream(graph: &TaskGraph, plan: &ExecutionPlan, config: &PimConfig) -> Option
     let width = 2 * num_pes + vaults;
     let row_bytes = width * std::mem::size_of::<i16>() + std::mem::size_of::<i64>();
     let max_rows = transfers
-        .len()
         .saturating_mul(EVENT_BYTES_PER_TRANSFER)
         .saturating_add(BUCKET_FLOOR_BYTES)
         / row_bytes;
-    // Plans end roughly where their last entries do: allocating that far
-    // up front spares most of the incremental growth.
-    let end = |start: u64, duration: u64| start.checked_add(duration);
-    let hint = tasks.last().and_then(|t| end(t.start, t.duration));
-    let hint = hint.max(transfers.last().and_then(|x| end(x.start, x.duration)));
-    let rows = hint.map_or(0, |t| {
+    // Allocating as far as the walk roughly ends spares most of the
+    // incremental growth.
+    let rows = walk.end_hint().map_or(0, |t| {
         usize::try_from(t).map_or(usize::MAX, |t| t.saturating_add(1))
     });
     let mut buckets = Buckets::new(width, rows.min(max_rows), max_rows);
 
-    // ---- tasks: (start, PE) per instance, iteration-major ------------------
-    const ABSENT: u64 = u64::MAX;
-    let mut instances: Vec<(u64, u32)> = vec![(ABSENT, 0); tasks.len()];
     let mut busy = vec![0u64; num_pes];
-    let mut makespan = 0u64;
-    for t in tasks {
-        let node = t.node.index();
-        let pe = t.pe.index();
-        if *exec.get(node)? != t.duration || t.duration == 0 || *failed.get(pe)? {
-            return None;
-        }
-        let finish = t.start.checked_add(t.duration)?;
-        let slot = instances.get_mut(iteration_row(t.iteration, iterations)? * nodes + node)?;
-        if slot.0 != ABSENT {
-            return None;
-        }
-        *slot = (t.start, pe as u32);
-        buckets.reach(finish)?;
-        buckets.add(t.start, pe, 1)?;
-        buckets.add(finish, pe, -1)?;
-        *busy.get_mut(pe)? += t.duration;
-        makespan = makespan.max(finish);
-    }
-
-    // ---- transfers ---------------------------------------------------------
-    let mut seen = vec![false; transfers.len()];
     let mut vault_fetches = vec![0u64; vaults];
-    let mut transfer_energy = 0u64;
+    let (mut task_count, mut transfer_count) = (0u64, 0u64);
+    let (mut makespan, mut transfer_energy) = (0u64, 0u64);
     let (mut onchip_hits, mut onchip_units) = (0u64, 0u64);
     let (mut offchip_fetches, mut offchip_units) = (0u64, 0u64);
-    for x in transfers {
-        let edge = x.edge.index();
-        let f = facts.get(edge)?;
-        let dst = x.dst_pe.index();
-        // A zero-length transfer's release and acquisition would share a
-        // time unit, where the per-event sweep dips below zero in
-        // flight. Positive sizes and cache costs make such a transfer
-        // too short anyway; refusing it here keeps the buckets exact
-        // without leaning on that.
-        if dst >= num_pes || x.duration == 0 {
+    let mut first = None;
+    const ABSENT: u64 = u64::MAX;
+    for (part, shift) in walk.parts() {
+        let shift = shift?;
+        // One entry per instance of the part's `1..=iterations`: with
+        // every entry unique and in range, coverage of tasks and of
+        // every consumer's inputs follows from the counts alone.
+        let (tasks, transfers) = (part.tasks(), part.transfers());
+        let iterations = usize::try_from(part.iterations()).ok()?;
+        if nodes.checked_mul(iterations)? != tasks.len()
+            || edges.checked_mul(iterations)? != transfers.len()
+        {
             return None;
         }
-        let finish = x.start.checked_add(x.duration)?;
-        let row = iteration_row(x.iteration, iterations)?;
-        let seen = seen.get_mut(row * edges + edge)?;
-        if *seen {
-            return None;
-        }
-        *seen = true;
-        // Every instance slot is filled: the task count matched and no
-        // task was a duplicate or out of range.
-        let (producer_start, _) = *instances.get(row * nodes + f.src)?;
-        let produced = producer_start + f.src_exec;
-        let (consumer_start, consumer_pe) = *instances.get(row * nodes + f.dst)?;
-        if x.start < produced || finish > consumer_start || consumer_pe as usize != dst {
-            return None;
-        }
-        buckets.reach(finish)?;
-        buckets.add(x.start, num_pes + dst, 1)?;
-        buckets.add(finish, num_pes + dst, -1)?;
-        if x.duration < cost.transfer_time(f.size, x.placement) {
-            return None;
-        }
-        transfer_energy += cost.transfer_energy(f.size, x.placement);
-        match x.placement {
-            Placement::Cache => {
-                let units = i64::try_from(f.size).ok()?;
-                onchip_hits += 1;
-                onchip_units += f.size;
-                buckets.add_cache(produced, units)?;
-                buckets.add_cache(finish, -units)?;
+
+        // ---- tasks: (start, PE) per instance, iteration-major --------------
+        let mut instances: Vec<(u64, u32)> = vec![(ABSENT, 0); tasks.len()];
+        for t in tasks {
+            let node = t.node.index();
+            let pe = t.pe.index();
+            if *exec.get(node)? != t.duration || t.duration == 0 || *failed.get(pe)? {
+                return None;
             }
-            Placement::Edram => {
-                offchip_fetches += 1;
-                offchip_units += f.size;
-                *vault_fetches.get_mut(f.vault)? += 1;
-                buckets.add(x.start, 2 * num_pes + f.vault, 1)?;
-                buckets.add(finish, 2 * num_pes + f.vault, -1)?;
+            let start = t.start.checked_add(shift)?;
+            let finish = start.checked_add(t.duration)?;
+            let slot = instances.get_mut(iteration_row(t.iteration, iterations)? * nodes + node)?;
+            if slot.0 != ABSENT {
+                return None;
             }
+            *slot = (start, pe as u32);
+            buckets.reach(finish)?;
+            buckets.add(start, pe, 1)?;
+            buckets.add(finish, pe, -1)?;
+            *busy.get_mut(pe)? += t.duration;
+            makespan = makespan.max(finish);
         }
-        makespan = makespan.max(finish);
+
+        // ---- transfers -----------------------------------------------------
+        let mut seen = vec![false; transfers.len()];
+        for x in transfers {
+            let edge = x.edge.index();
+            let f = facts.get(edge)?;
+            let dst = x.dst_pe.index();
+            // A zero-length transfer's release and acquisition would share
+            // a time unit, where the per-event sweep dips below zero in
+            // flight. Positive sizes and cache costs make such a transfer
+            // too short anyway; refusing it here keeps the buckets exact
+            // without leaning on that.
+            if dst >= num_pes || x.duration == 0 {
+                return None;
+            }
+            let start = x.start.checked_add(shift)?;
+            let finish = start.checked_add(x.duration)?;
+            let row = iteration_row(x.iteration, iterations)?;
+            let seen = seen.get_mut(row * edges + edge)?;
+            if *seen {
+                return None;
+            }
+            *seen = true;
+            // Every instance slot of the part is filled: the task count
+            // matched and no task was a duplicate or out of range.
+            let (producer_start, _) = *instances.get(row * nodes + f.src)?;
+            let produced = producer_start + f.src_exec;
+            let (consumer_start, consumer_pe) = *instances.get(row * nodes + f.dst)?;
+            if start < produced || finish > consumer_start || consumer_pe as usize != dst {
+                return None;
+            }
+            buckets.reach(finish)?;
+            buckets.add(start, num_pes + dst, 1)?;
+            buckets.add(finish, num_pes + dst, -1)?;
+            if x.duration < cost.transfer_time(f.size, x.placement) {
+                return None;
+            }
+            transfer_energy += cost.transfer_energy(f.size, x.placement);
+            match x.placement {
+                Placement::Cache => {
+                    let units = i64::try_from(f.size).ok()?;
+                    onchip_hits += 1;
+                    onchip_units += f.size;
+                    buckets.add_cache(produced, units)?;
+                    buckets.add_cache(finish, -units)?;
+                }
+                Placement::Edram => {
+                    offchip_fetches += 1;
+                    offchip_units += f.size;
+                    *vault_fetches.get_mut(f.vault)? += 1;
+                    buckets.add(start, 2 * num_pes + f.vault, 1)?;
+                    buckets.add(finish, 2 * num_pes + f.vault, -1)?;
+                }
+            }
+            makespan = makespan.max(finish);
+        }
+        task_count += tasks.len() as u64;
+        transfer_count += transfers.len() as u64;
+        // Every count is a sum over entries: after the first part they
+        // are that part's own.
+        if first.is_none() {
+            first = Some(Tally {
+                tasks: task_count,
+                transfers: transfer_count,
+                busy: busy.clone(),
+                transfer_energy,
+                offchip_fetches,
+                onchip_hits,
+                offchip_units,
+                onchip_units,
+                vault_fetches: vault_fetches.clone(),
+                ..Tally::default()
+            });
+        }
     }
 
     // ---- one scan per lane -------------------------------------------------
@@ -670,10 +763,9 @@ fn stream(graph: &TaskGraph, plan: &ExecutionPlan, config: &PimConfig) -> Option
     let peaks = buckets.count_peaks(&limits)?;
     let peak_cache = buckets.cache_peak(i64::try_from(config.total_cache_units()).ok()?)?;
     let lane_peak = |lanes: &[i32]| lanes.iter().copied().max().unwrap_or(0) as usize;
-
-    Some(Tally {
-        tasks: tasks.len() as u64,
-        transfers: transfers.len() as u64,
+    let tally = Tally {
+        tasks: task_count,
+        transfers: transfer_count,
         busy,
         makespan,
         transfer_energy,
@@ -685,7 +777,8 @@ fn stream(graph: &TaskGraph, plan: &ExecutionPlan, config: &PimConfig) -> Option
         peak_fifo: lane_peak(peaks.get(num_pes..2 * num_pes)?),
         peak_vault_concurrency: lane_peak(peaks.get(2 * num_pes..)?),
         vault_fetches,
-    })
+    };
+    Some((tally, first?))
 }
 
 /// The report of a plan the streaming pass accepted, with the obs
@@ -1745,6 +1838,43 @@ mod tests {
             matches!(err, Err(SimError::TaskOnFailedPe { .. })),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn a_group_spanning_past_its_own_bucket_budget_replays_periodically() {
+        // One transfer per group earns buckets for about 2,500 time
+        // units on this narrow array (one vault), yet the group spans
+        // 100,001. The window of 100,002 groups spans twice that and
+        // earns buckets for all of it: at 2^40 groups, a plan far too
+        // large to unroll, the replay must come from the window.
+        let mut b = TaskGraphBuilder::new("unit");
+        let a = b.add_node("a", OpKind::Convolution, 1);
+        let z = b.add_node("z", OpKind::Convolution, 1);
+        b.add_edge(a, z, 1).unwrap();
+        let g = b.build().unwrap();
+        let cfg = PimConfig::builder(4).vaults(1).build().unwrap();
+        let span = 100_001;
+        let mut group = ExecutionPlan::new(1);
+        group.push_task(task(0, 1, 0, 0, 1));
+        group.push_transfer(xfer(0, 1, Placement::Cache, 1, 1, 1));
+        group.push_task(task(1, 1, 1, span - 1, 1));
+        // Walked alone, the group outruns its own budget.
+        assert!(stream(&g, Walk::whole(&group), &cfg).is_none());
+        let stretched = |groups: u64| PeriodicPlan::new(group.clone(), 1, groups, group.clone());
+        let short = simulate_periodic(&g, &stretched(span + 5), &cfg).unwrap();
+        assert_eq!(
+            Ok(short),
+            simulate(&g, &stretched(span + 5).materialize().unwrap(), &cfg)
+        );
+        let groups = 1 << 40;
+        let huge = stretched(groups);
+        assert_eq!(huge.materialize(), Err(SimError::PlanTooLarge));
+        let report = simulate_periodic(&g, &huge, &cfg).unwrap();
+        assert_eq!(report.iterations, groups + 1);
+        assert_eq!(report.total_time, groups + span);
+        assert_eq!(report.onchip_hits, groups + 1);
+        assert_eq!(report.compute_energy, 2 * (groups + 1));
+        assert_eq!(report.peak_fifo_occupancy, 1);
     }
 
     #[test]

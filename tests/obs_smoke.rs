@@ -138,7 +138,7 @@ fn streaming_and_reference_passes_emit_identical_metrics() {
 
 #[test]
 fn periodic_and_unrolled_replays_emit_identical_metrics() {
-    // The periodic replay validates two windows without recording,
+    // The periodic replay validates one window without recording,
     // then records the run's totals once: the snapshot must be the
     // one replaying the unrolled plan leaves, histogram included.
     let _guard = lock();

@@ -10,8 +10,8 @@
 //!
 //! The iteration counts run through every `N` up to two groups past the
 //! window the replay validates, so each case near the boundary between
-//! unrolling (the windows cover the run) and extrapolating is checked,
-//! with every tail length, plus the longer runs Table 1 uses.
+//! streaming the whole run (the window covers it) and extrapolating is
+//! checked, with every tail length, plus the longer runs Table 1 uses.
 
 use proptest::prelude::*;
 
@@ -85,8 +85,8 @@ fn check_sparta(graph: &TaskGraph, scheduler: &SpartaScheduler, iterations: u64,
 
 /// Iterations that reach two groups past the replay's window, with
 /// every tail length there: with `u` iterations per group and
-/// `⌈span/p⌉ + 1` groups in the window, extrapolation starts at two
-/// groups past it.
+/// `⌈span/p⌉ + 1` groups in the window, extrapolation starts one group
+/// past it.
 fn sweep_bound(periodic: &PeriodicPlan) -> u64 {
     let per_group = periodic.group().iterations();
     let span = periodic.group().makespan();
@@ -301,8 +301,26 @@ fn a_run_too_long_to_unroll_replays_from_its_core() {
 }
 
 #[test]
+fn every_table1_point_replays_from_its_window() {
+    // 10^11 iterations: far more than a plan could hold, so a point the
+    // replay could not settle from its window would fall back to
+    // unrolling and fail with `PlanTooLarge`.
+    for bench in benchmarks::all() {
+        let graph = bench.graph().expect("benchmark generates");
+        for pes in [16, 32, 64] {
+            let config = PimConfig::neurocube(pes).expect("valid config");
+            let comparison = ParaConv::new(config)
+                .compare(&graph, 100_000_000_000)
+                .unwrap_or_else(|e| panic!("{} {pes} PEs: {e}", bench.name()));
+            assert_eq!(comparison.paraconv.report.iterations, 100_000_000_000);
+            assert_eq!(comparison.sparta.report.iterations, 100_000_000_000);
+        }
+    }
+}
+
+#[test]
 fn a_rejected_description_with_no_concrete_plan_is_plan_too_large() {
-    // The windows break the cache limit, and the plan they stand for
+    // The window breaks the cache limit, and the plan it stands for
     // cannot be allocated to name the error.
     let (graph, roomy) = table1_case("cat", 16);
     // 2^56 iterations: more plan bytes than an allocation may request.
