@@ -455,11 +455,15 @@ fn run(words: &[String]) -> Result<(), CliError> {
                 result.core.rmax(),
                 result.core.prologue_time()
             );
+            let (histogram, beyond) = result.core.analysis.case_histogram();
+            let beyond = match beyond {
+                0 => String::new(),
+                n => format!("; {n} beyond Theorem 3.1"),
+            };
             println!(
-                "{} of {} IPRs cached; case histogram (1..6): {:?}",
+                "{} of {} IPRs cached; case histogram (1..6): {histogram:?}{beyond}",
                 result.core.cached_iprs(),
                 graph.edge_count(),
-                result.core.analysis.case_histogram()
             );
             println!("{}", result.report);
             export(&args, plan_trace)

@@ -46,8 +46,8 @@ pub fn run(config: &ExperimentConfig, suite: &[Benchmark]) -> Result<Vec<Fig6Row
                 .map(|r| {
                     r.core
                         .analysis
-                        .cases()
-                        .filter(|(_, case)| case.competes_for_cache())
+                        .pairs()
+                        .filter(|(_, pair)| pair.delta_r() > 0)
                         .count()
                 })
                 .collect(),

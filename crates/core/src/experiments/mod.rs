@@ -52,15 +52,17 @@ pub struct ExperimentConfig {
     pub jobs: Option<usize>,
     /// Re-check every emitted plan and simulator report with the
     /// independent auditor ([`paraconv_pim::audit`]). Off by default
-    /// (the auditor roughly doubles validation work); the
-    /// `paraconv audit` subcommand and the CI audit job turn it on.
+    /// (the auditor roughly doubles validation work); the experiment
+    /// tests in `tests/audit.rs` turn it on. The `paraconv audit`
+    /// subcommand audits its plans directly and does not read it.
     pub audit: bool,
     /// Statically verify every Para-CONV plan the sweep emits
     /// ([`paraconv_verify::verify_run`]): retiming legality,
     /// steady-state occupancy bounds within capacity, and bound
     /// dominance over the simulator's observed peaks. Off by default;
-    /// the `paraconv verify` subcommand and the CI static-analysis job
-    /// turn it on.
+    /// the experiment tests in `tests/static_bounds.rs` turn it on. The
+    /// `paraconv verify` subcommand proves its plans directly and does
+    /// not read it.
     pub verify: bool,
 }
 

@@ -403,6 +403,51 @@ mod tests {
     }
 
     #[test]
+    fn mutated_lines_never_panic() {
+        // Every char of a valid line of each op, replaced in turn by
+        // each of these, still parses to an op or to a described
+        // error, and never panics either parser.
+        const SUBSTITUTES: [char; 15] = [
+            '"', '\\', '{', '}', '[', ':', ',', '0', '9', '-', 'e', ' ', '\u{0}', 'é', '\u{2028}',
+        ];
+        let plan = plan_line(&PlanRequest {
+            id: "r1".into(),
+            tenant: "acme".into(),
+            benchmark: "cat".into(),
+            pes: 16,
+            iterations: 8,
+            policy: AllocationPolicy::GreedyByDensity,
+            deadline_ms: Some(250),
+        });
+        let valid = [
+            plan.as_str(),
+            "{\"id\":\"b\",\"op\":\"stats\"}",
+            "{\"id\":\"c\",\"op\":\"drain\"}",
+            "{\"id\":\"a\",\"op\":\"ping\"}",
+        ];
+        for line in valid {
+            assert!(parse_client_line(line).is_ok(), "`{line}` must parse");
+            for (at, original) in line.char_indices() {
+                for substitute in SUBSTITUTES {
+                    let mut mutated = String::with_capacity(line.len() + 4);
+                    mutated.push_str(&line[..at]);
+                    mutated.push(substitute);
+                    mutated.push_str(&line[at + original.len_utf8()..]);
+                    let parsed = std::panic::catch_unwind(|| parse_client_line(&mutated));
+                    let parsed = parsed.unwrap_or_else(|_| panic!("parse panicked on `{mutated}`"));
+                    if let Err(e) = parsed {
+                        assert!(!e.detail.is_empty(), "empty error for `{mutated}`");
+                    }
+                    assert!(
+                        std::panic::catch_unwind(|| extract_id(&mutated)).is_ok(),
+                        "extract_id panicked on `{mutated}`"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn extract_id_survives_partial_garbage() {
         assert_eq!(extract_id("{\"id\":\"r9\",\"op\":\"explode\"}"), "r9");
         assert_eq!(extract_id("not json"), "");

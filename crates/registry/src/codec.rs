@@ -27,7 +27,7 @@ use core::fmt;
 use paraconv_alloc::CacheAllocation;
 use paraconv_graph::{EdgeId, NodeId, OpKind, Placement, TaskGraph, TaskGraphBuilder};
 use paraconv_pim::{PeId, PimConfig};
-use paraconv_retime::{MovementAnalysis, Retiming, RetimingCase};
+use paraconv_retime::{MovementAnalysis, RequirementPair, Retiming};
 use paraconv_sched::{AllocationPolicy, KernelSchedule, ParaConvCore, ParaConvOutcome};
 use serde_json::{Map, Value};
 
@@ -648,11 +648,11 @@ fn allocation_from_value(v: &Value, path: &Path) -> Result<CacheAllocation, Arti
 
 pub(crate) fn write_analysis(out: &mut String, analysis: &MovementAnalysis) {
     out.push_str(r#"{"cases":"#);
-    push_array(out, analysis.cases(), |out, (_, case)| {
+    push_array(out, analysis.pairs(), |out, (_, pair)| {
         out.push('[');
-        push_u64(out, case.cache_requirement());
+        push_u64(out, pair.k_cache());
         out.push(',');
-        push_u64(out, case.edram_requirement());
+        push_u64(out, pair.k_edram());
         out.push(']');
     });
     out.push_str(r#","period":"#);
@@ -664,20 +664,20 @@ fn analysis_from_value(v: &Value, path: &Path) -> Result<MovementAnalysis, Artif
     let obj = as_obj(v, path)?;
     check_keys(obj, path, &["cases", "period"])?;
     let cases_path = path.key("cases");
-    let cases = array_field(obj, path, "cases")?
+    let pairs = array_field(obj, path, "cases")?
         .iter()
         .enumerate()
         .map(|(i, entry)| {
             let case_path = cases_path.index(i);
             let [k_cache, k_edram] = row(entry, &case_path, ["k_cache", "k_edram"])?;
-            RetimingCase::classify(
-                as_u64(k_cache, &case_path.index(0))?,
-                as_u64(k_edram, &case_path.index(1))?,
-            )
-            .map_err(|e| case_path.error(e.to_string()))
+            let k_cache = as_u64(k_cache, &case_path.index(0))?;
+            let k_edram = as_u64(k_edram, &case_path.index(1))?;
+            RequirementPair::new(k_cache, k_edram).ok_or_else(|| {
+                case_path.error(format!("k_cache {k_cache} above k_edram {k_edram}"))
+            })
         })
         .collect::<Result<Vec<_>, ArtifactError>>()?;
-    MovementAnalysis::from_cases(cases, u64_field(obj, path, "period")?)
+    MovementAnalysis::from_pairs(pairs, u64_field(obj, path, "period")?)
         .map_err(|e| path.error(e.to_string()))
 }
 
@@ -852,12 +852,9 @@ mod reference {
 
     fn analysis_to_value(analysis: &MovementAnalysis) -> Value {
         let cases: Vec<Value> = analysis
-            .cases()
-            .map(|(_, case)| {
-                Value::Array(vec![
-                    u64_value(case.cache_requirement()),
-                    u64_value(case.edram_requirement()),
-                ])
+            .pairs()
+            .map(|(_, pair)| {
+                Value::Array(vec![u64_value(pair.k_cache()), u64_value(pair.k_edram())])
             })
             .collect();
         let mut obj = Map::new();
@@ -1188,8 +1185,20 @@ mod tests {
 
     #[test]
     fn invalid_case_pair_is_rejected() {
-        let value: Value = serde_json::from_str(r#"{"cases":[[2,1]],"period":4}"#).unwrap();
+        let value: Value = serde_json::from_str(r#"{"cases":[[0,1],[2,1]],"period":4}"#).unwrap();
         let err = analysis_from_value(&value, &Path::Root("analysis")).unwrap_err();
-        assert!(matches!(err, ArtifactError::SchemaMismatch { .. }));
+        match err {
+            ArtifactError::SchemaMismatch { path, detail } => {
+                assert_eq!(path, "analysis.cases[1]");
+                assert_eq!(detail, "k_cache 2 above k_edram 1");
+            }
+            other => panic!("expected SchemaMismatch, got {other}"),
+        }
+        // Pairs beyond Theorem 3.1's bound are stored as they are.
+        let beyond = r#"{"cases":[[1,3],[0,9]],"period":4}"#;
+        let value: Value = serde_json::from_str(beyond).unwrap();
+        let analysis = analysis_from_value(&value, &Path::Root("analysis")).unwrap();
+        assert_eq!(analysis.case_histogram(), ([0; 6], 2));
+        assert_eq!(json(|out| write_analysis(out, &analysis)), beyond);
     }
 }

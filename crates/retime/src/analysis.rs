@@ -1,12 +1,12 @@
-//! Extra-data-movement analysis (§3.2): classify every intermediate
-//! processing result and derive the retiming a placement choice
+//! Extra-data-movement analysis (§3.2): the Figure 4 pair of every
+//! intermediate processing result, and the retiming a placement choice
 //! induces.
 
 use core::fmt;
 
 use paraconv_graph::{EdgeId, Placement, TaskGraph};
 
-use crate::{bounded_relative_retiming, RetimingCase};
+use crate::{minimal_relative_retiming, RequirementPair};
 
 /// Error produced by [`MovementAnalysis::analyze`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,29 +45,30 @@ impl fmt::Display for AnalysisError {
 
 impl std::error::Error for AnalysisError {}
 
-/// Per-edge movement analysis: the Figure 4 case of every intermediate
-/// processing result, derived from its intra-kernel slack and its two
-/// placement-dependent transfer latencies.
+/// Per-edge movement analysis: the [`RequirementPair`] of every
+/// intermediate processing result, derived from its intra-kernel slack
+/// and its two placement-dependent transfer latencies. The scheduler
+/// takes each IPR's `ΔR` and its retiming requirements from here.
 ///
 /// # Examples
 ///
 /// ```
 /// use paraconv_graph::examples;
-/// use paraconv_retime::MovementAnalysis;
+/// use paraconv_retime::{MovementAnalysis, RetimingCase};
 ///
 /// let g = examples::chain(2);
 /// // One edge: producers/consumers adjacent (gap 0), cache transfer 1,
 /// // eDRAM transfer 6, kernel period 4.
 /// let a = MovementAnalysis::analyze(&g, 4, &[0], &[1], &[6])?;
-/// let e = g.edge_ids().next().unwrap();
-/// assert_eq!(a.case(e).unwrap().cache_requirement(), 1);
-/// assert_eq!(a.case(e).unwrap().edram_requirement(), 2);
+/// let pair = a.pair(g.edge_ids().next().unwrap()).unwrap();
+/// assert_eq!((pair.k_cache(), pair.k_edram()), (1, 2));
+/// assert_eq!(pair.case(), Some(RetimingCase::Case5));
 /// # Ok::<(), paraconv_retime::AnalysisError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MovementAnalysis {
-    cases: Vec<RetimingCase>,
+    pairs: Vec<RequirementPair>,
     period: u64,
 }
 
@@ -105,35 +106,35 @@ impl MovementAnalysis {
                 });
             }
         }
-        let mut cases = Vec::with_capacity(n);
+        let mut pairs = Vec::with_capacity(n);
         for id in graph.edge_ids() {
             let i = id.index();
             if edram_times[i] < cache_times[i] {
                 return Err(AnalysisError::EdramFasterThanCache(id));
             }
-            let k_cache = bounded_relative_retiming(cache_times[i], gaps[i], period);
-            let k_edram = bounded_relative_retiming(edram_times[i], gaps[i], period).max(k_cache);
-            let case = RetimingCase::classify(k_cache, k_edram)
-                // lint: allow(no-unwrap) — gaps/latencies vectors are sized to the edge count above
-                .expect("bounded requirements with k_cache <= k_edram are always classifiable");
-            cases.push(case);
+            // A requirement only grows with the transfer time, so the
+            // slower eDRAM never needs less than the cache.
+            let pair = RequirementPair::new(
+                minimal_relative_retiming(cache_times[i], gaps[i], period),
+                minimal_relative_retiming(edram_times[i], gaps[i], period),
+            )
+            .ok_or(AnalysisError::EdramFasterThanCache(id))?;
+            pairs.push(pair);
         }
-        Ok(MovementAnalysis { cases, period })
+        Ok(MovementAnalysis { pairs, period })
     }
 
-    /// Rebuilds an analysis from already-classified cases, as recorded
-    /// by a plan artifact (cases are indexed by edge id).
+    /// Rebuilds an analysis from its pairs, as recorded by a plan
+    /// artifact (pairs are indexed by edge id).
     ///
     /// # Errors
     ///
-    /// Returns [`AnalysisError::ZeroPeriod`] for `period == 0`; the
-    /// per-edge latency premises are embedded in the cases themselves
-    /// (see [`RetimingCase::classify`]).
-    pub fn from_cases(cases: Vec<RetimingCase>, period: u64) -> Result<Self, AnalysisError> {
+    /// Returns [`AnalysisError::ZeroPeriod`] for `period == 0`.
+    pub fn from_pairs(pairs: Vec<RequirementPair>, period: u64) -> Result<Self, AnalysisError> {
         if period == 0 {
             return Err(AnalysisError::ZeroPeriod);
         }
-        Ok(MovementAnalysis { cases, period })
+        Ok(MovementAnalysis { pairs, period })
     }
 
     /// The kernel period the analysis was performed for.
@@ -142,39 +143,43 @@ impl MovementAnalysis {
         self.period
     }
 
-    /// The Figure 4 case of an edge.
-    ///
-    /// # Errors
-    ///
-    /// Returns `None` for an out-of-range edge ID.
+    /// The pair of an edge, or `None` for an out-of-range edge ID.
     #[must_use]
-    pub fn case(&self, id: EdgeId) -> Option<RetimingCase> {
-        self.cases.get(id.index()).copied()
+    pub fn pair(&self, id: EdgeId) -> Option<RequirementPair> {
+        self.pairs.get(id.index()).copied()
     }
 
-    /// The cache-placement profit `ΔR(e)` of an edge (0 for
-    /// out-of-range IDs never occurs — panics instead in debug).
+    /// The cache-placement profit `ΔR(e)` of an edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
     #[must_use]
     pub fn delta_r(&self, id: EdgeId) -> u64 {
-        self.cases[id.index()].delta_r()
+        self.pairs[id.index()].delta_r()
     }
 
-    /// Iterates over `(EdgeId, RetimingCase)` pairs.
-    pub fn cases(&self) -> impl ExactSizeIterator<Item = (EdgeId, RetimingCase)> + '_ {
-        self.cases
+    /// Iterates over `(EdgeId, RequirementPair)` in edge order.
+    pub fn pairs(&self) -> impl ExactSizeIterator<Item = (EdgeId, RequirementPair)> + '_ {
+        self.pairs
             .iter()
             .enumerate()
-            .map(|(i, &c)| (EdgeId::new(i as u32), c))
+            .map(|(i, &pair)| (EdgeId::new(i as u32), pair))
     }
 
-    /// Histogram of cases 1–6 (index 0 = case 1).
+    /// Counts of cases 1–6 (index 0 = case 1), and the number of edges
+    /// beyond Theorem 3.1. Every edge is counted exactly once.
     #[must_use]
-    pub fn case_histogram(&self) -> [usize; 6] {
+    pub fn case_histogram(&self) -> ([usize; 6], usize) {
         let mut hist = [0usize; 6];
-        for c in &self.cases {
-            hist[(c.number() - 1) as usize] += 1;
+        let mut beyond = 0;
+        for pair in &self.pairs {
+            match pair.case() {
+                Some(case) => hist[usize::from(case.number() - 1)] += 1,
+                None => beyond += 1,
+            }
         }
-        hist
+        (hist, beyond)
     }
 
     /// The per-edge relative-retiming requirement induced by a
@@ -184,16 +189,12 @@ impl MovementAnalysis {
     ///
     /// Panics if `placements.len()` differs from the edge count.
     #[must_use]
-    // lint: allow(unused-pub) — the retime property tests and the crate example check the retiming each placement induces through it
     pub fn requirements_for(&self, placements: &[Placement]) -> Vec<u64> {
-        assert_eq!(placements.len(), self.cases.len(), "one placement per edge");
-        self.cases
+        assert_eq!(placements.len(), self.pairs.len(), "one placement per edge");
+        self.pairs
             .iter()
             .zip(placements)
-            .map(|(case, placement)| match placement {
-                Placement::Cache => case.cache_requirement(),
-                Placement::Edram => case.edram_requirement(),
-            })
+            .map(|(pair, &placement)| pair.under(placement))
             .collect()
     }
 }
@@ -201,13 +202,12 @@ impl MovementAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Retiming;
+    use crate::{Retiming, RetimingCase};
     use paraconv_graph::examples;
 
     fn chain3_analysis() -> (paraconv_graph::TaskGraph, MovementAnalysis) {
         let g = examples::chain(3);
-        // Two edges: gap 0 each; cache fits in-kernel only with one
-        // period of help; eDRAM needs two.
+        // Two edges, gaps 2 and 0, cache transfer 1, eDRAM transfer 9.
         let a = MovementAnalysis::analyze(&g, 4, &[2, 0], &[1, 1], &[9, 9]).unwrap();
         (g, a)
     }
@@ -217,18 +217,25 @@ mod tests {
         let (g, a) = chain3_analysis();
         let ids: Vec<EdgeId> = g.edge_ids().collect();
         // Edge 0: gap 2 covers cache (k=0); eDRAM 9 needs ceil(7/4)=2.
-        assert_eq!(a.case(ids[0]).unwrap(), RetimingCase::Case3);
-        // Edge 1: gap 0, cache needs 1; eDRAM needs ceil(9/4)=3 → clamped 2.
-        assert_eq!(a.case(ids[1]).unwrap(), RetimingCase::Case5);
+        let edge0 = a.pair(ids[0]).unwrap();
+        assert_eq!(edge0.case(), Some(RetimingCase::Case3));
+        assert_eq!(a.delta_r(ids[0]), 2);
+        // Edge 1: gap 0, cache needs 1; eDRAM needs ceil(9/4)=3, beyond
+        // Theorem 3.1 (the transfer is longer than the period): no
+        // case, and the pair is kept as it is.
+        let edge1 = a.pair(ids[1]).unwrap();
+        assert_eq!((edge1.k_cache(), edge1.k_edram()), (1, 3));
+        assert_eq!(edge1.case(), None);
+        assert_eq!(a.delta_r(ids[1]), 2);
+        assert_eq!(a.pair(EdgeId::new(2)), None);
     }
 
     #[test]
     fn histogram_counts() {
         let (_, a) = chain3_analysis();
-        let hist = a.case_histogram();
-        assert_eq!(hist[2], 1); // case 3
-        assert_eq!(hist[4], 1); // case 5
-        assert_eq!(hist.iter().sum::<usize>(), 2);
+        let (hist, beyond) = a.case_histogram();
+        assert_eq!(hist, [0, 0, 1, 0, 0, 0]); // case 3
+        assert_eq!(beyond, 1);
     }
 
     #[test]
@@ -237,7 +244,7 @@ mod tests {
         let all_cache = vec![Placement::Cache; g.edge_count()];
         let all_edram = vec![Placement::Edram; g.edge_count()];
         assert_eq!(a.requirements_for(&all_cache), vec![0, 1]);
-        assert_eq!(a.requirements_for(&all_edram), vec![2, 2]);
+        assert_eq!(a.requirements_for(&all_edram), vec![2, 3]);
     }
 
     #[test]
@@ -245,8 +252,8 @@ mod tests {
         let (g, a) = chain3_analysis();
         let all_edram = vec![Placement::Edram; g.edge_count()];
         let r = Retiming::from_edge_requirements(&g, &a.requirements_for(&all_edram));
-        // chain: R = [4, 2, 0].
-        assert_eq!(r.max_value(), 4);
+        // chain: R = [5, 3, 0].
+        assert_eq!(r.max_value(), 5);
         assert!(r.check_legal(&g).is_ok());
 
         let all_cache = vec![Placement::Cache; g.edge_count()];
@@ -289,7 +296,7 @@ mod tests {
         let g = examples::chain(2);
         let a = MovementAnalysis::analyze(&g, 10, &[8], &[1], &[4]).unwrap();
         let e = g.edge_ids().next().unwrap();
-        assert_eq!(a.case(e).unwrap(), RetimingCase::Case1);
+        assert_eq!(a.pair(e).unwrap().case(), Some(RetimingCase::Case1));
         assert_eq!(a.delta_r(e), 0);
     }
 }

@@ -1,38 +1,110 @@
-//! The six-case classification of Figure 4.
+//! The Figure 4 pair of every intermediate processing result and its
+//! six-case classification.
 //!
-//! For each intermediate processing result, the minimal relative
-//! retiming value under on-chip-cache placement (`k_cache`) and under
-//! eDRAM placement (`k_edram ≥ k_cache`) — both in `0..=2` by
-//! Theorem 3.1 — yields one of six cases. Cases 1, 4 and 6 have
-//! `k_cache = k_edram`: placement does not affect the prologue, so
-//! those IPRs can live in eDRAM for free. Cases 2, 3 and 5 gain
-//! `ΔR = k_edram − k_cache ≥ 1` iterations of prologue when cached, so
-//! they compete for the scarce cache capacity in the dynamic program.
+//! For each IPR, the minimal relative retiming value under
+//! on-chip-cache placement (`k_cache`) and under eDRAM placement
+//! (`k_edram ≥ k_cache`) form its [`RequirementPair`]. Their difference
+//! `ΔR = k_edram − k_cache` is the profit of caching the IPR in the
+//! dynamic program of §3.3. When both values lie within Theorem 3.1's
+//! bound of 2 the pair is one of six [`RetimingCase`]s. Cases 1, 4 and
+//! 6 have `k_cache = k_edram`: placement does not affect the prologue,
+//! so those IPRs can live in eDRAM for free. Cases 2, 3 and 5 gain
+//! `ΔR ≥ 1` iterations of prologue when cached, so they compete for
+//! the scarce cache capacity. A pair above the bound breaks the
+//! theorem's premise `c ≤ p`; it has no case, but its `ΔR` is still
+//! the profit the dynamic program weighs.
 
 use core::fmt;
 
+use paraconv_graph::Placement;
+
 use crate::MAX_RELATIVE_RETIMING;
 
-/// Error returned for `(k_cache, k_edram)` pairs outside Figure 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClassifyError {
-    /// The offending cache requirement.
-    pub k_cache: u64,
-    /// The offending eDRAM requirement.
-    pub k_edram: u64,
+/// An IPR's minimal relative retiming under each placement, with
+/// `k_cache ≤ k_edram`, exactly as
+/// [`minimal_relative_retiming`](crate::minimal_relative_retiming)
+/// derives it, also above Theorem 3.1's bound.
+///
+/// # Examples
+///
+/// ```
+/// use paraconv_retime::{RequirementPair, RetimingCase};
+///
+/// let pair = RequirementPair::new(0, 2).unwrap();
+/// assert_eq!(pair.case(), Some(RetimingCase::Case3));
+/// assert_eq!(pair.delta_r(), 2);
+/// // A transfer longer than the period needs more than two
+/// // iterations: beyond Theorem 3.1, with no Figure 4 case.
+/// let long = RequirementPair::new(1, 3).unwrap();
+/// assert_eq!(long.case(), None);
+/// assert_eq!(long.delta_r(), 2);
+/// // eDRAM is never faster than the cache.
+/// assert_eq!(RequirementPair::new(2, 1), None);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub struct RequirementPair {
+    k_cache: u64,
+    k_edram: u64,
 }
 
-impl fmt::Display for ClassifyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "requirements (cache={}, edram={}) outside the six cases: need cache <= edram <= {}",
-            self.k_cache, self.k_edram, MAX_RELATIVE_RETIMING
-        )
+impl RequirementPair {
+    /// The pair `(k_cache, k_edram)`, or `None` when `k_cache > k_edram`.
+    #[must_use]
+    pub const fn new(k_cache: u64, k_edram: u64) -> Option<Self> {
+        if k_cache <= k_edram {
+            Some(RequirementPair { k_cache, k_edram })
+        } else {
+            None
+        }
+    }
+
+    /// The minimal relative retiming when the IPR is held in the
+    /// on-chip cache.
+    #[must_use]
+    pub const fn k_cache(self) -> u64 {
+        self.k_cache
+    }
+
+    /// The minimal relative retiming when the IPR is held in eDRAM.
+    #[must_use]
+    pub const fn k_edram(self) -> u64 {
+        self.k_edram
+    }
+
+    /// The requirement under `placement`.
+    #[must_use]
+    pub const fn under(self, placement: Placement) -> u64 {
+        match placement {
+            Placement::Cache => self.k_cache,
+            Placement::Edram => self.k_edram,
+        }
+    }
+
+    /// The reduction in retiming `ΔR = k_edram − k_cache` obtained by
+    /// caching this IPR: the profit of the dynamic program of §3.3.
+    #[must_use]
+    pub const fn delta_r(self) -> u64 {
+        self.k_edram - self.k_cache
+    }
+
+    /// The Figure 4 case of the pair, or `None` beyond Theorem 3.1's
+    /// bound.
+    #[must_use]
+    pub const fn case(self) -> Option<RetimingCase> {
+        RetimingCase::classify(self.k_cache, self.k_edram)
     }
 }
 
-impl std::error::Error for ClassifyError {}
+impl fmt::Display for RequirementPair {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.case() {
+            Some(case) => write!(f, "case {}", case.number())?,
+            None => f.write_str("beyond Theorem 3.1")?,
+        }
+        write!(f, " (cache k={}, eDRAM k={})", self.k_cache, self.k_edram)
+    }
+}
 
 /// One of the six cases of Figure 4, identified by the pair of minimal
 /// relative retiming values `(k_cache, k_edram)`.
@@ -42,14 +114,12 @@ impl std::error::Error for ClassifyError {}
 /// ```
 /// use paraconv_retime::RetimingCase;
 ///
-/// let case = RetimingCase::classify(0, 2)?;
-/// assert_eq!(case, RetimingCase::Case3);
-/// assert_eq!(case.delta_r(), 2);
-/// assert!(case.competes_for_cache());
-/// # Ok::<(), paraconv_retime::ClassifyError>(())
+/// assert_eq!(RetimingCase::classify(1, 2), Some(RetimingCase::Case5));
+/// assert_eq!(RetimingCase::classify(1, 2).map(RetimingCase::number), Some(5));
+/// // Beyond Theorem 3.1's bound of 2.
+/// assert_eq!(RetimingCase::classify(2, 3), None);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RetimingCase {
     /// `(0, 0)` — schedulable at relative retiming 0 from either
     /// location.
@@ -67,63 +137,24 @@ pub enum RetimingCase {
 }
 
 impl RetimingCase {
-    /// Classifies a requirement pair into its Figure 4 case.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClassifyError`] unless
-    /// `k_cache ≤ k_edram ≤ MAX_RELATIVE_RETIMING` and the pair is one
-    /// of the six enumerated combinations. (The pairs `(1, 0)` etc. are
-    /// impossible because eDRAM is never faster than cache; `(0, 0)`
-    /// through `(2, 2)` with a gap of at most 2 are exactly Figure 4.)
-    pub fn classify(k_cache: u64, k_edram: u64) -> Result<RetimingCase, ClassifyError> {
+    /// Classifies a requirement pair into its Figure 4 case: `Some`
+    /// exactly when `k_cache ≤ k_edram ≤ MAX_RELATIVE_RETIMING`, `None`
+    /// for a pair beyond Theorem 3.1's bound (or one with
+    /// `k_cache > k_edram`, which no [`RequirementPair`] holds).
+    #[must_use]
+    pub const fn classify(k_cache: u64, k_edram: u64) -> Option<RetimingCase> {
+        if k_edram > MAX_RELATIVE_RETIMING {
+            return None;
+        }
         match (k_cache, k_edram) {
-            (0, 0) => Ok(RetimingCase::Case1),
-            (0, 1) => Ok(RetimingCase::Case2),
-            (0, 2) => Ok(RetimingCase::Case3),
-            (1, 1) => Ok(RetimingCase::Case4),
-            (1, 2) => Ok(RetimingCase::Case5),
-            (2, 2) => Ok(RetimingCase::Case6),
-            _ => Err(ClassifyError { k_cache, k_edram }),
+            (0, 0) => Some(RetimingCase::Case1),
+            (0, 1) => Some(RetimingCase::Case2),
+            (0, 2) => Some(RetimingCase::Case3),
+            (1, 1) => Some(RetimingCase::Case4),
+            (1, 2) => Some(RetimingCase::Case5),
+            (2, 2) => Some(RetimingCase::Case6),
+            _ => None,
         }
-    }
-
-    /// The minimal relative retiming when the IPR is held in the
-    /// on-chip cache.
-    #[must_use]
-    pub const fn cache_requirement(self) -> u64 {
-        match self {
-            RetimingCase::Case1 | RetimingCase::Case2 | RetimingCase::Case3 => 0,
-            RetimingCase::Case4 | RetimingCase::Case5 => 1,
-            RetimingCase::Case6 => 2,
-        }
-    }
-
-    /// The minimal relative retiming when the IPR is held in eDRAM.
-    #[must_use]
-    pub const fn edram_requirement(self) -> u64 {
-        match self {
-            RetimingCase::Case1 => 0,
-            RetimingCase::Case2 | RetimingCase::Case4 => 1,
-            RetimingCase::Case3 | RetimingCase::Case5 | RetimingCase::Case6 => 2,
-        }
-    }
-
-    /// The reduction in retiming `ΔR = k_edram − k_cache` obtained by
-    /// placing this IPR in the on-chip cache — the profit of the
-    /// dynamic program of §3.3.
-    #[must_use]
-    pub const fn delta_r(self) -> u64 {
-        self.edram_requirement() - self.cache_requirement()
-    }
-
-    /// Whether this IPR should compete for cache capacity (cases 2, 3
-    /// and 5). Cases 1, 4 and 6 gain nothing from the cache and are
-    /// "allocated to eDRAM to save the valuable space in on-chip cache"
-    /// (§3.2).
-    #[must_use]
-    pub const fn competes_for_cache(self) -> bool {
-        self.delta_r() > 0
     }
 
     /// The 1-based case number as printed in Figure 4.
@@ -138,92 +169,83 @@ impl RetimingCase {
             RetimingCase::Case6 => 6,
         }
     }
-
-    /// All six cases, in Figure 4 order.
-    #[must_use]
-    pub const fn all() -> [RetimingCase; 6] {
-        [
-            RetimingCase::Case1,
-            RetimingCase::Case2,
-            RetimingCase::Case3,
-            RetimingCase::Case4,
-            RetimingCase::Case5,
-            RetimingCase::Case6,
-        ]
-    }
-}
-
-impl fmt::Display for RetimingCase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "case {} (cache k={}, eDRAM k={})",
-            self.number(),
-            self.cache_requirement(),
-            self.edram_requirement()
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Figure 4: every pair within the bound, in case order.
+    const FIGURE_4: [(u64, u64); 6] = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)];
+
+    fn pair(k_cache: u64, k_edram: u64) -> RequirementPair {
+        RequirementPair::new(k_cache, k_edram).unwrap()
+    }
+
     #[test]
     fn classification_roundtrips() {
-        for case in RetimingCase::all() {
-            let reclassified =
-                RetimingCase::classify(case.cache_requirement(), case.edram_requirement()).unwrap();
-            assert_eq!(reclassified, case);
+        // Every ordered pair within the bound is exactly one case, and
+        // every case is reached by exactly one pair.
+        let mut seen = Vec::new();
+        for k_cache in 0..=MAX_RELATIVE_RETIMING {
+            for k_edram in k_cache..=MAX_RELATIVE_RETIMING {
+                let case = pair(k_cache, k_edram).case().unwrap();
+                assert!(!seen.contains(&case), "{case:?} reached twice");
+                seen.push(case);
+            }
         }
+        assert_eq!(seen.len(), 6);
     }
 
     #[test]
     fn delta_r_matches_paper_example() {
         // §3.3.2: "for case 5 ... the retiming values for on-chip cache
         // and eDRAM are 1 and 2, respectively. Then ΔR(m) = 2-1 = 1."
-        assert_eq!(RetimingCase::Case5.cache_requirement(), 1);
-        assert_eq!(RetimingCase::Case5.edram_requirement(), 2);
-        assert_eq!(RetimingCase::Case5.delta_r(), 1);
+        let case5 = pair(1, 2);
+        assert_eq!(case5.case(), Some(RetimingCase::Case5));
+        assert_eq!(case5.under(Placement::Cache), 1);
+        assert_eq!(case5.under(Placement::Edram), 2);
+        assert_eq!(case5.delta_r(), 1);
     }
 
     #[test]
     fn cases_1_4_6_do_not_compete() {
-        assert!(!RetimingCase::Case1.competes_for_cache());
-        assert!(!RetimingCase::Case4.competes_for_cache());
-        assert!(!RetimingCase::Case6.competes_for_cache());
-        assert!(RetimingCase::Case2.competes_for_cache());
-        assert!(RetimingCase::Case3.competes_for_cache());
-        assert!(RetimingCase::Case5.competes_for_cache());
+        for (k_cache, k_edram) in FIGURE_4 {
+            let p = pair(k_cache, k_edram);
+            let number = p.case().unwrap().number();
+            assert_eq!(p.delta_r() > 0, [2, 3, 5].contains(&number), "{p}");
+        }
     }
 
     #[test]
     fn invalid_pairs_rejected() {
         // eDRAM can never need less retiming than cache.
-        assert!(RetimingCase::classify(1, 0).is_err());
-        assert!(RetimingCase::classify(2, 1).is_err());
-        // Beyond the Theorem 3.1 bound.
-        assert!(RetimingCase::classify(0, 3).is_err());
-        assert!(RetimingCase::classify(3, 3).is_err());
-        // A gap of two with a nonzero base is not in Figure 4... except
-        // (0,2) which is Case 3.
-        assert!(RetimingCase::classify(0, 2).is_ok());
+        assert_eq!(RequirementPair::new(1, 0), None);
+        assert_eq!(RequirementPair::new(2, 1), None);
+        assert_eq!(RetimingCase::classify(2, 1), None);
+        // Beyond the Theorem 3.1 bound: a pair, but no case.
+        for (k_cache, k_edram) in [(0, 3), (1, 3), (2, 3), (3, 3), (0, u64::MAX)] {
+            let p = pair(k_cache, k_edram);
+            assert_eq!(p.case(), None);
+            assert_eq!(p.delta_r(), k_edram - k_cache);
+        }
     }
 
     #[test]
     fn numbers_are_one_through_six() {
-        let numbers: Vec<u8> = RetimingCase::all().iter().map(|c| c.number()).collect();
+        let numbers: Vec<u8> = FIGURE_4
+            .iter()
+            .map(|&(k_cache, k_edram)| RetimingCase::classify(k_cache, k_edram).unwrap().number())
+            .collect();
         assert_eq!(numbers, vec![1, 2, 3, 4, 5, 6]);
     }
 
     #[test]
     fn display_mentions_case_number() {
-        assert!(RetimingCase::Case3.to_string().contains("case 3"));
-    }
-
-    #[test]
-    fn classify_error_display() {
-        let e = RetimingCase::classify(2, 1).unwrap_err();
-        assert!(e.to_string().contains("cache=2"));
+        assert_eq!(pair(0, 2).to_string(), "case 3 (cache k=0, eDRAM k=2)");
+        assert_eq!(
+            pair(1, 3).to_string(),
+            "beyond Theorem 3.1 (cache k=1, eDRAM k=3)"
+        );
     }
 }

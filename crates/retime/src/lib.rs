@@ -9,13 +9,15 @@
 //! * [`Retiming`] — the retiming function `R` of Definition 3.1 with
 //!   its legality condition `R(i) ≥ R(i,j) ≥ R(j)`, `R_max` and the
 //!   prologue time `R_max × p`;
-//! * [`minimal_relative_retiming`] / [`bounded_relative_retiming`] —
-//!   the per-edge requirement with the Theorem 3.1 bound
-//!   ([`MAX_RELATIVE_RETIMING`] = 2);
-//! * [`RetimingCase`] — the six-case classification of Figure 4 with
-//!   each case's `ΔR` (the profit of caching that IPR);
-//! * [`MovementAnalysis`] — whole-graph analysis mapping a placement
-//!   assignment to its induced minimal retiming.
+//! * [`minimal_relative_retiming`] — the per-edge requirement, bounded
+//!   by [`MAX_RELATIVE_RETIMING`] = 2 under Theorem 3.1's premise;
+//! * [`RequirementPair`] — an IPR's requirement under each placement,
+//!   whose difference `ΔR` is the profit of caching it, and
+//!   [`RetimingCase`], the pair's Figure 4 case within the theorem's
+//!   bound;
+//! * [`MovementAnalysis`] — the pair of every edge of a graph, and the
+//!   minimal retiming a placement assignment induces: the scheduler's
+//!   one derivation of both.
 //!
 //! # Examples
 //!
@@ -46,8 +48,6 @@ mod requirement;
 mod retiming;
 
 pub use analysis::{AnalysisError, MovementAnalysis};
-pub use cases::{ClassifyError, RetimingCase};
-pub use requirement::{
-    bounded_relative_retiming, minimal_relative_retiming, MAX_RELATIVE_RETIMING,
-};
+pub use cases::{RequirementPair, RetimingCase};
+pub use requirement::{minimal_relative_retiming, MAX_RELATIVE_RETIMING};
 pub use retiming::{RetimeError, Retiming};

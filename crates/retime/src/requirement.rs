@@ -7,10 +7,13 @@
 //! the intra-kernel gap between the producer's finish and the
 //! consumer's start. The minimal `k` making a placement's transfer
 //! latency fit is the edge's *requirement* under that placement;
-//! Theorem 3.1 shows `k ≤ 2` always suffices when `c_{i,j} ≤ p`.
+//! Theorem 3.1 shows `k ≤ 2` always suffices when `c_{i,j} ≤ p`. A
+//! transfer longer than the period can need more, and the planner uses
+//! the requirement as it is.
 
-/// The upper bound of Theorem 3.1: a producer never needs to be
-/// re-allocated more than two iterations ahead of its consumer.
+/// The upper bound of Theorem 3.1: under its premise `c_{i,j} ≤ p`, a
+/// producer never needs to be re-allocated more than two iterations
+/// ahead of its consumer.
 pub const MAX_RELATIVE_RETIMING: u64 = 2;
 
 /// Computes the minimal relative retiming `k ≥ 0` such that a transfer
@@ -46,23 +49,6 @@ pub fn minimal_relative_retiming(transfer_time: u64, gap: i64, period: u64) -> u
     }
 }
 
-/// [`minimal_relative_retiming`] clamped to the Theorem 3.1 bound.
-///
-/// For transfers satisfying the theorem's premise (`c_{i,j} ≤ p` and a
-/// gap no worse than one period) the clamp never engages. For heavily
-/// congested eDRAM transfers whose latency exceeds the period, the data
-/// streams across the additional iterations of slack the pipeline
-/// already provides, so two iterations remain sufficient; see
-/// DESIGN.md.
-///
-/// # Panics
-///
-/// Panics if `period == 0`.
-#[must_use]
-pub fn bounded_relative_retiming(transfer_time: u64, gap: i64, period: u64) -> u64 {
-    minimal_relative_retiming(transfer_time, gap, period).min(MAX_RELATIVE_RETIMING)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,13 +72,6 @@ mod tests {
         // Producer finishes after the consumer's kernel position.
         assert_eq!(minimal_relative_retiming(5, -5, 5), 2);
         assert_eq!(minimal_relative_retiming(1, -10, 5), 3);
-    }
-
-    #[test]
-    fn bounded_clamps_to_two() {
-        assert_eq!(bounded_relative_retiming(1, -10, 5), 2);
-        assert_eq!(bounded_relative_retiming(100, 0, 5), 2);
-        assert_eq!(bounded_relative_retiming(2, 3, 5), 0);
     }
 
     #[test]

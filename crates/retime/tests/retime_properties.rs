@@ -4,8 +4,8 @@ use proptest::prelude::*;
 
 use paraconv_graph::{NodeId, OpKind, Placement, TaskGraph, TaskGraphBuilder};
 use paraconv_retime::{
-    bounded_relative_retiming, minimal_relative_retiming, MovementAnalysis, RetimeError, Retiming,
-    RetimingCase, MAX_RELATIVE_RETIMING,
+    minimal_relative_retiming, MovementAnalysis, RetimeError, Retiming, RetimingCase,
+    MAX_RELATIVE_RETIMING,
 };
 
 fn arb_dag() -> impl Strategy<Value = TaskGraph> {
@@ -57,13 +57,6 @@ proptest! {
     }
 
     #[test]
-    fn bounded_requirement_never_exceeds_theorem(
-        transfer in 0u64..100, gap in -50i64..50, period in 1u64..20
-    ) {
-        prop_assert!(bounded_relative_retiming(transfer, gap, period) <= MAX_RELATIVE_RETIMING);
-    }
-
-    #[test]
     fn induced_retiming_is_always_legal((g, p, gaps, cache, edram) in arb_analysis_inputs()) {
         let analysis = MovementAnalysis::analyze(&g, p, &gaps, &cache, &edram).unwrap();
         for placements in [
@@ -103,19 +96,23 @@ proptest! {
     #[test]
     fn case_requirements_match_analysis((g, p, gaps, cache, edram) in arb_analysis_inputs()) {
         let analysis = MovementAnalysis::analyze(&g, p, &gaps, &cache, &edram).unwrap();
-        for (id, case) in analysis.cases() {
+        prop_assert_eq!(analysis.pairs().len(), g.edge_count());
+        for (id, pair) in analysis.pairs() {
+            // The pair is the unclamped requirement under each
+            // placement; its case exists exactly within the bound.
             let i = id.index();
-            let k_cache = bounded_relative_retiming(cache[i], gaps[i], p);
-            prop_assert_eq!(case.cache_requirement(), k_cache);
-            prop_assert!(case.edram_requirement() >= case.cache_requirement());
-            prop_assert_eq!(case.delta_r(), analysis.delta_r(id));
+            prop_assert_eq!(pair.k_cache(), minimal_relative_retiming(cache[i], gaps[i], p));
+            prop_assert_eq!(pair.k_edram(), minimal_relative_retiming(edram[i], gaps[i], p));
+            prop_assert_eq!(pair.delta_r(), analysis.delta_r(id));
+            prop_assert_eq!(pair.case().is_some(), pair.k_edram() <= MAX_RELATIVE_RETIMING);
         }
     }
 
     #[test]
     fn histogram_total_equals_edge_count((g, p, gaps, cache, edram) in arb_analysis_inputs()) {
         let analysis = MovementAnalysis::analyze(&g, p, &gaps, &cache, &edram).unwrap();
-        prop_assert_eq!(analysis.case_histogram().iter().sum::<usize>(), g.edge_count());
+        let (hist, beyond) = analysis.case_histogram();
+        prop_assert_eq!(hist.iter().sum::<usize>() + beyond, g.edge_count());
     }
 
     #[test]
@@ -146,7 +143,6 @@ proptest! {
         prop_assert!(minimal_relative_retiming(transfer + 1, gap, period) >= k);
         prop_assert!(minimal_relative_retiming(transfer, gap + 1, period) <= k);
         prop_assert!(minimal_relative_retiming(transfer, gap, period + 1) <= k);
-        prop_assert_eq!(bounded_relative_retiming(transfer, gap, period), k.min(MAX_RELATIVE_RETIMING));
     }
 
     #[test]
@@ -225,19 +221,21 @@ fn all_six_cases_reachable() {
     let period = 4;
     let expectations = [
         // (gap, cache, edram, case)
-        (3i64, 1u64, 3u64, RetimingCase::Case1),
-        (0, 0, 4, RetimingCase::Case2),
-        (0, 0, 8, RetimingCase::Case3),
-        (0, 2, 4, RetimingCase::Case4),
-        (0, 2, 8, RetimingCase::Case5),
-        (-2, 5, 6, RetimingCase::Case6),
+        (3i64, 1u64, 3u64, Some(RetimingCase::Case1)),
+        (0, 0, 4, Some(RetimingCase::Case2)),
+        (0, 0, 8, Some(RetimingCase::Case3)),
+        (0, 2, 4, Some(RetimingCase::Case4)),
+        (0, 2, 8, Some(RetimingCase::Case5)),
+        (-2, 5, 6, Some(RetimingCase::Case6)),
+        // An eDRAM transfer longer than two periods: beyond the bound.
+        (0, 2, 9, None),
     ];
     for (gap, cache, edram, expected) in expectations {
         let g = mk();
         let a = MovementAnalysis::analyze(&g, period, &[gap], &[cache], &[edram]).unwrap();
         let e = g.edge_ids().next().unwrap();
         assert_eq!(
-            a.case(e).unwrap(),
+            a.pair(e).unwrap().case(),
             expected,
             "gap={gap} c={cache} e={edram}"
         );

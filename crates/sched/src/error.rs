@@ -2,6 +2,8 @@
 
 use core::fmt;
 
+use paraconv_retime::AnalysisError;
+
 /// Errors produced by the schedulers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -10,8 +12,8 @@ pub enum SchedError {
     /// least once.
     ZeroIterations,
     /// The movement analysis rejected the derived timing inputs; this
-    /// indicates an internal inconsistency and carries the message.
-    Analysis(String),
+    /// indicates an internal inconsistency.
+    Analysis(AnalysisError),
     /// The request's [`CancelToken`](paraconv_obs::CancelToken) fired
     /// (deadline expiry or daemon drain); the partial work was
     /// discarded at a phase boundary.
@@ -80,7 +82,10 @@ mod tests {
     #[test]
     fn display_nonempty() {
         assert!(!SchedError::ZeroIterations.to_string().is_empty());
-        assert!(SchedError::Analysis("x".into()).to_string().contains('x'));
+        assert_eq!(
+            SchedError::Analysis(AnalysisError::ZeroPeriod).to_string(),
+            "movement analysis failed: kernel period must be positive"
+        );
         let e = SchedError::PlanTooLarge {
             iterations: 1 << 60,
         };

@@ -27,10 +27,10 @@
 //! without unrolling.
 
 use paraconv_alloc::{AllocItem, CacheAllocation, CacheAllocator, IncrementalDp};
-use paraconv_graph::{Placement, TaskGraph};
+use paraconv_graph::TaskGraph;
 use paraconv_obs::SpanGuard;
 use paraconv_pim::{CostModel, ExecutionPlan, PeId, PeriodicPlan, PimConfig};
-use paraconv_retime::{minimal_relative_retiming, MovementAnalysis, Retiming};
+use paraconv_retime::{MovementAnalysis, Retiming};
 
 use crate::{emit, KernelSchedule, SchedError};
 
@@ -44,8 +44,8 @@ pub struct ParaConvCore {
     pub retiming: Retiming,
     /// The cache/eDRAM placement of every IPR.
     pub allocation: CacheAllocation,
-    /// The Figure 4 classification of every IPR (reporting; clamped to
-    /// the Theorem 3.1 bound).
+    /// The requirement pair of every IPR: the `ΔR` the allocation
+    /// maximized and the requirements the retiming satisfies.
     pub analysis: MovementAnalysis,
 }
 
@@ -372,7 +372,7 @@ impl ParaConvScheduler {
         let p = kernel.period();
         let gaps = kernel.gaps(graph);
 
-        // Step 2: per-edge latencies and true retiming requirements.
+        // Step 2: per-edge latencies and each IPR's requirement pair.
         cancelled()?;
         let phase = phase.next("sched.retime.analysis");
         let cache_times: Vec<u64> = graph
@@ -383,21 +383,8 @@ impl ParaConvScheduler {
             .edges()
             .map(|e| cost.edram_transfer_time(e.size()))
             .collect();
-        let k_cache: Vec<u64> = graph
-            .edge_ids()
-            .map(|e| minimal_relative_retiming(cache_times[e.index()], gaps[e.index()], p))
-            .collect();
-        let k_edram: Vec<u64> = graph
-            .edge_ids()
-            .map(|e| {
-                minimal_relative_retiming(edram_times[e.index()], gaps[e.index()], p)
-                    .max(k_cache[e.index()])
-            })
-            .collect();
-        // Figure 4 classification (clamped to the Theorem 3.1 bound)
-        // for reporting.
         let analysis = MovementAnalysis::analyze(graph, p, &gaps, &cache_times, &edram_times)
-            .map_err(|e| SchedError::Analysis(e.to_string()))?;
+            .map_err(SchedError::Analysis)?;
 
         cancelled()?;
         let phase = phase.next("sched.alloc");
@@ -424,7 +411,7 @@ impl ParaConvScheduler {
                 AllocItem::new(
                     e.id(),
                     e.size() * windows,
-                    k_edram[i] - k_cache[i],
+                    analysis.delta_r(e.id()),
                     kernel.start(e.dst()),
                 )
             })
@@ -450,14 +437,8 @@ impl ParaConvScheduler {
         // discarded here before anything downstream can observe it.
         cancelled()?;
         let phase = phase.next("sched.retime");
-        let requirements: Vec<u64> = graph
-            .edge_ids()
-            .map(|e| match placements[e.index()] {
-                Placement::Cache => k_cache[e.index()],
-                Placement::Edram => k_edram[e.index()],
-            })
-            .collect();
-        let retiming = Retiming::from_edge_requirements(graph, &requirements);
+        let retiming =
+            Retiming::from_edge_requirements(graph, &analysis.requirements_for(&placements));
         let core = ParaConvCore {
             kernel,
             retiming,

@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use paraconv_alloc::IncrementalDp;
 use paraconv_graph::{NodeId, OpKind, TaskGraph, TaskGraphBuilder};
 use paraconv_pim::{simulate, PeId, PimConfig};
+use paraconv_retime::Retiming;
 use paraconv_sched::{KernelSchedule, ParaConvScheduler, SpartaScheduler};
 
 fn arb_dag() -> impl Strategy<Value = TaskGraph> {
@@ -178,6 +179,37 @@ proptest! {
             prop_assert_eq!(warm.plan, cold.plan);
             prop_assert_eq!(warm.core.allocation, cold.core.allocation);
         }
+    }
+
+    #[test]
+    fn the_core_plans_from_the_analysis_it_reports(
+        g in arb_dag(),
+        penalty in prop::sample::select(vec![2u64, 4, 6, 8, 10]),
+        queue in prop::sample::select(vec![0u64, 2]),
+        pes in 1usize..=64,
+        iters in 1u64..=40,
+    ) {
+        // Off the default cost model, transfers outgrow the period and
+        // requirements pass Theorem 3.1's bound of 2: the retiming and
+        // the allocation's profit must still be the analysis's own.
+        let cfg = PimConfig::builder(pes)
+            .edram_penalty(penalty)
+            .vault_queue_cost(queue)
+            .build()
+            .unwrap();
+        let (core, _) = ParaConvScheduler::new(cfg).schedule_periodic(&g, iters).unwrap();
+        let placements = core.allocation.to_placement_vec(g.edge_count());
+        prop_assert_eq!(
+            &core.retiming,
+            &Retiming::from_edge_requirements(&g, &core.analysis.requirements_for(&placements))
+        );
+        let cached: u64 = core
+            .allocation
+            .cached()
+            .iter()
+            .map(|&e| core.analysis.delta_r(e))
+            .sum();
+        prop_assert_eq!(cached, core.allocation.total_profit());
     }
 
     #[test]

@@ -194,6 +194,32 @@ pub enum VerifyError {
     /// re-solve or the plan walk stopped early, so the plan was
     /// neither proved nor refuted.
     Cancelled,
+    /// The movement analysis was made for another period than the
+    /// kernel's.
+    AnalysisPeriodMismatch {
+        /// The analysis's period.
+        recorded: u64,
+        /// The kernel's period.
+        kernel: u64,
+    },
+    /// The movement analysis does not hold one entry per edge.
+    AnalysisShapeMismatch {
+        /// Entries in the analysis.
+        entries: usize,
+        /// Edges in the graph.
+        edges: usize,
+    },
+    /// An edge's recorded `[k_cache, k_edram]` is not the pair its
+    /// kernel slack and the cost model give, so the analysis does not
+    /// report the `ΔR` the allocation was solved for.
+    AnalysisPairMismatch {
+        /// The edge.
+        edge: EdgeId,
+        /// The pair the analysis records.
+        recorded: [u64; 2],
+        /// The pair the verifier re-derives.
+        derived: [u64; 2],
+    },
 }
 
 impl fmt::Display for VerifyError {
@@ -298,6 +324,22 @@ impl fmt::Display for VerifyError {
                 "allocation capacity {capacity} exceeds the architecture's {cache} cache units"
             ),
             VerifyError::Cancelled => f.write_str("verification cancelled before it completed"),
+            VerifyError::AnalysisPeriodMismatch { recorded, kernel } => write!(
+                f,
+                "movement analysis is for period {recorded}, the kernel's is {kernel}"
+            ),
+            VerifyError::AnalysisShapeMismatch { entries, edges } => write!(
+                f,
+                "movement analysis has {entries} entries, the graph has {edges} edges"
+            ),
+            VerifyError::AnalysisPairMismatch {
+                edge,
+                recorded,
+                derived,
+            } => write!(
+                f,
+                "movement analysis records {recorded:?} on {edge}, the kernel and cost model give {derived:?}"
+            ),
         }
     }
 }
@@ -413,6 +455,25 @@ mod tests {
             index: 3,
         };
         assert!(e.to_string().contains("tasks[3]"));
+        let e = VerifyError::AnalysisPairMismatch {
+            edge: EdgeId::new(0),
+            recorded: [1, 2],
+            derived: [1, 3],
+        };
+        assert_eq!(
+            e.to_string(),
+            "movement analysis records [1, 2] on I0, the kernel and cost model give [1, 3]"
+        );
+        let e = VerifyError::AnalysisShapeMismatch {
+            entries: 20,
+            edges: 21,
+        };
+        assert!(e.to_string().contains("20 entries"));
+        let e = VerifyError::AnalysisPeriodMismatch {
+            recorded: 5,
+            kernel: 4,
+        };
+        assert!(e.to_string().contains("period 5"));
     }
 
     #[test]

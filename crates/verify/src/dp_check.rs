@@ -17,6 +17,9 @@
 //! * **allocation soundness** — the emitted allocation fits its own
 //!   capacity and claims no more profit than the optimum (degraded
 //!   policies may claim less);
+//! * **analysis agreement** — the outcome's movement analysis records
+//!   the kernel's period and, on every edge, the requirement pair the
+//!   re-derivation gives, so the `ΔR` it reports is the profit solved;
 //! * on small instances, an exhaustive subset enumeration confirms the
 //!   optimum exactly.
 
@@ -49,7 +52,10 @@ pub struct DpCheck {
 /// # Errors
 ///
 /// Returns the specific violated invariant as a [`VerifyError`]:
-/// [`VerifyError::CapacityAboveCache`] before any DP runs,
+/// [`VerifyError::CapacityAboveCache`] and the analysis mismatches
+/// ([`VerifyError::AnalysisPeriodMismatch`],
+/// [`VerifyError::AnalysisShapeMismatch`],
+/// [`VerifyError::AnalysisPairMismatch`]) before any DP runs,
 /// [`VerifyError::Cancelled`] when the ambient cancel token cuts a
 /// re-solve short. Never panics, even on zero-capacity or empty
 /// instances.
@@ -68,7 +74,7 @@ pub fn check_dp_invariants(
             cache: config.total_cache_units(),
         });
     }
-    let items = derive_items(graph, outcome, config);
+    let items = derive_items(graph, outcome, config)?;
 
     let competing: Vec<AllocItem> =
         sort_by_deadline(items.iter().copied().filter(|i| i.delta_r() > 0).collect());
@@ -186,36 +192,63 @@ pub fn check_dp_invariants(
 /// Re-derives the scheduler's knapsack items from first principles:
 /// per-edge latencies, Theorem 3.1 requirements and residency-window
 /// counts, exactly mirroring the emission math without running it.
+///
+/// # Errors
+///
+/// The outcome's movement analysis must hold the kernel's period and
+/// one entry per edge equal to the re-derived requirement pair;
+/// otherwise the first difference is a [`VerifyError`].
 pub(crate) fn derive_items(
     graph: &TaskGraph,
     outcome: &ParaConvOutcome,
     config: &PimConfig,
-) -> Vec<AllocItem> {
+) -> Result<Vec<AllocItem>, VerifyError> {
     let kernel = &outcome.core.kernel;
+    let analysis = &outcome.core.analysis;
+    if analysis.period() != kernel.period() {
+        return Err(VerifyError::AnalysisPeriodMismatch {
+            recorded: analysis.period(),
+            kernel: kernel.period(),
+        });
+    }
+    if analysis.pairs().len() != graph.edge_count() {
+        return Err(VerifyError::AnalysisShapeMismatch {
+            entries: analysis.pairs().len(),
+            edges: graph.edge_count(),
+        });
+    }
     let p = kernel.period().max(1);
     let unroll = kernel.copies();
     let cost = CostModel::new(config, graph.edge_count());
     let gaps = kernel.gaps(graph);
     graph
         .edges()
-        .map(|e| {
+        .zip(analysis.pairs())
+        .map(|(e, (_, recorded))| {
             let i = e.id().index();
             let cache_time = cost.cache_transfer_time(e.size());
             let edram_time = cost.edram_transfer_time(e.size());
             let k_cache = minimal_relative_retiming(cache_time, gaps[i], p);
             let k_edram = minimal_relative_retiming(edram_time, gaps[i], p).max(k_cache);
+            if [recorded.k_cache(), recorded.k_edram()] != [k_cache, k_edram] {
+                return Err(VerifyError::AnalysisPairMismatch {
+                    edge: e.id(),
+                    recorded: [recorded.k_cache(), recorded.k_edram()],
+                    derived: [k_cache, k_edram],
+                });
+            }
             let windows: u64 = (0..unroll)
                 .map(|c| {
                     let f = kernel.finish_at(e.src(), c);
                     (f + cache_time).div_ceil(p).max(1)
                 })
                 .sum();
-            AllocItem::new(
+            Ok(AllocItem::new(
                 e.id(),
                 e.size() * windows,
                 k_edram - k_cache,
                 kernel.start(e.dst()),
-            )
+            ))
         })
         .collect()
 }
@@ -301,6 +334,7 @@ mod tests {
         // honestly re-derived optimum can justify.
         let capacity = outcome.core.allocation.capacity();
         let forged_items: Vec<AllocItem> = derive_items(&g, &outcome, &cfg)
+            .expect("honest analysis")
             .into_iter()
             .map(|i| AllocItem::new(i.edge(), i.space(), i.delta_r() * 10, i.deadline()))
             .collect();

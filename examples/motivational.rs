@@ -56,8 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .allocation
             .placement(ipr.id())
             .unwrap_or(Placement::Edram);
-        let case = para.core.analysis.case(ipr.id()).expect("edge analyzed");
-        println!("  {ipr}: {placement} ({case})");
+        let pair = para.core.analysis.pair(ipr.id()).expect("edge analyzed");
+        println!("  {ipr}: {placement} ({pair})");
     }
 
     println!(

@@ -20,13 +20,14 @@
 
 use proptest::prelude::*;
 
+use paraconv::graph::EdgeId;
 use paraconv::graph::TaskGraph;
 use paraconv::pim::{simulate, ExecutionPlan, PimConfig};
 use paraconv::registry::{
     decode, request_key, sha256_hex, ArtifactError, PlanBundle, PlanPolicy, Registry,
     FORMAT_VERSION, PRODUCER,
 };
-use paraconv::retime::Retiming;
+use paraconv::retime::{MovementAnalysis, RequirementPair, Retiming};
 use paraconv::sched::{AllocationPolicy, ParaConvScheduler, SchedError};
 use paraconv::synth::benchmarks;
 use paraconv::verify::{verify_outcome, VerifyError};
@@ -311,7 +312,12 @@ fn a_forged_plan_beside_an_honest_core_fails_the_gate() {
 /// recomputing the content hash and the key honestly, so only the
 /// codec and the plan re-derivation stand between the edit and a plan.
 fn forge(edit: impl FnOnce(&mut Map)) -> Vec<u8> {
-    let text = String::from_utf8(sample_bytes()).expect("artifact is UTF-8");
+    forge_from(sample_bytes(), edit)
+}
+
+/// [`forge`] of any artifact.
+fn forge_from(bytes: Vec<u8>, edit: impl FnOnce(&mut Map)) -> Vec<u8> {
+    let text = String::from_utf8(bytes).expect("artifact is UTF-8");
     let (_, body) = text.split_once('\n').expect("two-line artifact");
     let mut body = serde_json::from_str(body.trim_end()).expect("body is JSON");
     let Value::Object(obj) = &mut body else {
@@ -593,6 +599,114 @@ fn hash_valid_tampered_outcomes_die_at_the_verifier_gate() {
         rejected,
         "tampered retiming slipped past decode and the gate"
     );
+}
+
+#[test]
+fn hostile_analyses_are_refused_with_typed_errors() {
+    // LeNet-5 at 16 PEs × 20 iterations: edge 0's eDRAM transfer
+    // outgrows the period, so its true pair (1, 3) is beyond Theorem
+    // 3.1. Each hostile analysis is built as a bundle through the
+    // library, so its hashes are honest and only the verifier's own
+    // derivation stands between it and an import.
+    let zoo = paraconv::cnn::zoo::lenet5().expect("LeNet-5 builds");
+    let graph = paraconv::cnn::partition(&zoo, paraconv::cnn::PartitionConfig::default())
+        .expect("network partitions");
+    let cfg = config();
+    let policy = PlanPolicy {
+        allocation: AllocationPolicy::DynamicProgram,
+        iterations: 20,
+    };
+    let outcome = ParaConvScheduler::new(cfg.clone())
+        .schedule(&graph, policy.iterations)
+        .expect("schedulable");
+    let pairs: Vec<RequirementPair> = outcome.core.analysis.pairs().map(|(_, p)| p).collect();
+    let (edges, period) = (pairs.len(), outcome.core.analysis.period());
+    assert_eq!((pairs[0].k_cache(), pairs[0].k_edram()), (1, 3));
+    let bundle_with = |pairs: Vec<RequirementPair>, period| {
+        let mut outcome = outcome.clone();
+        outcome.core.analysis = MovementAnalysis::from_pairs(pairs, period).expect("period > 0");
+        PlanBundle {
+            graph: graph.clone(),
+            config: cfg.clone(),
+            policy,
+            outcome,
+        }
+    };
+    let pair = |k_cache, k_edram| RequirementPair::new(k_cache, k_edram).expect("ordered");
+    let edge0 = |p| {
+        let mut edited = pairs.clone();
+        edited[0] = p;
+        edited
+    };
+    let mut long = pairs.clone();
+    long.push(pair(0, 0));
+    let mismatch = |recorded| VerifyError::AnalysisPairMismatch {
+        edge: EdgeId::new(0),
+        recorded,
+        derived: [1, 3],
+    };
+    let clamped = bundle_with(edge0(pair(1, 2)), period).encode();
+    // The clamped pair is exactly what the analysis stored while it
+    // clamped requirements to 2: the previously pinned export.
+    assert_eq!(
+        sha256_hex(&clamped),
+        "0b13807e7b3ba580a9129d782fa05458f8db5eb7102bdb510df64803aa557b2f"
+    );
+    let cases = [
+        (
+            "one entry short",
+            bundle_with(pairs[..edges - 1].to_vec(), period).encode(),
+            VerifyError::AnalysisShapeMismatch {
+                entries: edges - 1,
+                edges,
+            },
+        ),
+        (
+            "one entry long",
+            bundle_with(long, period).encode(),
+            VerifyError::AnalysisShapeMismatch {
+                entries: edges + 1,
+                edges,
+            },
+        ),
+        ("[1,2] for (1,3)", clamped, mismatch([1, 2])),
+        (
+            "[1,4] for (1,3)",
+            bundle_with(edge0(pair(1, 4)), period).encode(),
+            mismatch([1, 4]),
+        ),
+        (
+            "another period",
+            bundle_with(pairs.clone(), period + 1).encode(),
+            VerifyError::AnalysisPeriodMismatch {
+                recorded: period + 1,
+                kernel: period,
+            },
+        ),
+    ];
+    for (name, bytes, expected) in cases {
+        let artifact = decode(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let b = &artifact.bundle;
+        assert_eq!(
+            verify_outcome(&b.graph, &b.outcome, &b.config),
+            Err(expected),
+            "{name}"
+        );
+    }
+    // No `RequirementPair` has k_cache > k_edram, so such an analysis
+    // can only be forged, and the decoder refuses it.
+    let honest = bundle_with(pairs, period).encode();
+    let forged = forge_from(honest, |body| {
+        array(member(body, &["outcome", "analysis"]), "cases")[0] =
+            Value::Array(vec![number(3), number(2)]);
+    });
+    match decode_err(&forged) {
+        ArtifactError::SchemaMismatch { path, detail } => {
+            assert_eq!(path, "body.outcome.analysis.cases[0]");
+            assert_eq!(detail, "k_cache 3 above k_edram 2");
+        }
+        other => panic!("expected SchemaMismatch, got {other}"),
+    }
 }
 
 #[test]

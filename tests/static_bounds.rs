@@ -6,7 +6,11 @@
 //! 2. the verifier's steady-state occupancy bounds dominate the
 //!    observability layer's recorded high-water marks
 //!    (`sim.*.peak_*` gauges) on every benchmark and every model-zoo
-//!    network.
+//!    network;
+//! 3. the movement analysis an outcome reports is the one its
+//!    allocation solved, also where transfers outgrow the period: the
+//!    `ΔR` of the cached edges sums to the allocation's profit, and the
+//!    verifier's own derivation gives every pair.
 //!
 //! The obs recorder is process-global, so every test that records or
 //! simulates serializes on one lock.
@@ -15,9 +19,11 @@ use std::sync::{Mutex, MutexGuard};
 
 use paraconv::experiments::{ablation, cases, energy, fig5, fig6, scalability};
 use paraconv::experiments::{table1, table2, zoo, ExperimentConfig};
-use paraconv::sched::ParaConvOutcome;
+use paraconv::graph::TaskGraph;
+use paraconv::pim::{ExecutionPlan, PimConfig};
+use paraconv::sched::{ParaConvOutcome, ParaConvScheduler};
 use paraconv::synth::benchmarks;
-use paraconv::verify::verify_outcome;
+use paraconv::verify::{check_dp_invariants, verify_outcome};
 use paraconv::{obs, ParaConv};
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
@@ -123,5 +129,59 @@ fn static_bounds_dominate_observed_peaks_on_the_zoo() {
         let graph = paraconv::cnn::partition(network, paraconv::cnn::PartitionConfig::default())
             .expect("network partitions");
         assert_dominates(&format!("{class}/{}", network.name()), &graph, 16, 12);
+    }
+}
+
+/// Schedules the core of `graph` and asserts that its analysis is the
+/// one the allocation and the verifier see.
+fn assert_analysis_is_the_solved_one(name: &str, graph: &TaskGraph, cfg: &PimConfig, iters: u64) {
+    let (core, _) = ParaConvScheduler::new(cfg.clone())
+        .schedule_periodic(graph, iters)
+        .expect("schedulable");
+    let cached: u64 = core
+        .allocation
+        .cached()
+        .iter()
+        .map(|&e| core.analysis.delta_r(e))
+        .sum();
+    assert_eq!(cached, core.allocation.total_profit(), "{name}");
+    // The DP check reads only the core: it re-derives every pair and
+    // refuses an analysis that differs from it.
+    let outcome = ParaConvOutcome {
+        core,
+        plan: ExecutionPlan::default(),
+    };
+    if let Err(e) = check_dp_invariants(graph, &outcome, cfg) {
+        panic!("{name}: {e}");
+    }
+}
+
+#[test]
+fn the_reported_analysis_is_the_solved_one_across_table1_off_the_default_penalty() {
+    let _guard = lock();
+    for penalty in [6, 8, 10] {
+        for bench in benchmarks::all() {
+            let graph = bench.graph().expect("benchmark generates");
+            for pes in [16, 32, 64] {
+                let cfg = PimConfig::builder(pes)
+                    .edram_penalty(penalty)
+                    .build()
+                    .expect("valid config");
+                let name = format!("{} @ {pes} PEs, {penalty}x", bench.name());
+                assert_analysis_is_the_solved_one(&name, &graph, &cfg, 500);
+            }
+        }
+    }
+}
+
+#[test]
+fn the_reported_analysis_is_the_solved_one_on_the_zoo() {
+    let _guard = lock();
+    let cfg = PimConfig::neurocube(16).expect("valid config");
+    for (class, network) in &paraconv::cnn::zoo::all().expect("zoo builds") {
+        let graph = paraconv::cnn::partition(network, paraconv::cnn::PartitionConfig::default())
+            .expect("network partitions");
+        let name = format!("{class}/{}", network.name());
+        assert_analysis_is_the_solved_one(&name, &graph, &cfg, 20);
     }
 }
